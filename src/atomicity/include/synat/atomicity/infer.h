@@ -14,6 +14,13 @@
 //  Step 5: unclassified actions get A.
 //  Step 6: propagate through the AST with join / seq / iterative closure.
 //  Step 7: a procedure is atomic iff every variant's body is ⊑ A.
+//
+// Step 4 classifies each action against one whole-program *conflict
+// universe*: every procedure's variants with their regions and lock sets.
+// ConflictUniverse builds it once (step 0 plus every variant's context);
+// ConflictUniverse::classify then runs steps 1-7 for one procedure against
+// it, so classifying any subset of procedures gives exactly the results of
+// a whole-program run.
 #pragma once
 
 #include <memory>
@@ -43,12 +50,6 @@ struct InferOptions {
   /// discipline for the algorithms of Section 6.4; list the protected
   /// locations as "Var" (global) or "Class.field" strings, or "*" for all.
   std::vector<std::string> counted_cas;
-  /// When non-empty, only the named procedures are classified and reported
-  /// (steps 1-7). Every procedure still contributes its variants to the
-  /// cross-thread conflict universe, so the results for the selected
-  /// procedures are identical to a whole-program run. Used by the batch
-  /// driver to parallelize at procedure granularity.
-  std::vector<std::string> only_procs;
   /// Record a structured justification for every classification decision
   /// (DESIGN.md §3f): which step fired, citing which theorem, on which
   /// event, with conflict witnesses. Off by default — collection costs a
@@ -101,11 +102,46 @@ class AtomicityResult {
   std::string full_listing(const synl::Program& prog) const;
 
  private:
-  friend class InferEngine;
+  friend AtomicityResult infer_atomicity(synl::Program&, DiagEngine&,
+                                         const InferOptions&);
   std::vector<ProcResult> procs_;
 };
 
-/// Runs the complete analysis. Appends exceptional variants to `prog`.
+class InferEngine;
+
+/// The program's conflict universe, built once: step 0 for every procedure
+/// and the context (regions, lock sets) of every exceptional variant.
+class ConflictUniverse {
+ public:
+  /// Appends the exceptional variants to `prog`, which must outlive the
+  /// universe and stay otherwise unmodified. Polls
+  /// `opts.variant_opts.budget` and throws BudgetExceeded when it trips. A
+  /// procedure over `opts.variant_opts.max_variants` enters the universe as
+  /// its unspecialized clone, which over-approximates every variant for
+  /// the other procedures; only its own classify() fails.
+  ConflictUniverse(synl::Program& prog, DiagEngine& diags,
+                   const InferOptions& opts);
+  ~ConflictUniverse();
+  ConflictUniverse(const ConflictUniverse&) = delete;
+  ConflictUniverse& operator=(const ConflictUniverse&) = delete;
+
+  /// Original procedures, ProcIds 0 .. num_procs()-1.
+  size_t num_procs() const;
+
+  /// Steps 1-7 for original procedure `proc`. Throws BudgetExceeded:
+  /// "max-variants" when `proc` exceeded the variant budget, or the
+  /// budget's own reason when it trips mid-classification.
+  ProcResult classify(synl::ProcId proc) const;
+
+  /// ProgramFingerprint::universe, hashed from the contexts built above.
+  uint64_t fingerprint() const;
+
+ private:
+  std::unique_ptr<InferEngine> engine_;
+};
+
+/// Runs the complete analysis: builds the universe and classifies every
+/// procedure. Appends exceptional variants to `prog`.
 AtomicityResult infer_atomicity(synl::Program& prog, DiagEngine& diags,
                                 const InferOptions& opts = {});
 
@@ -123,17 +159,20 @@ AtomicityResult infer_atomicity(synl::Program& prog, DiagEngine& diags,
 /// edited procedures instead of the whole program.
 struct ProgramFingerprint {
   /// False when the program could not be fingerprinted precisely (broken
-  /// procedures, variant budget trip mid-fingerprint, reparse failure);
-  /// callers must fall back to whole-program keying.
+  /// procedures, a budget trip mid-fingerprint, reparse failure); callers
+  /// must fall back to whole-program keying.
   bool complete = false;
   /// Declarations + every procedure's interference signature. Shared by
   /// all procedures of the program.
   uint64_t universe = 0;
-  /// Per original procedure, in declaration order: the procedure's own
-  /// printed body plus its statement source layout (reports render line
-  /// numbers, so layout is part of the result's identity).
+  /// Per original procedure, in declaration order: content_fingerprint.
   std::vector<uint64_t> content;
 };
+
+/// ProgramFingerprint::content of original procedure `proc`: its printed
+/// body plus its statement source layout (reports render line numbers, so
+/// layout is part of the result's identity).
+uint64_t content_fingerprint(const synl::Program& prog, synl::ProcId proc);
 
 /// Computes the fingerprint without running steps 1-7 (it pays variant
 /// generation and per-variant CFG analysis, not the quadratic conflict

@@ -65,15 +65,12 @@ SourceLoc event_loc(const Program& prog, const Event& ev) {
 
 class InferEngine {
  public:
-  InferEngine(Program& prog, DiagEngine& diags, const InferOptions& opts)
-      : prog_(prog), diags_(diags), opts_(opts) {}
+  /// Builds the conflict universe (see ConflictUniverse).
+  InferEngine(Program& prog, DiagEngine& diags, const InferOptions& opts);
 
-  AtomicityResult run();
-
-  /// Hash of every procedure's interference signature — the cross-context
-  /// observables steps 2/4 read (see ProgramFingerprint). Runs step 0 and
-  /// context building only; throws BudgetExceeded under a tripped budget.
-  uint64_t interference_universe();
+  size_t num_procs() const { return procs_.size(); }
+  ProcResult classify(ProcId proc) const;
+  uint64_t fingerprint() const;
 
  private:
   /// A mutual-exclusion region inside one variant (Theorems 5.4/5.5).
@@ -93,6 +90,20 @@ class InferEngine {
     /// Lock paths held on entry to each event.
     std::vector<std::vector<AccessPath>> held;
   };
+
+  /// Step 0 of one original procedure: its variants, where their contexts
+  /// start in vctx_ (contiguous, in variant order), and its step-0
+  /// provenance records.
+  struct ProcEntry {
+    VariantSet vs;
+    size_t first_ctx = 0;
+    std::vector<obs::ProvenanceRecord> step0;
+  };
+
+  /// Step-0 provenance of one original procedure: loop purity verdicts,
+  /// a path-budget bailout, and how many variants it contributes.
+  std::vector<obs::ProvenanceRecord> step0_provenance(
+      ProcId pid, const ProcAnalysis& pa, const VariantSet& vs) const;
 
   void build_variant_ctx(ProcId variant);
   void build_regions(VariantCtx& ctx);
@@ -180,7 +191,7 @@ class InferEngine {
 
   void mix_variant_signature(Hasher& h, const VariantCtx& ctx) const;
 
-  void propagate(VariantCtx& ctx, VariantResult& out) const;
+  void propagate(const VariantCtx& ctx, VariantResult& out) const;
   Atomicity stmt_atom(const VariantCtx& ctx, const VariantResult& res,
                       synl::StmtId id,
                       std::unordered_map<uint32_t, Atomicity>& memo) const;
@@ -189,9 +200,9 @@ class InferEngine {
                           bool release_only) const;
 
   Program& prog_;
-  DiagEngine& diags_;
-  const InferOptions& opts_;
-  std::vector<VariantCtx> vctx_;
+  const InferOptions opts_;
+  std::vector<ProcEntry> procs_;  ///< per original procedure
+  std::vector<VariantCtx> vctx_;  ///< every variant of every procedure
 };
 
 // ---------------------------------------------------------------------------
@@ -835,7 +846,7 @@ Atomicity InferEngine::stmt_atom(
   return a;
 }
 
-void InferEngine::propagate(VariantCtx& ctx, VariantResult& out) const {
+void InferEngine::propagate(const VariantCtx& ctx, VariantResult& out) const {
   obs::SpanScope span(obs::StageId::Movers);
   const cfg::Cfg& cfg = ctx.pa->cfg();
   std::vector<obs::ProvenanceRecord>* prov =
@@ -889,181 +900,169 @@ void InferEngine::propagate(VariantCtx& ctx, VariantResult& out) const {
 
 // ---------------------------------------------------------------------------
 
-AtomicityResult InferEngine::run() {
+std::vector<obs::ProvenanceRecord> InferEngine::step0_provenance(
+    ProcId pid, const ProcAnalysis& pa, const VariantSet& vs) const {
+  std::vector<obs::ProvenanceRecord> recs;
+  for (const cfg::LoopInfo& li : pa.cfg().loops()) {
+    const analysis::LoopPurity* lp = pa.purity().result(li.stmt);
+    if (lp == nullptr) continue;
+    uint32_t line = prog_.stmt(li.stmt).loc.line;
+    uint32_t col = prog_.stmt(li.stmt).loc.column;
+    if (lp->pure) {
+      obs::ProvenanceRecord r;
+      r.step = 0;
+      r.theorem = "4.1";
+      r.rule = "pure-loop";
+      r.subject = "loop";
+      r.line = line;
+      r.column = col;
+      r.detail =
+          "pure loop: normally terminating iterations are deletable; "
+          "exceptional paths become variant slices";
+      recs.push_back(std::move(r));
+    } else {
+      for (const analysis::ImpureReason& ir : lp->reasons) {
+        obs::ProvenanceRecord r;
+        r.step = 0;
+        r.rule = "impure-" + ir.condition;
+        r.subject = "loop";
+        r.line = line;
+        r.column = col;
+        r.detail =
+            "purity condition (" + ir.condition + ") violated: " +
+            ir.message + "; the loop is kept whole";
+        r.witness_line = ir.line;
+        recs.push_back(std::move(r));
+      }
+    }
+  }
+  if (vs.bailed_out) {
+    obs::ProvenanceRecord r;
+    r.step = 0;
+    r.rule = "path-budget";
+    r.subject =
+        std::string(prog_.syms().name(prog_.proc(pid).name));
+    r.line = prog_.proc(pid).loc.line;
+    r.column = prog_.proc(pid).loc.column;
+    r.detail =
+        "path enumeration exceeded the cap; using a single "
+        "unspecialized clone";
+    recs.push_back(std::move(r));
+  }
+  obs::ProvenanceRecord r;
+  r.step = 0;
+  r.rule = "variants";
+  r.subject = std::string(prog_.syms().name(prog_.proc(pid).name));
+  r.line = prog_.proc(pid).loc.line;
+  r.column = prog_.proc(pid).loc.column;
+  r.detail = std::to_string(vs.variants.size()) +
+             " exceptional variant(s) enter the conflict universe";
+  recs.push_back(std::move(r));
+  return recs;
+}
+
+InferEngine::InferEngine(Program& prog, DiagEngine& diags,
+                         const InferOptions& opts)
+    : prog_(prog), opts_(opts) {
   obs::SpanScope span(obs::StageId::Infer);
-  AtomicityResult result;
   const size_t num_original = prog_.num_procs();
   ExecBudget* budget = opts_.variant_opts.budget;
 
-  // Classification restriction (InferOptions::only_procs): every variant
-  // below still enters the conflict universe, so restricted results match
-  // the whole-program run exactly.
-  auto selected = [&](ProcId p) {
-    if (opts_.only_procs.empty()) return true;
-    std::string_view n = prog_.syms().name(prog_.proc(p).name);
-    for (const std::string& s : opts_.only_procs)
-      if (s == n) return true;
-    return false;
-  };
-
-  // Step 0: analyses of the originals + exceptional variants.
-  std::vector<VariantSet> sets;
-  std::unordered_map<uint32_t, std::vector<obs::ProvenanceRecord>> step0;
+  // Step 0: analyses of the originals + exceptional variants. A procedure
+  // over the variant budget enters as its conservative clone; classify()
+  // degrades it alone.
+  procs_.reserve(num_original);
   for (size_t i = 0; i < num_original; ++i) {
     ProcId pid(static_cast<uint32_t>(i));
     if (budget != nullptr) budget->check("variant expansion");
     ProcAnalysis pa(prog_, pid);
-    VariantSet vs =
-        generate_variants(prog_, pid, pa, diags_, opts_.variant_opts);
-    if (opts_.provenance && selected(pid)) {
-      std::vector<obs::ProvenanceRecord>& recs = step0[pid.idx];
-      for (const cfg::LoopInfo& li : pa.cfg().loops()) {
-        const analysis::LoopPurity* lp = pa.purity().result(li.stmt);
-        if (lp == nullptr) continue;
-        uint32_t line = prog_.stmt(li.stmt).loc.line;
-        uint32_t col = prog_.stmt(li.stmt).loc.column;
-        if (lp->pure) {
-          obs::ProvenanceRecord r;
-          r.step = 0;
-          r.theorem = "4.1";
-          r.rule = "pure-loop";
-          r.subject = "loop";
-          r.line = line;
-          r.column = col;
-          r.detail =
-              "pure loop: normally terminating iterations are deletable; "
-              "exceptional paths become variant slices";
-          recs.push_back(std::move(r));
-        } else {
-          for (const analysis::ImpureReason& ir : lp->reasons) {
-            obs::ProvenanceRecord r;
-            r.step = 0;
-            r.rule = "impure-" + ir.condition;
-            r.subject = "loop";
-            r.line = line;
-            r.column = col;
-            r.detail =
-                "purity condition (" + ir.condition + ") violated: " +
-                ir.message + "; the loop is kept whole";
-            r.witness_line = ir.line;
-            recs.push_back(std::move(r));
-          }
-        }
-      }
-      if (vs.bailed_out) {
-        obs::ProvenanceRecord r;
-        r.step = 0;
-        r.rule = "path-budget";
-        r.subject =
-            std::string(prog_.syms().name(prog_.proc(pid).name));
-        r.line = prog_.proc(pid).loc.line;
-        r.column = prog_.proc(pid).loc.column;
-        r.detail =
-            "path enumeration exceeded the cap; using a single "
-            "unspecialized clone";
-        recs.push_back(std::move(r));
-      }
-      obs::ProvenanceRecord r;
-      r.step = 0;
-      r.rule = "variants";
-      r.subject = std::string(prog_.syms().name(prog_.proc(pid).name));
-      r.line = prog_.proc(pid).loc.line;
-      r.column = prog_.proc(pid).loc.column;
-      r.detail = std::to_string(vs.variants.size()) +
-                 " exceptional variant(s) enter the conflict universe";
-      recs.push_back(std::move(r));
-    }
-    if (vs.budget_tripped && selected(pid)) {
-      // A non-selected proc over budget stays in the universe as its
-      // conservative clone; only the proc being classified degrades.
-      throw BudgetExceeded(
-          "max-variants",
-          "procedure '" +
-              std::string(prog_.syms().name(prog_.proc(pid).name)) +
-              "' exceeded the exceptional-variant budget (max " +
-              std::to_string(opts_.variant_opts.max_variants) + ")");
-    }
-    sets.push_back(std::move(vs));
+    ProcEntry entry;
+    entry.vs = generate_variants(prog_, pid, pa, diags, opts_.variant_opts);
+    if (opts_.provenance) entry.step0 = step0_provenance(pid, pa, entry.vs);
+    procs_.push_back(std::move(entry));
   }
 
-  // Build contexts for every variant (cross-variant conflict universe).
-  for (const VariantSet& vs : sets)
-    for (ProcId v : vs.variants) {
+  // Contexts for every variant (the cross-variant conflict universe).
+  for (ProcEntry& entry : procs_) {
+    entry.first_ctx = vctx_.size();
+    for (ProcId v : entry.vs.variants) {
       if (budget != nullptr) budget->check("variant expansion");
       build_variant_ctx(v);
     }
-
-  // Steps 1-6 per variant; step 7 per original procedure.
-  std::unordered_map<uint32_t, VariantResult*> by_variant;
-  for (const VariantSet& vs : sets) {
-    if (!selected(vs.original)) continue;
-    ProcResult pr;
-    pr.proc = vs.original;
-    pr.bailed_out = vs.bailed_out;
-    pr.no_variants = vs.variants.empty();
-    if (opts_.provenance) {
-      if (auto it = step0.find(vs.original.idx); it != step0.end())
-        pr.prov = std::move(it->second);
-    }
-    Atomicity overall = Atomicity::B;
-    for (ProcId v : vs.variants) {
-      VariantCtx* ctx = nullptr;
-      for (VariantCtx& c : vctx_)
-        if (c.id == v) ctx = &c;
-      SYNAT_ASSERT(ctx != nullptr, "missing variant context");
-      VariantResult vr;
-      vr.variant = v;
-      vr.pa = ctx->pa;
-      propagate(*ctx, vr);
-      overall = join(overall, vr.atomicity);
-      pr.variants.push_back(std::move(vr));
-    }
-    pr.atomicity = overall;
-    pr.atomic = leq(overall, Atomicity::A);
-    if (opts_.provenance) {
-      if (pr.no_variants) {
-        obs::ProvenanceRecord r;
-        r.step = 0;
-        r.theorem = "4.1";
-        r.rule = "no-variants";
-        r.subject =
-            std::string(prog_.syms().name(prog_.proc(pr.proc).name));
-        r.line = prog_.proc(pr.proc).loc.line;
-        r.column = prog_.proc(pr.proc).loc.column;
-        r.detail =
-            "no exceptional variants: the procedure never completes "
-            "normally, so it is trivially atomic";
-        pr.prov.push_back(std::move(r));
-      }
-      obs::ProvenanceRecord r;
-      r.step = 7;
-      r.rule = "verdict";
-      r.subject = std::string(prog_.syms().name(prog_.proc(pr.proc).name));
-      r.line = prog_.proc(pr.proc).loc.line;
-      r.column = prog_.proc(pr.proc).loc.column;
-      r.atom = std::string(to_string(overall));
-      if (pr.atomic) {
-        r.detail = "every variant body is atomic (<= A)";
-      } else {
-        for (const VariantResult& vr : pr.variants) {
-          if (leq(vr.atomicity, Atomicity::A)) continue;
-          r.detail = "variant " + prog_.proc(vr.variant).variant_tag +
-                     " composes to " +
-                     std::string(to_string(vr.atomicity));
-          break;
-        }
-      }
-      pr.prov.push_back(std::move(r));
-      // The records are now part of a reported result: account for them.
-      // Done here (not at creation) so Procedure-granularity totals equal
-      // a whole-program run's.
-      obs::count_provenance(pr.prov);
-      for (const VariantResult& vr : pr.variants)
-        obs::count_provenance(vr.prov);
-    }
-    result.procs_.push_back(std::move(pr));
   }
-  return result;
+}
+
+ProcResult InferEngine::classify(ProcId proc) const {
+  obs::SpanScope span(obs::StageId::Infer);
+  const ProcEntry& entry = procs_.at(proc.idx);
+  const std::string name(prog_.syms().name(prog_.proc(proc).name));
+  if (entry.vs.budget_tripped) {
+    throw BudgetExceeded(
+        "max-variants",
+        "procedure '" + name +
+            "' exceeded the exceptional-variant budget (max " +
+            std::to_string(opts_.variant_opts.max_variants) + ")");
+  }
+
+  // Steps 1-6 per variant; step 7 over the procedure.
+  ProcResult pr;
+  pr.proc = proc;
+  pr.bailed_out = entry.vs.bailed_out;
+  pr.no_variants = entry.vs.variants.empty();
+  pr.prov = entry.step0;
+  Atomicity overall = Atomicity::B;
+  for (size_t k = 0; k < entry.vs.variants.size(); ++k) {
+    const VariantCtx& ctx = vctx_[entry.first_ctx + k];
+    VariantResult vr;
+    vr.variant = ctx.id;
+    vr.pa = ctx.pa;
+    propagate(ctx, vr);
+    overall = join(overall, vr.atomicity);
+    pr.variants.push_back(std::move(vr));
+  }
+  pr.atomicity = overall;
+  pr.atomic = leq(overall, Atomicity::A);
+  if (opts_.provenance) {
+    const synl::ProcInfo& info = prog_.proc(proc);
+    if (pr.no_variants) {
+      obs::ProvenanceRecord r;
+      r.step = 0;
+      r.theorem = "4.1";
+      r.rule = "no-variants";
+      r.subject = name;
+      r.line = info.loc.line;
+      r.column = info.loc.column;
+      r.detail =
+          "no exceptional variants: the procedure never completes "
+          "normally, so it is trivially atomic";
+      pr.prov.push_back(std::move(r));
+    }
+    obs::ProvenanceRecord r;
+    r.step = 7;
+    r.rule = "verdict";
+    r.subject = name;
+    r.line = info.loc.line;
+    r.column = info.loc.column;
+    r.atom = std::string(to_string(overall));
+    if (pr.atomic) {
+      r.detail = "every variant body is atomic (<= A)";
+    } else {
+      for (const VariantResult& vr : pr.variants) {
+        if (leq(vr.atomicity, Atomicity::A)) continue;
+        r.detail = "variant " + prog_.proc(vr.variant).variant_tag +
+                   " composes to " + std::string(to_string(vr.atomicity));
+        break;
+      }
+    }
+    pr.prov.push_back(std::move(r));
+    // The records are now part of a reported result: account for them.
+    // Done here (not at creation) so the totals count classified
+    // procedures only, however many the universe holds.
+    obs::count_provenance(pr.prov);
+    for (const VariantResult& vr : pr.variants)
+      obs::count_provenance(vr.prov);
+  }
+  return pr;
 }
 
 // ---------------------------------------------------------------------------
@@ -1170,9 +1169,27 @@ std::string AtomicityResult::full_listing(const Program& prog) const {
   return out;
 }
 
+ConflictUniverse::ConflictUniverse(Program& prog, DiagEngine& diags,
+                                   const InferOptions& opts)
+    : engine_(std::make_unique<InferEngine>(prog, diags, opts)) {}
+
+ConflictUniverse::~ConflictUniverse() = default;
+
+size_t ConflictUniverse::num_procs() const { return engine_->num_procs(); }
+
+ProcResult ConflictUniverse::classify(ProcId proc) const {
+  return engine_->classify(proc);
+}
+
+uint64_t ConflictUniverse::fingerprint() const { return engine_->fingerprint(); }
+
 AtomicityResult infer_atomicity(Program& prog, DiagEngine& diags,
                                 const InferOptions& opts) {
-  return InferEngine(prog, diags, opts).run();
+  ConflictUniverse universe(prog, diags, opts);
+  AtomicityResult result;
+  for (size_t i = 0; i < universe.num_procs(); ++i)
+    result.procs_.push_back(universe.classify(ProcId(static_cast<uint32_t>(i))));
+  return result;
 }
 
 // ---------------------------------------------------------------------------
@@ -1285,39 +1302,28 @@ void InferEngine::mix_variant_signature(Hasher& h, const VariantCtx& ctx) const 
   }
 }
 
-uint64_t InferEngine::interference_universe() {
-  const size_t num_original = prog_.num_procs();
-  ExecBudget* budget = opts_.variant_opts.budget;
-
-  // Mirror run()'s universe construction: step 0 for every procedure (a
-  // budget-tripped procedure contributes its conservative clone, exactly as
-  // it does to a real run's universe), then contexts for every variant.
-  std::vector<VariantSet> sets;
-  sets.reserve(num_original);
-  for (size_t i = 0; i < num_original; ++i) {
-    ProcId pid(static_cast<uint32_t>(i));
-    if (budget != nullptr) budget->check("fingerprint");
-    ProcAnalysis pa(prog_, pid);
-    sets.push_back(generate_variants(prog_, pid, pa, diags_, opts_.variant_opts));
-  }
-  for (const VariantSet& vs : sets)
-    for (ProcId v : vs.variants) {
-      if (budget != nullptr) budget->check("fingerprint");
-      build_variant_ctx(v);
-    }
-
+uint64_t InferEngine::fingerprint() const {
   Hasher h;
-  size_t next = 0;
-  for (const VariantSet& vs : sets) {
-    h.mix("proc");
-    h.mix(prog_.syms().name(prog_.proc(vs.original).name));
-    h.mix(static_cast<uint64_t>(vs.variants.size()));
-    for (ProcId v : vs.variants) {
-      const VariantCtx& ctx = vctx_[next++];
-      SYNAT_ASSERT(ctx.id == v, "variant context order mismatch");
-      mix_variant_signature(h, ctx);
-    }
+  mix_decls(h, prog_);
+  Hasher u;
+  for (const ProcEntry& entry : procs_) {
+    u.mix("proc");
+    u.mix(prog_.syms().name(prog_.proc(entry.vs.original).name));
+    u.mix(static_cast<uint64_t>(entry.vs.variants.size()));
+    for (size_t k = 0; k < entry.vs.variants.size(); ++k)
+      mix_variant_signature(u, vctx_[entry.first_ctx + k]);
   }
+  h.mix(u.value());
+  return h.value();
+}
+
+uint64_t content_fingerprint(const Program& prog, ProcId proc) {
+  const synl::ProcInfo& pi = prog.proc(proc);
+  Hasher h;
+  h.mix(synl::print_proc(prog, proc));
+  h.mix(static_cast<uint64_t>(pi.loc.line));
+  h.mix(static_cast<uint64_t>(pi.loc.column));
+  mix_stmt_locs(h, prog, pi.body);
   return h.value();
 }
 
@@ -1326,19 +1332,14 @@ ProgramFingerprint fingerprint_program(const Program& prog,
   ProgramFingerprint fp;
   const size_t n = prog.num_procs();
 
-  // Per-procedure content: printed body + statement layout, from the
-  // caller's program so original source locations are captured.
+  // Per-procedure content from the caller's program, so original source
+  // locations are captured.
   fp.content.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     ProcId pid(static_cast<uint32_t>(i));
     const synl::ProcInfo& pi = prog.proc(pid);
     if (pi.broken || pi.variant_of.valid()) return fp;  // incomplete
-    Hasher h;
-    h.mix(synl::print_proc(prog, pid));
-    h.mix(static_cast<uint64_t>(pi.loc.line));
-    h.mix(static_cast<uint64_t>(pi.loc.column));
-    mix_stmt_locs(h, prog, pi.body);
-    fp.content.push_back(h.value());
+    fp.content.push_back(content_fingerprint(prog, pid));
   }
 
   // Interference universe, built on a private reparse: variant generation
@@ -1351,19 +1352,12 @@ ProgramFingerprint fingerprint_program(const Program& prog,
   if (diags.has_errors() || !fe.contained || fe.prog.num_procs() != n)
     return fp;
   InferOptions fopts = opts;
-  fopts.only_procs.clear();
   fopts.provenance = false;
-  uint64_t universe = 0;
   try {
-    InferEngine eng(fe.prog, diags, fopts);
-    universe = eng.interference_universe();
+    fp.universe = ConflictUniverse(fe.prog, diags, fopts).fingerprint();
   } catch (const BudgetExceeded&) {
     return fp;  // incomplete: caller falls back to whole-program keys
   }
-  Hasher h;
-  mix_decls(h, fe.prog);
-  h.mix(universe);
-  fp.universe = h.value();
   fp.complete = true;
   return fp;
 }

@@ -6,17 +6,18 @@
 // variants (paper step 4, the cross-thread conflict universe). The driver
 // therefore addresses entries by (analysis option fingerprint, the
 // procedure's own printed body + source layout, the program's interference
-// universe hash) — see atomicity::ProgramFingerprint. The universe hash
-// covers only the projection of other procedures that step 4 can actually
-// read (alias classes, lock sets, region structure), so editing one
-// procedure re-analyzes that procedure and, at worst, procedures whose
-// interference it changed — the keying behind `synat serve`'s incremental
-// re-analysis. When a program cannot be fingerprinted precisely (broken
-// procedures, provenance runs, budget trips) the driver falls back to the
-// coarse key (pretty-printed whole program, option fingerprint, procedure
-// name). Both forms are canonical content addresses: the printer is a
-// fixpoint under re-parsing, so formatting differences in the input do not
-// cause spurious misses.
+// universe hash) — see atomicity::ProgramFingerprint; the driver takes the
+// universe hash from the conflict universe it builds for the program
+// anyway. The universe hash covers only the projection of other procedures
+// that step 4 can actually read (alias classes, lock sets, region
+// structure), so editing one procedure re-analyzes that procedure and, at
+// worst, procedures whose interference it changed — the keying behind
+// `synat serve`'s incremental re-analysis. When a program cannot be
+// fingerprinted precisely (broken procedures, provenance runs) the driver
+// falls back to the coarse key (pretty-printed whole program, option
+// fingerprint, procedure name). Both forms are canonical content
+// addresses: the printer is a fixpoint under re-parsing, so formatting
+// differences in the input do not cause spurious misses.
 //
 // Sharded to keep lock hold times negligible next to an analysis run.
 // Entries are immutable shared_ptrs, so hits alias the cached report.
@@ -78,7 +79,8 @@ class ResultCache {
   bool save(const std::string& path) const;
   bool load(const std::string& path);
 
-  /// Lifetime counters (not reset by clear()).
+  /// Lifetime counters (not reset by clear()); they include every run
+  /// sharing this cache — a run's own lookups are in its Metrics.
   size_t hits() const { return hits_.load(std::memory_order_relaxed); }
   size_t misses() const { return misses_.load(std::memory_order_relaxed); }
   /// Snapshots or snapshot entries rejected as corrupt/stale during load().

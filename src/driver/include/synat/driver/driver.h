@@ -1,20 +1,19 @@
-// Batch analysis driver: runs the full per-procedure pipeline (sema →
-// CFG/liveness → purity/matching/local-conditions → variant enumeration →
-// mover assignment → type propagation → block partitioning) over many
-// programs on a fixed-size thread pool, with optional content-addressed
-// memoization of per-procedure results.
+// Batch analysis driver: runs the full pipeline (sema → CFG/liveness →
+// purity/matching/local-conditions → variant enumeration → mover
+// assignment → type propagation → block partitioning) over many programs
+// on a fixed-size thread pool, with optional content-addressed memoization
+// of per-procedure results.
 //
-// Concurrency model: every task parses its own Program from source, so no
-// AST is ever shared between threads (infer_atomicity appends variants to
-// the Program it analyzes and must own it). At Procedure granularity the
-// driver schedules one analysis task per original procedure — each task
-// restricts classification to its target via InferOptions::only_procs while
-// still building the whole-program conflict universe, so results are
-// bit-identical to a whole-program run but long programs no longer
-// serialize a worker. Output assembly is index-addressed, which makes the
-// rendered documents byte-identical for any --jobs value.
+// Concurrency model: one task per program. The task parses its own Program
+// (no AST is ever shared between threads: variant generation appends to
+// the Program it analyzes), builds the program's conflict universe once,
+// takes every procedure's cache address from that universe, classifies
+// only the cache misses against it, and publishes the finished program to
+// the ReportSink in one call. Output assembly is index-addressed, which
+// makes the rendered documents byte-identical for any --jobs value.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -23,7 +22,6 @@
 #include "synat/atomicity/infer.h"
 #include "synat/driver/cache.h"
 #include "synat/driver/report.h"
-#include "synat/driver/thread_pool.h"
 #include "synat/driver/watchdog.h"
 
 namespace synat::obs {
@@ -43,24 +41,19 @@ struct ProgramInput {
   std::string load_error;
 };
 
-enum class Granularity : uint8_t {
-  Program,    ///< one task per program
-  Procedure,  ///< one parse task per program + one analysis task per proc
-};
-
 struct DriverOptions {
   /// Worker threads; 1 runs inline on the calling thread, 0 uses one
   /// worker per hardware thread.
   unsigned jobs = 1;
   /// Memoize per-procedure reports in `cache` (or an internal cache).
   bool use_cache = false;
-  Granularity granularity = Granularity::Procedure;
   /// Record per-stage wall times (adds clock calls on the hot path).
   bool collect_timings = false;
-  /// Wall-clock deadline per analysis task in milliseconds; 0 disables it.
-  /// A task over deadline is reported as degraded ("deadline"), the batch
-  /// proceeds. Deadline trips depend on machine speed, so results are only
-  /// byte-deterministic when no task trips (or the deadline is 0).
+  /// Wall-clock deadline per program in milliseconds; 0 disables it. Every
+  /// procedure the deadline stops is reported as degraded ("deadline"),
+  /// the batch proceeds. Deadline trips depend on machine speed, so results
+  /// are only byte-deterministic when no program trips (or the deadline is
+  /// 0).
   uint64_t deadline_ms = 0;
   /// Escalate instead of degrading: recovered parse errors fail the
   /// program (ParseError) and budget/deadline trips are internal errors.
@@ -113,10 +106,15 @@ class BatchDriver {
   ResultCache& cache() { return *cache_; }
 
  private:
-  struct Job;  // per-program scheduling state
+  /// Cache lookups made by one run() — the shared cache's own counters
+  /// also count concurrent runs (serve requests) against it.
+  struct CacheTally {
+    std::atomic<size_t> hits{0};
+    std::atomic<size_t> misses{0};
+  };
 
   void run_program_task(const ProgramInput& input, size_t index,
-                        ReportSink& sink, ThreadPool& pool);
+                        ReportSink& sink, CacheTally& tally);
   /// Stage timing is collected when asked for (--timings) or whenever a
   /// wide-event sink needs per-program latencies.
   bool timed() const { return opts_.collect_timings || opts_.events != nullptr; }

@@ -131,8 +131,8 @@ struct Metrics {
   size_t internal_errors = 0;
   size_t degraded = 0;        ///< procedures reported with ProcReport::degraded
   size_t crashed = 0;         ///< programs whose isolated worker died
-  size_t cache_hits = 0;
-  size_t cache_misses = 0;
+  size_t cache_hits = 0;      ///< this run's own cache lookups that hit
+  size_t cache_misses = 0;    ///< ... and missed (procedures re-analyzed)
   size_t cache_rejected = 0;  ///< corrupt/stale snapshot entries skipped
   /// Journal counters are surfaced here (and on the CLI's stderr) but
   /// deliberately kept out of every rendered document: a `--resume` run
@@ -199,32 +199,26 @@ std::string to_text(const BatchReport& report);
 std::string to_explain(const BatchReport& report,
                        const std::string& proc_filter = {});
 
-/// Thread-safe collector: workers publish per-program and per-procedure
-/// results by index; finish() assembles the deterministic BatchReport.
+/// Thread-safe collector: workers publish whole programs by index;
+/// finish() assembles the deterministic BatchReport.
 class ReportSink {
  public:
   explicit ReportSink(size_t num_programs);
 
-  /// Called once, under the sink lock, the first time program `i` becomes
-  /// complete: all of its procedure slots are filled, or it failed. The
-  /// journal hooks in here; replayed programs (set_program) never notify.
+  /// Called once, under the sink lock, when program `i` is published or
+  /// fails. The journal hooks in here; set_program never notifies.
   using CompletionFn = std::function<void(size_t, const ProgramReport&)>;
   void set_on_complete(CompletionFn fn);
 
-  /// Declares program `i`'s identity and procedure count (parse stage).
-  void open_program(size_t i, std::string name, std::string fingerprint,
-                    size_t num_procs);
+  /// Publishes program `i` once its analysis task is done: every procedure
+  /// filled in, or a status saying why not (an escalated budget trip).
+  void publish_program(size_t i, ProgramReport report);
   /// Publishes a failed program (parse, load, internal error, or a crashed
   /// isolated worker — ProgramStatus::Degraded).
   void fail_program(size_t i, std::string name, ProgramStatus status,
                     std::vector<DiagReport> diags);
-  /// Appends diagnostics to program `i` without failing it (used for the
-  /// contained errors of a recovered program whose status stays Ok).
-  void add_diagnostics(size_t i, std::vector<DiagReport> diags);
-  /// Publishes procedure `p` of program `i` (analysis stage).
-  void set_proc(size_t i, size_t p, std::shared_ptr<const ProcReport> report);
-  /// Publishes a whole program at once: a journal replay or a decoded
-  /// worker result. Does not fire the completion callback.
+  /// Publishes a program that was already journaled: a journal replay or a
+  /// decoded worker result. Does not fire the completion callback.
   void set_program(size_t i, ProgramReport report);
   void add_stage_time(Stage s, uint64_t ns);
   /// Accumulates `ns` against program `i`'s own stage tally (the wide
@@ -243,7 +237,6 @@ class ReportSink {
 
   mutable std::mutex mu_;
   std::vector<ProgramReport> programs_;
-  std::vector<size_t> procs_pending_;  ///< unfilled slots per open program
   std::vector<bool> completed_;        ///< completion callback already fired
   std::vector<std::array<uint64_t, static_cast<size_t>(Stage::COUNT)>>
       stage_ns_;                       ///< per-program stage tallies

@@ -1,9 +1,9 @@
-// Fixed-size worker pool with a FIFO work queue for the batch driver.
+// Fixed-size worker pool with a FIFO work queue for the batch driver (one
+// task per program) and the serve daemon (one task per request).
 //
-// Tasks may submit further tasks (the driver's parse stage enqueues one
-// analysis task per procedure), so `wait_idle` waits until the queue is
+// Tasks may submit further tasks, so `wait_idle` waits until the queue is
 // empty AND no worker is mid-task. Tasks must not throw; the driver wraps
-// every stage in its own try/catch and converts failures into reports.
+// every task in its own try/catch and converts failures into reports.
 // With `threads == 0` the pool is inline: submit() runs the task on the
 // calling thread, which keeps `--jobs 1` free of scheduling noise and makes
 // it the serial baseline for the speedup measurements.

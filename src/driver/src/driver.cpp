@@ -7,6 +7,7 @@
 #include "synat/atomicity/blocks.h"
 #include "synat/atomicity/infer.h"
 #include "synat/driver/journal.h"
+#include "synat/driver/thread_pool.h"
 #include "synat/driver/worker.h"
 #include "synat/obs/events.h"
 #include "synat/obs/metrics.h"
@@ -184,10 +185,7 @@ std::shared_ptr<const ProcReport> with_key(std::shared_ptr<const ProcReport> r,
 }  // namespace
 
 uint64_t options_fingerprint(const atomicity::InferOptions& opts) {
-  // only_procs is deliberately excluded: it restricts which procedures are
-  // classified, never what any classification is, and the driver sets it
-  // per task.
-  // variant_opts.budget is likewise excluded: it only decides whether an
+  // variant_opts.budget is deliberately excluded: it only decides whether an
   // analysis finishes, never what a finished analysis computes (and
   // degraded results are never cached anyway).
   Hasher h;
@@ -212,14 +210,14 @@ BatchDriver::BatchDriver(DriverOptions opts, ResultCache* cache)
 BatchDriver::~BatchDriver() = default;
 
 void BatchDriver::run_program_task(const ProgramInput& input, size_t index,
-                                   ReportSink& sink, ThreadPool& pool) {
+                                   ReportSink& sink, CacheTally& tally) {
   DiagEngine diags;
   synl::FrontEnd fe = [&] {
     StageTimer t(sink, index, Stage::Parse, timed());
     return synl::parse_and_recover(input.source, diags);
   }();
   synl::Program& prog = fe.prog;
-  size_t num_procs = prog.num_procs();
+  const size_t num_procs = prog.num_procs();
   size_t healthy = 0;
   for (size_t p = 0; p < num_procs; ++p)
     if (!prog.proc(synl::ProcId(static_cast<uint32_t>(p))).broken) ++healthy;
@@ -240,195 +238,106 @@ void BatchDriver::run_program_task(const ProgramInput& input, size_t index,
     return;
   }
   const uint64_t opts_fp = options_fingerprint(input.opts);
-  uint64_t program_fp =
+  const uint64_t program_fp =
       Hasher().mix(synl::print_program(prog)).mix(opts_fp).value();
-  sink.open_program(index, input.name, hex64(program_fp), num_procs);
+  ProgramReport out;
+  out.name = input.name;
+  out.fingerprint = hex64(program_fp);
+  if (recovered) out.diagnostics = diag_reports(diags);
+  out.procs.resize(num_procs);
 
-  // Fine-grained cache addressing (DESIGN.md §3g): when the program
-  // fingerprints completely, each procedure's result is cached under
-  // H(options, own content, interference universe) instead of the
-  // whole-program key, so an edit that leaves a procedure's body and the
-  // program's interference signature unchanged still hits. This is what
-  // makes `synat serve` re-analyze only edited procedures. Reports keep
-  // the whole-program identity key in their `cache_key` field either way.
-  // Provenance runs stay on whole-program keys: derivation records quote
-  // other variants' source text and locations.
-  std::shared_ptr<const atomicity::ProgramFingerprint> fng;
-  if (opts_.use_cache && !input.opts.provenance && !recovered) {
-    obs::SpanScope fp_span(obs::StageId::Schedule);
-    ExecBudget fbudget;
-    Watchdog::Scope fscope(watchdog_.get(), fbudget, opts_.deadline_ms);
-    atomicity::InferOptions fopts = input.opts;
-    fopts.variant_opts.budget = &fbudget;
-    auto f = std::make_shared<atomicity::ProgramFingerprint>(
-        atomicity::fingerprint_program(prog, fopts));
-    if (f->complete && f->content.size() == num_procs) fng = std::move(f);
-  }
-  auto content_key = [&fng, opts_fp](size_t p) {
-    return Hasher()
-        .mix(opts_fp)
-        .mix(fng->content[p])
-        .mix(fng->universe)
-        .value();
-  };
-  if (recovered) sink.add_diagnostics(index, diag_reports(diags));
-  auto degrade_parse = [&prog, &sink, index](size_t p) {
+  // One budget (and deadline) covers the whole program: the universe build
+  // and every classification. A trip degrades each procedure it stops;
+  // --strict escalates them into an internal error instead.
+  ExecBudget budget;
+  Watchdog::Scope scope(watchdog_.get(), budget, opts_.deadline_ms);
+  atomicity::InferOptions iopts = input.opts;
+  iopts.variant_opts.budget = &budget;
+  auto trip = [&](size_t p, const BudgetExceeded& e) {
     synl::ProcId pid(static_cast<uint32_t>(p));
-    sink.set_proc(index, p,
-                  make_degraded_report(
-                      std::string(prog.syms().name(prog.proc(pid).name)),
-                      prog.proc(pid).loc.line, "parse",
-                      "procedure body failed to parse"));
+    uint32_t line = prog.proc(pid).loc.line;
+    if (opts_.strict) {
+      out.status = ProgramStatus::InternalError;
+      out.diagnostics.push_back({"error", line, 0, e.what()});
+    } else {
+      out.procs[p] = make_degraded_report(
+          std::string(prog.syms().name(prog.proc(pid).name)), line,
+          e.reason(), e.what());
+    }
   };
+  for (size_t p = 0; p < num_procs; ++p) {
+    synl::ProcId pid(static_cast<uint32_t>(p));
+    if (prog.proc(pid).broken)
+      out.procs[p] = make_degraded_report(
+          std::string(prog.syms().name(prog.proc(pid).name)),
+          prog.proc(pid).loc.line, "parse", "procedure body failed to parse");
+  }
 
-  // Program granularity (and the single-procedure fast path): analyze in
-  // this task, reusing the Program we just parsed.
-  if (opts_.granularity == Granularity::Program || num_procs <= 1) {
-    std::vector<uint64_t> keys(num_procs), addrs(num_procs);
-    bool all_hit = opts_.use_cache;
-    std::vector<std::shared_ptr<const ProcReport>> hits(num_procs);
+  try {
+    const atomicity::ConflictUniverse universe = [&] {
+      StageTimer ta(sink, index, Stage::Analyze, timed());
+      return atomicity::ConflictUniverse(prog, diags, iopts);
+    }();
+    // Cache addressing (DESIGN.md §3g). When the program fingerprints
+    // completely, each procedure's result is cached under H(options, own
+    // content, interference universe), the universe hash taken from the
+    // universe just built, so an edit that leaves a procedure's body and
+    // the program's interference signature unchanged still hits: this is
+    // what makes `synat serve` re-analyze only edited procedures. Programs
+    // with broken procedures and provenance runs (whose derivation records
+    // quote other variants' source text and locations) use the
+    // whole-program key. Reports carry the whole-program key in their
+    // `cache_key` field either way.
+    const bool content_keys =
+        opts_.use_cache && !input.opts.provenance && !recovered;
+    const uint64_t universe_fp = content_keys ? universe.fingerprint() : 0;
     for (size_t p = 0; p < num_procs; ++p) {
+      if (out.procs[p] != nullptr) continue;  // broken
       synl::ProcId pid(static_cast<uint32_t>(p));
-      if (prog.proc(pid).broken) continue;  // degraded; never keyed or cached
-      keys[p] = Hasher()
-                    .mix(program_fp)
-                    .mix(prog.syms().name(prog.proc(pid).name))
-                    .value();
-      addrs[p] = fng ? content_key(p) : keys[p];
+      const uint64_t key = Hasher()
+                               .mix(program_fp)
+                               .mix(prog.syms().name(prog.proc(pid).name))
+                               .value();
+      const uint64_t addr =
+          content_keys ? Hasher()
+                             .mix(opts_fp)
+                             .mix(atomicity::content_fingerprint(prog, pid))
+                             .mix(universe_fp)
+                             .value()
+                       : key;
       if (opts_.use_cache) {
-        hits[p] = with_key(cache_->lookup(addrs[p]), keys[p]);
-        all_hit = all_hit && hits[p] != nullptr;
-      }
-    }
-    if (opts_.use_cache && all_hit) {
-      for (size_t p = 0; p < num_procs; ++p) {
-        if (prog.proc(synl::ProcId(static_cast<uint32_t>(p))).broken)
-          degrade_parse(p);
-        else
-          sink.set_proc(index, p, hits[p]);
-      }
-      return;
-    }
-    ExecBudget budget;
-    Watchdog::Scope scope(watchdog_.get(), budget, opts_.deadline_ms);
-    atomicity::InferOptions iopts = input.opts;
-    iopts.variant_opts.budget = &budget;
-    atomicity::AtomicityResult result;
-    try {
-      result = [&] {
-        StageTimer ta(sink, index, Stage::Analyze, timed());
-        return atomicity::infer_atomicity(prog, diags, iopts);
-      }();
-    } catch (const BudgetExceeded& e) {
-      if (opts_.strict) {
-        sink.fail_program(index, input.name, ProgramStatus::InternalError,
-                          {{"error", 0, 0, e.what()}});
-        return;
-      }
-      // One budget covers the whole program at this granularity, so every
-      // surviving procedure degrades together.
-      for (size_t p = 0; p < num_procs; ++p) {
-        synl::ProcId pid(static_cast<uint32_t>(p));
-        if (prog.proc(pid).broken) {
-          degrade_parse(p);
+        if (std::shared_ptr<const ProcReport> hit = cache_->lookup(addr)) {
+          ++tally.hits;
+          out.procs[p] = with_key(std::move(hit), key);
           continue;
         }
-        sink.set_proc(index, p,
-                      make_degraded_report(
-                          std::string(prog.syms().name(prog.proc(pid).name)),
-                          prog.proc(pid).loc.line, e.reason(), e.what()));
+        ++tally.misses;
       }
-      return;
-    }
-    StageTimer tr(sink, index, Stage::Report, timed());
-    for (size_t p = 0; p < num_procs; ++p) {
-      synl::ProcId pid(static_cast<uint32_t>(p));
-      if (prog.proc(pid).broken) {
-        degrade_parse(p);
-        continue;
-      }
-      const atomicity::ProcResult* pr = result.result_for(pid);
-      SYNAT_ASSERT(pr != nullptr, "missing procedure result");
-      std::shared_ptr<const ProcReport> report =
-          make_proc_report(prog, *pr, keys[p], iopts.provenance);
-      if (opts_.use_cache)
-        report = with_key(cache_->insert(addrs[p], report), keys[p]);
-      sink.set_proc(index, p, report);
-    }
-    return;
-  }
-
-  // Procedure granularity: one analysis task per procedure. Each task
-  // re-parses its own Program (ASTs are never shared across threads) and
-  // classifies only its target; the conflict universe is still whole-
-  // program, so the result equals the whole-program run.
-  for (size_t p = 0; p < num_procs; ++p) {
-    if (prog.proc(synl::ProcId(static_cast<uint32_t>(p))).broken) {
-      degrade_parse(p);  // no task: there is nothing to analyze
-      continue;
-    }
-    pool.submit([this, &input, index, p, program_fp, opts_fp, fng, &sink] {
-      std::string name;  // filled before analysis so a budget trip can
-      uint32_t line = 0;  // still name its victim
       try {
-        DiagEngine d;
-        synl::FrontEnd fe = [&] {
-          StageTimer t(sink, index, Stage::Parse, timed());
-          return synl::parse_and_recover(input.source, d);
-        }();
-        SYNAT_ASSERT(fe.contained, "reparse of a recovered program failed");
-        synl::Program& prog = fe.prog;
-        synl::ProcId pid(static_cast<uint32_t>(p));
-        name = std::string(prog.syms().name(prog.proc(pid).name));
-        line = prog.proc(pid).loc.line;
-        uint64_t key = Hasher().mix(program_fp).mix(name).value();
-        uint64_t addr = fng ? Hasher()
-                                  .mix(opts_fp)
-                                  .mix(fng->content[p])
-                                  .mix(fng->universe)
-                                  .value()
-                            : key;
-        if (opts_.use_cache) {
-          if (std::shared_ptr<const ProcReport> hit =
-                  with_key(cache_->lookup(addr), key)) {
-            sink.set_proc(index, p, std::move(hit));
-            return;
-          }
-        }
-        atomicity::InferOptions opts = input.opts;
-        opts.only_procs = {name};
-        ExecBudget budget;
-        Watchdog::Scope scope(watchdog_.get(), budget, opts_.deadline_ms);
-        opts.variant_opts.budget = &budget;
-        atomicity::AtomicityResult result = [&] {
+        atomicity::ProcResult result = [&] {
           StageTimer ta(sink, index, Stage::Analyze, timed());
-          return atomicity::infer_atomicity(prog, d, opts);
+          return universe.classify(pid);
         }();
-        std::shared_ptr<const ProcReport> report;
-        {
-          StageTimer tr(sink, index, Stage::Report, timed());
-          const atomicity::ProcResult* pr = result.result_for(pid);
-          SYNAT_ASSERT(pr != nullptr, "missing procedure result");
-          report = make_proc_report(prog, *pr, key, opts.provenance);
-        }
+        StageTimer tr(sink, index, Stage::Report, timed());
+        std::shared_ptr<const ProcReport> report =
+            make_proc_report(prog, result, key, iopts.provenance);
         if (opts_.use_cache)
           report = with_key(cache_->insert(addr, report), key);
-        sink.set_proc(index, p, std::move(report));
+        out.procs[p] = std::move(report);
       } catch (const BudgetExceeded& e) {
-        if (opts_.strict) {
-          sink.fail_program(index, input.name, ProgramStatus::InternalError,
-                            {{"error", line, 0, e.what()}});
-        } else {
-          sink.set_proc(
-              index, p,
-              make_degraded_report(name, line, e.reason(), e.what()));
-        }
-      } catch (const std::exception& e) {
-        sink.fail_program(index, input.name, ProgramStatus::InternalError,
-                          {{"error", 0, 0, e.what()}});
+        trip(p, e);
       }
-    });
+    }
+  } catch (const BudgetExceeded& e) {
+    // The universe build tripped: no procedure can be classified.
+    for (size_t p = 0; p < num_procs; ++p)
+      if (out.procs[p] == nullptr) trip(p, e);
+  } catch (const std::exception& e) {
+    // An analysis stage threw: a synat bug, reported as the program's.
+    out.status = ProgramStatus::InternalError;
+    out.diagnostics.push_back({"error", 0, 0, e.what()});
   }
+  sink.publish_program(index, std::move(out));
 }
 
 BatchReport BatchDriver::run(const std::vector<ProgramInput>& inputs) {
@@ -509,7 +418,7 @@ BatchReport BatchDriver::run(const std::vector<ProgramInput>& inputs) {
     }
   }
 
-  size_t hits0 = cache_->hits(), misses0 = cache_->misses();
+  CacheTally tally;
   if (opts_.isolate) {
     // Supervisor path: sandboxed one-shot workers. Must fork before any
     // thread exists, so no Watchdog/ThreadPool is created here (workers
@@ -527,9 +436,9 @@ BatchReport BatchDriver::run(const std::vector<ProgramInput>& inputs) {
     ThreadPool pool(jobs <= 1 ? 0 : jobs);
     for (size_t i = 0; i < inputs.size(); ++i) {
       if (done[i]) continue;
-      pool.submit([this, &inputs, i, &sink, &pool] {
+      pool.submit([this, &inputs, i, &sink, &tally] {
         try {
-          run_program_task(inputs[i], i, sink, pool);
+          run_program_task(inputs[i], i, sink, tally);
         } catch (const std::exception& e) {
           sink.fail_program(i, inputs[i].name, ProgramStatus::InternalError,
                             {{"error", 0, 0, e.what()}});
@@ -539,8 +448,8 @@ BatchReport BatchDriver::run(const std::vector<ProgramInput>& inputs) {
     pool.wait_idle();
   }
   journal.close();
-  counters.cache_hits = cache_->hits() - hits0;
-  counters.cache_misses = cache_->misses() - misses0;
+  counters.cache_hits = tally.hits;
+  counters.cache_misses = tally.misses;
   // rejected() is a lifetime counter and load() runs before run(), so the
   // absolute value (not a delta) is what this batch observed.
   counters.cache_rejected = cache_->rejected();

@@ -115,7 +115,6 @@ obs::Event program_event(const ProgramReport& pr) {
 
 ReportSink::ReportSink(size_t num_programs) {
   programs_.resize(num_programs);
-  procs_pending_.resize(num_programs, 0);
   completed_.resize(num_programs, false);
   stage_ns_.resize(num_programs);
 }
@@ -131,15 +130,10 @@ void ReportSink::mark_complete_locked(size_t i) {
   if (on_complete_) on_complete_(i, programs_[i]);
 }
 
-void ReportSink::open_program(size_t i, std::string name,
-                              std::string fingerprint, size_t num_procs) {
+void ReportSink::publish_program(size_t i, ProgramReport report) {
   std::lock_guard<std::mutex> lock(mu_);
-  ProgramReport& pr = programs_.at(i);
-  pr.name = std::move(name);
-  pr.fingerprint = std::move(fingerprint);
-  pr.procs.resize(num_procs);
-  procs_pending_.at(i) = num_procs;
-  if (num_procs == 0) mark_complete_locked(i);
+  programs_.at(i) = std::move(report);
+  mark_complete_locked(i);
 }
 
 void ReportSink::fail_program(size_t i, std::string name, ProgramStatus status,
@@ -148,33 +142,16 @@ void ReportSink::fail_program(size_t i, std::string name, ProgramStatus status,
   ProgramReport& pr = programs_.at(i);
   if (pr.name.empty()) pr.name = std::move(name);
   // The worst status wins (InternalError > LoadError > ParseError >
-  // Degraded > Ok); a program can fail once per procedure task.
+  // Degraded > Ok) should a program fail more than once.
   if (static_cast<uint8_t>(status) > static_cast<uint8_t>(pr.status))
     pr.status = status;
   for (DiagReport& d : diags) pr.diagnostics.push_back(std::move(d));
   mark_complete_locked(i);
 }
 
-void ReportSink::add_diagnostics(size_t i, std::vector<DiagReport> diags) {
-  std::lock_guard<std::mutex> lock(mu_);
-  ProgramReport& pr = programs_.at(i);
-  for (DiagReport& d : diags) pr.diagnostics.push_back(std::move(d));
-}
-
-void ReportSink::set_proc(size_t i, size_t p,
-                          std::shared_ptr<const ProcReport> report) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = programs_.at(i).procs.at(p);
-  bool was_empty = slot == nullptr;
-  slot = std::move(report);
-  if (was_empty && procs_pending_.at(i) > 0 && --procs_pending_[i] == 0)
-    mark_complete_locked(i);
-}
-
 void ReportSink::set_program(size_t i, ProgramReport report) {
   std::lock_guard<std::mutex> lock(mu_);
   programs_.at(i) = std::move(report);
-  procs_pending_.at(i) = 0;
   // Replayed and worker-delivered programs were journaled at their original
   // completion; firing the callback again would duplicate the record.
   completed_.at(i) = true;
@@ -211,7 +188,7 @@ BatchReport ReportSink::finish(const Metrics& counters, size_t jobs) {
   for (ProgramReport& pr : programs_) {
     if (pr.status == ProgramStatus::Ok) {
       for (const auto& p : pr.procs) {
-        if (!p) {  // a worker died without reporting; surface it
+        if (!p) {  // a decoded report without this result; surface it
           pr.status = ProgramStatus::InternalError;
           pr.diagnostics.push_back(
               {"error", 0, 0, "procedure result missing"});
@@ -233,7 +210,6 @@ BatchReport ReportSink::finish(const Metrics& counters, size_t jobs) {
   out.programs = std::move(programs_);
   out.metrics = metrics_;
   programs_.clear();
-  procs_pending_.clear();
   completed_.clear();
   return out;
 }

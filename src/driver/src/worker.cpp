@@ -107,12 +107,7 @@ int worker_body(int out_fd, const ProgramInput& input, unsigned attempt,
   sub.collect_timings = false;
   sub.journal_path.clear();
   sub.resume = false;
-  uint64_t hits_base = 0, misses_base = 0;
-  if (cache != nullptr) {
-    hits_base = cache->hits();
-    misses_base = cache->misses();
-    cache->start_capture();
-  }
+  if (cache != nullptr) cache->start_capture();
   int rc = 0;
   std::string result, prov, delta_frame;
   try {
@@ -124,8 +119,8 @@ int worker_body(int out_fd, const ProgramInput& input, unsigned attempt,
     if (input.opts.provenance)
       codec::put_program_provenance(prov, report.programs.at(0));
     if (cache != nullptr)
-      codec::put_cache_delta(delta_frame, cache->hits() - hits_base,
-                             cache->misses() - misses_base,
+      codec::put_cache_delta(delta_frame, report.metrics.cache_hits,
+                             report.metrics.cache_misses,
                              cache->take_capture());
   } catch (const std::bad_alloc&) {
     // Distinct exit code so the supervisor can classify an allocation

@@ -30,7 +30,7 @@ enum class StageId : uint8_t {
   Infer,
   Blocks,
   // Driver stages (category "driver").
-  Analyze,        ///< whole per-procedure analysis task
+  Analyze,        ///< universe build and per-procedure classification
   Report,         ///< report assembly from analysis results
   CacheLookup,
   CacheStore,

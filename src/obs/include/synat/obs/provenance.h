@@ -57,8 +57,8 @@ std::string_view provenance_step_title(uint32_t step);
 std::string provenance_counter_name(const ProvenanceRecord& r);
 
 /// Bumps the labeled counter for each record. Call once per record at the
-/// point it becomes part of a reported result (so totals are identical
-/// across Program- and Procedure-granularity runs).
+/// point it becomes part of a reported result (so totals count reported
+/// procedures, not what a conflict universe merely contains).
 void count_provenance(const std::vector<ProvenanceRecord>& records);
 
 }  // namespace synat::obs

@@ -7,6 +7,7 @@
 #include <fstream>
 
 #include "synat/corpus/corpus.h"
+#include "synat/obs/obs.h"
 
 namespace synat::driver {
 namespace {
@@ -38,11 +39,34 @@ TEST(BatchDriver, JsonDeterministicAcrossJobCounts) {
   }
 }
 
-TEST(BatchDriver, ProcedureGranularityMatchesProgramGranularity) {
-  DriverOptions per_proc;
-  DriverOptions per_prog;
-  per_prog.granularity = Granularity::Program;
-  EXPECT_EQ(run_json(per_proc), run_json(per_prog));
+// The work-count gate: one conflict universe per program. Every program is
+// parsed once and every reported variant generated once, at any job count
+// and with the cache cold. Counts, not wall time, so CI can gate on them.
+TEST(BatchDriver, OneParseAndOneVariantGenerationPerProgram) {
+  struct Mode {
+    unsigned jobs;
+    bool cache;
+  };
+  obs::set_flags(obs::kMetricsFlag);
+  for (Mode mode : {Mode{1, false}, Mode{4, false}, Mode{4, true}}) {
+    DriverOptions opts;
+    opts.jobs = mode.jobs;
+    opts.use_cache = mode.cache;
+    ResultCache cold;
+    BatchDriver drv(opts, &cold);
+    BatchReport r = drv.run(corpus_inputs());
+    uint64_t parses = 0, generated = 0;
+    for (const obs::HistogramSample& h : r.metrics.telemetry.histograms)
+      if (h.name == "synat_pipeline_parse_duration_seconds") parses = h.count();
+    for (const obs::CounterSample& c : r.metrics.telemetry.counters)
+      if (c.name == "synat_variants_generated_total") generated = c.value;
+    std::string what = "jobs " + std::to_string(mode.jobs) +
+                       (mode.cache ? ", cold cache" : ", no cache");
+    EXPECT_EQ(parses, corpus::all().size()) << what;
+    EXPECT_EQ(generated, r.metrics.variants) << what;
+    EXPECT_EQ(r.metrics.variants, 61u) << what;
+  }
+  obs::set_flags(0);
 }
 
 // Everything up to the metrics block; the cache_hits/cache_misses counters
@@ -97,10 +121,6 @@ TEST(BatchDriver, OptionFingerprintSeparatesConfigurations) {
   d.counted_cas = {"b", "c", "b"};  // order/duplicates don't matter
   EXPECT_EQ(options_fingerprint(c), options_fingerprint(d));
   EXPECT_NE(options_fingerprint(a), options_fingerprint(c));
-  // The proc restriction is scheduling detail, never part of the address.
-  atomicity::InferOptions e = a;
-  e.only_procs = {"Deq"};
-  EXPECT_EQ(options_fingerprint(a), options_fingerprint(e));
 }
 
 TEST(BatchDriver, ParseErrorReportedPerProgram) {
@@ -224,17 +244,6 @@ TEST(BatchDriver, RecoveredParseErrorDegradesOnlyBrokenProc) {
   EXPECT_EQ(r.exit_code(), 1);
 }
 
-TEST(BatchDriver, RecoveryIdenticalAcrossGranularities) {
-  ProgramInput in;
-  in.name = "mixed.synl";
-  in.source = kMixedSource;
-  DriverOptions per_proc;
-  DriverOptions per_prog;
-  per_prog.granularity = Granularity::Program;
-  BatchDriver a(per_proc), b(per_prog);
-  EXPECT_EQ(to_json(a.run({in})), to_json(b.run({in})));
-}
-
 TEST(BatchDriver, VariantBudgetDegradesOnlyExplodingProc) {
   BatchDriver drv(DriverOptions{});
   BatchReport r = drv.run({nfq_prime_input(/*max_variants=*/1)});
@@ -254,6 +263,30 @@ TEST(BatchDriver, VariantBudgetDegradesOnlyExplodingProc) {
   EXPECT_EQ(degraded, 1u);
   EXPECT_EQ(r.metrics.degraded, 1u);
   EXPECT_EQ(r.exit_code(), 1);
+}
+
+// The same trip under the cache: Deq stays in the universe as its clone,
+// degrades alone and is never cached, so a second run on the same cache
+// hits exactly the healthy procedures and degrades Deq again.
+TEST(BatchDriver, VariantBudgetTripIsNeverCached) {
+  DriverOptions opts;
+  opts.use_cache = true;
+  ResultCache cache;
+  for (size_t run = 0; run < 2; ++run) {
+    BatchDriver drv(opts, &cache);
+    BatchReport r = drv.run({nfq_prime_input(/*max_variants=*/1)});
+    ASSERT_EQ(r.programs.size(), 1u);
+    EXPECT_EQ(r.programs[0].status, ProgramStatus::Ok);
+    ASSERT_EQ(r.programs[0].procs.size(), 3u);
+    for (const auto& p : r.programs[0].procs) {
+      EXPECT_EQ(p->degraded, p->name == "Deq") << p->name << " run " << run;
+      EXPECT_EQ(p->degrade_kind, p->degraded ? "max-variants" : "") << p->name;
+    }
+    EXPECT_EQ(r.metrics.degraded, 1u);
+    EXPECT_EQ(r.metrics.cache_hits, run == 0 ? 0u : 2u) << "run " << run;
+    EXPECT_EQ(r.metrics.cache_misses, run == 0 ? 3u : 1u) << "run " << run;
+  }
+  EXPECT_EQ(cache.size(), 2u) << "the degraded Deq must never be cached";
 }
 
 TEST(BatchDriver, JobsZeroClampsToHardwareConcurrency) {
@@ -302,6 +335,35 @@ TEST(BatchDriver, StrictModeEscalatesRecoverableFailures) {
     EXPECT_EQ(r.programs[0].status, ProgramStatus::InternalError);
     EXPECT_EQ(r.exit_code(), 4);
   }
+}
+
+// Under --strict a budget trip becomes an internal error that cites the
+// tripping procedure's line, also when it is the program's only procedure.
+TEST(BatchDriver, StrictBudgetTripCitesTheProcedureLine) {
+  ProgramInput in;
+  in.name = "one.synl";
+  in.source =
+      "global int X;\n"
+      "proc int P() {\n"
+      "  loop {\n"
+      "    local t := LL(X) in {\n"
+      "      if (t == 0) { return 0; }\n"
+      "      if (SC(X, t - 1)) { return t; }\n"
+      "    }\n"
+      "  }\n"
+      "}\n";
+  in.opts.variant_opts.max_variants = 1;  // P has two exceptional variants
+  DriverOptions strict;
+  strict.strict = true;
+  BatchDriver drv(strict);
+  BatchReport r = drv.run({in});
+  ASSERT_EQ(r.programs.size(), 1u);
+  EXPECT_EQ(r.programs[0].status, ProgramStatus::InternalError);
+  EXPECT_FALSE(r.programs[0].fingerprint.empty());
+  ASSERT_EQ(r.programs[0].diagnostics.size(), 1u);
+  EXPECT_EQ(r.programs[0].diagnostics[0].line, 2u);
+  EXPECT_NE(r.programs[0].diagnostics[0].message.find("'P'"),
+            std::string::npos);
 }
 
 TEST(BatchDriver, DeadlineDegradesInsteadOfHanging) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 
 namespace synat::driver {
 namespace {
@@ -85,13 +86,16 @@ TEST(ExitCodes, DegradedProceduresAloneEscalateToOne) {
 
 BatchReport crashed_batch() {
   ReportSink sink(2);
-  sink.open_program(0, "healthy", "00000000deadbeef", 1);
   auto proc = std::make_shared<ProcReport>();
   proc->name = "Enq";
   proc->line = 3;
   proc->atomic = true;
   proc->atomicity = "A";
-  sink.set_proc(0, 0, proc);
+  ProgramReport healthy;
+  healthy.name = "healthy";
+  healthy.fingerprint = "00000000deadbeef";
+  healthy.procs.push_back(proc);
+  sink.publish_program(0, std::move(healthy));
   sink.fail_program(1, "crashy", ProgramStatus::Degraded,
                     {{"error", 0, 0, "crashed: SIGSEGV (signal 11)"}});
   return sink.finish(Metrics{}, /*jobs=*/1);
@@ -169,25 +173,37 @@ TEST(SchemaV4, FinishCarriesTelemetryIntoTheReport) {
 // Completion-callback semantics (what the write-ahead journal relies on)
 
 TEST(SinkCompletion, FiresExactlyOnceWhenTheLastProcLands) {
-  ReportSink sink(1);
-  std::vector<size_t> fired;
-  sink.set_on_complete(
-      [&](size_t i, const ProgramReport&) { fired.push_back(i); });
-  sink.open_program(0, "p", "fp", 2);
-  EXPECT_TRUE(fired.empty()) << "open_program must not complete a program";
-  auto proc = std::make_shared<ProcReport>();
-  sink.set_proc(0, 0, proc);
-  EXPECT_TRUE(fired.empty());
-  sink.set_proc(0, 1, proc);
+  // A program is published whole, so its last procedure lands in the same
+  // call that completes it: the callback fires once and sees every one.
+  ReportSink sink(2);
+  std::vector<std::pair<size_t, size_t>> fired;  // (index, procedures)
+  sink.set_on_complete([&](size_t i, const ProgramReport& r) {
+    fired.emplace_back(i, r.procs.size());
+  });
+  ProgramReport two;
+  two.name = "p";
+  two.procs = {std::make_shared<ProcReport>(), std::make_shared<ProcReport>()};
+  sink.publish_program(1, std::move(two));
   ASSERT_EQ(fired.size(), 1u);
-  EXPECT_EQ(fired[0], 0u);
+  EXPECT_EQ(fired[0], std::make_pair(size_t{1}, size_t{2}));
+  BatchReport r = sink.finish(Metrics{}, 1);
+  EXPECT_EQ(r.programs[1].name, "p");
+  EXPECT_EQ(r.metrics.procedures, 2u);
+  EXPECT_EQ(fired.size(), 1u) << "finish must not notify again";
 }
 
 TEST(SinkCompletion, ZeroProcProgramCompletesAtOpen) {
+  // publish_program both opens and completes a program, so one with no
+  // procedures completes on that call too.
   ReportSink sink(1);
   int fires = 0;
-  sink.set_on_complete([&](size_t, const ProgramReport&) { ++fires; });
-  sink.open_program(0, "empty", "fp", 0);
+  sink.set_on_complete([&](size_t, const ProgramReport& r) {
+    ++fires;
+    EXPECT_TRUE(r.procs.empty());
+  });
+  ProgramReport empty;
+  empty.name = "empty";
+  sink.publish_program(0, std::move(empty));
   EXPECT_EQ(fires, 1);
 }
 

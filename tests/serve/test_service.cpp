@@ -182,6 +182,38 @@ TEST(ServeService, IncrementalReanalysis) {
   EXPECT_EQ(warm.get("report")->str, cold.get("report")->str);
 }
 
+// Each reply counts only its own request's cache lookups, even while other
+// requests hit the same cache: hits + re-analyzed procedures is exactly the
+// request's procedure count, cold or warm.
+TEST(ServeService, ConcurrentRepliesCountOnlyTheirOwnLookups) {
+  ServiceOptions sopts;
+  sopts.jobs = 4;
+  Service service(sopts);
+  std::vector<std::thread> clients;
+  for (const corpus::Entry& entry : corpus::all()) {
+    clients.emplace_back([&service, &entry] {
+      std::vector<std::string> counted(entry.counted_cas.begin(),
+                                       entry.counted_cas.end());
+      std::string req = analyze_request(std::string(entry.source),
+                                        std::string(entry.name), false,
+                                        counted);
+      for (int round = 0; round < 3; ++round) {
+        JsonValue result = result_of(call(service, req));
+        JsonParse report = parse_json(result.get("report")->str);
+        ASSERT_TRUE(report.ok);
+        const JsonValue* programs = report.value.get("programs");
+        ASSERT_NE(programs, nullptr);
+        size_t procs = programs->items.at(0).get("procedures")->items.size();
+        EXPECT_EQ(result.get("cache_hits")->number +
+                      result.get("procedures_reanalyzed")->number,
+                  static_cast<double>(procs))
+            << entry.name << " round " << round;
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+}
+
 TEST(ServeService, BackpressureRejectsOverload) {
   ServiceOptions sopts;
   sopts.jobs = 1;

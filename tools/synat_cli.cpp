@@ -18,7 +18,7 @@
 // analyze options: --no-variants --no-windows --no-conds --counted <k>
 // batch options: --all (whole corpus) --jobs N (0 = one per hardware
 //                thread) --cache --cache-file FILE --format json|sarif|text
-//                --timings --per-program -o FILE --deadline-ms N
+//                --timings -o FILE --deadline-ms N (per program)
 //                --max-variants N --strict
 //                --isolate (run each program in a sandboxed worker process;
 //                a worker crash degrades that one program, exit 1)
@@ -323,8 +323,6 @@ int cmd_batch(int argc, char** argv) {
       no_windows = true;
     } else if (a == "--no-conds") {
       no_conds = true;
-    } else if (a == "--per-program") {
-      dopts.granularity = driver::Granularity::Program;
     } else if (a == "-o" && i + 1 < argc) {
       out_path = argv[++i];
     } else if (a != "-" && !a.empty() && a[0] == '-') {
