@@ -209,4 +209,47 @@ bool may_alias(const Program& prog, const AccessPath& a, const AccessPath& b) {
   return !types_definitely_differ(prog, path_type(prog, a), path_type(prog, b));
 }
 
+AliasKey alias_key(const Program& prog, const AccessPath& path) {
+  AliasKey k;
+  if (!path.root.valid()) return k;
+  if (path.sels.empty()) {
+    k.kind = AliasKey::Var;
+    k.id = path.root.idx;
+    return k;
+  }
+  const cfg::Selector& sel = path.sels.back();
+  if (sel.kind == cfg::Selector::Index) {
+    k.kind = AliasKey::Elem;
+    return k;
+  }
+  // may_alias separates two fields only by their holders' definite
+  // classes, so a holder that is not a Ref stays indefinite.
+  k.kind = AliasKey::Field;
+  k.id = sel.field.id();
+  TypeId holder = path_prefix_type(prog, path);
+  if (holder.valid() && prog.type(holder).kind == TypeKind::Ref)
+    k.holder = prog.type(holder).cls.idx;
+  return k;
+}
+
+void AliasIndex::add(const Program& prog, const AccessPath& path) {
+  const uint32_t item = size_++;
+  const AliasKey k = alias_key(prog, path);
+  switch (k.kind) {
+    case AliasKey::Any:
+      any_.push_back(item);
+      break;
+    case AliasKey::Var:
+      vars_[k.id].push_back(item);
+      break;
+    case AliasKey::Elem:
+      elems_.push_back(item);
+      break;
+    case AliasKey::Field:
+      fields_[pack(k.id, k.holder)].push_back(item);
+      field_all_[k.id].push_back(item);
+      break;
+  }
+}
+
 }  // namespace synat::analysis

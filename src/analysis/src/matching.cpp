@@ -1,6 +1,7 @@
 #include "synat/analysis/matching.h"
 
 #include "synat/analysis/expr_util.h"
+#include "synat/obs/trace.h"
 
 namespace synat::analysis {
 
@@ -13,6 +14,7 @@ using synl::StmtKind;
 
 MatchingAnalysis::MatchingAnalysis(const Program& prog, const Cfg& cfg)
     : prog_(prog), cfg_(cfg) {
+  obs::SpanScope span(obs::StageId::Dataflow);
   for (uint32_t i = 0; i < cfg.num_nodes(); ++i) {
     EventId id(i);
     switch (cfg.node(id).kind) {

@@ -17,10 +17,11 @@
 //
 // Step 4 classifies each action against one whole-program *conflict
 // universe*: every procedure's variants with their regions and lock sets.
-// ConflictUniverse builds it once (step 0 plus every variant's context);
-// ConflictUniverse::classify then runs steps 1-7 for one procedure against
-// it, so classifying any subset of procedures gives exactly the results of
-// a whole-program run.
+// ConflictUniverse builds it once (step 0 plus every variant's context,
+// and an alias index from which steps 2 and 4 take only the candidates
+// that may alias, in scan order: DESIGN.md §5); ConflictUniverse::classify
+// then runs steps 1-7 for one procedure against it, so classifying any
+// subset of procedures gives exactly the results of a whole-program run.
 #pragma once
 
 #include <memory>
@@ -109,8 +110,9 @@ class AtomicityResult {
 
 class InferEngine;
 
-/// The program's conflict universe, built once: step 0 for every procedure
-/// and the context (regions, lock sets) of every exceptional variant.
+/// The program's conflict universe, built once: step 0 for every procedure,
+/// the context (regions, lock sets) of every exceptional variant, and the
+/// alias index that hands steps 2 and 4 their conflict candidates.
 class ConflictUniverse {
  public:
   /// Appends the exceptional variants to `prog`, which must outlive the
@@ -175,9 +177,9 @@ struct ProgramFingerprint {
 uint64_t content_fingerprint(const synl::Program& prog, synl::ProcId proc);
 
 /// Computes the fingerprint without running steps 1-7 (it pays variant
-/// generation and per-variant CFG analysis, not the quadratic conflict
-/// scan). Never appends to `prog`: the universe is built from a private
-/// reparse. Honors `opts.variant_opts.budget`; a trip yields an incomplete
+/// generation, the per-variant contexts and the alias index, but
+/// classifies nothing). Never appends to `prog`: the universe is built from
+/// a private reparse. Honors `opts.variant_opts.budget`; a trip yields an incomplete
 /// fingerprint instead of throwing.
 ProgramFingerprint fingerprint_program(const synl::Program& prog,
                                        const InferOptions& opts = {});

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <optional>
 #include <string>
+#include <unordered_set>
 
 #include "synat/analysis/expr_util.h"
+#include "synat/obs/metrics.h"
 #include "synat/obs/trace.h"
 #include "synat/support/hash.h"
 #include "synat/synl/parser.h"
@@ -26,20 +28,72 @@ using synl::StmtKind;
 
 namespace {
 
-/// Printable key for counted-CAS matching: "Var" for globals, "Class.field"
-/// for heap locations.
-std::string counted_key(const Program& prog, const AccessPath& path) {
-  if (!path.root.valid()) return {};
-  if (path.is_plain_var())
-    return std::string(prog.syms().name(prog.var(path.root).name));
-  synat::Symbol field = path.last_field();
-  synl::TypeId holder = analysis::path_prefix_type(prog, path);
-  std::string cls = "?";
-  if (holder.valid() && prog.type(holder).kind == synl::TypeKind::Ref)
-    cls = std::string(prog.syms().name(prog.cls(prog.type(holder).cls).name));
-  std::string f = field.valid() ? std::string(prog.syms().name(field)) : "[]";
-  return cls + "." + f;
-}
+/// InferOptions::counted_cas resolved against the program's symbols. A
+/// location's key is "Var" for a plain variable and "Class.field" for a
+/// selector path, with "?" for a holder that is not a class reference and
+/// "[]" for an array element; "*" matches every location.
+class CountedSet {
+ public:
+  CountedSet(const Program& prog, const std::vector<std::string>& specs) {
+    for (const std::string& s : specs) {
+      if (s == "*") {
+        all_ = true;
+      } else if (s.empty()) {
+        invalid_root_ = true;
+      } else if (size_t dot = s.find('.'); dot == std::string::npos) {
+        if (Symbol v = prog.syms().lookup(s); v.valid()) vars_.insert(v.id());
+      } else {
+        std::string_view cls = std::string_view(s).substr(0, dot);
+        std::string_view field = std::string_view(s).substr(dot + 1);
+        // Symbol id 0 is never interned: it stands for "?" and "[]".
+        Symbol c = cls == "?" ? Symbol() : prog.syms().lookup(cls);
+        Symbol f = field == "[]" ? Symbol() : prog.syms().lookup(field);
+        if ((c.valid() || cls == "?") && (f.valid() || field == "[]"))
+          fields_.insert(pack(c.id(), f.id()));
+      }
+    }
+  }
+
+  bool contains(const Program& prog, const AccessPath& path) const {
+    if (all_) return true;
+    if (!path.root.valid()) return invalid_root_;
+    if (path.is_plain_var()) return vars_.count(prog.var(path.root).name.id());
+    synl::TypeId holder = analysis::path_prefix_type(prog, path);
+    Symbol cls;
+    if (holder.valid() && prog.type(holder).kind == synl::TypeKind::Ref)
+      cls = prog.cls(prog.type(holder).cls).name;
+    return fields_.count(pack(cls.id(), path.last_field().id()));
+  }
+
+ private:
+  static uint64_t pack(uint32_t cls, uint32_t field) {
+    return (static_cast<uint64_t>(cls) << 32) | field;
+  }
+  bool all_ = false;
+  bool invalid_root_ = false;
+  std::unordered_set<uint32_t> vars_;
+  std::unordered_set<uint64_t> fields_;
+};
+
+/// Deterministic work tallies of one universe build or one classify call,
+/// added to the registry once (DESIGN.md §5).
+struct Work {
+  uint64_t candidates = 0;  ///< locations an alias index handed out
+  uint64_t rejected = 0;    ///< of those, rejected by may_alias
+  uint64_t exclusion_checks = 0;  ///< excluded() calls
+
+  void flush() const {
+    static obs::Counter& cand =
+        obs::registry().counter("synat_alias_candidates_total");
+    static obs::Counter& rej =
+        obs::registry().counter("synat_alias_rejected_total");
+    static obs::Counter& excl =
+        obs::registry().counter("synat_exclusion_checks_total");
+    cand.inc(candidates);
+    rej.inc(rejected);
+    excl.inc(exclusion_checks);
+  }
+};
 
 /// "SC Ready" / "Write Node.val" — stable event rendering for provenance
 /// subjects and conflict witnesses.
@@ -81,6 +135,9 @@ class InferEngine {
     std::vector<bool> members;  ///< closed region (anchor..terminal)
     std::vector<bool> in_s;     ///< anchor + strictly-after-anchor part
     std::vector<bool> prot;     ///< strictly after the anchor
+    /// Theorem 5.5 premise for svar's alias class (llsc_premise), set when
+    /// the universe is built for the blocks excluded() consults.
+    std::optional<Pred> premise;
   };
 
   struct VariantCtx {
@@ -108,6 +165,18 @@ class InferEngine {
   void build_variant_ctx(ProcId variant);
   void build_regions(VariantCtx& ctx);
   void build_lock_sets(VariantCtx& ctx);
+  /// Lists the conflict candidates and LL-SC blocks into their alias
+  /// indexes, then computes every Theorem 5.5 block's premise.
+  void build_index(Work& work);
+
+  /// A global action other than Acquire/Release: a conflict candidate.
+  struct Action {
+    uint32_t ctx;  ///< index into vctx_
+    EventId ev;
+  };
+  const Event& node(const Action& a) const {
+    return vctx_[a.ctx].pa->cfg().node(a.ev);
+  }
 
   bool is_global_action(const VariantCtx& ctx, EventId e) const {
     const Event& ev = ctx.pa->cfg().node(e);
@@ -139,20 +208,18 @@ class InferEngine {
   }
 
   bool counted_cas(const AccessPath& path) const {
-    std::string key = counted_key(prog_, path);
-    for (const std::string& s : opts_.counted_cas)
-      if (s == "*" || s == key) return true;
-    return false;
+    return counted_.contains(prog_, path);
   }
 
   /// Step-2 discipline: every global update of any location aliasing `path`
   /// is performed by the given primitive kind.
-  bool all_updates_via(const AccessPath& path, EventKind prim) const;
+  bool all_updates_via(const AccessPath& path, EventKind prim,
+                       Work& work) const;
 
   /// Theorem 5.5 premise for svar's alias class: all LL-SC blocks on it
   /// share one non-trivial condition and all global updates are SCs inside
   /// such blocks. Returns the common condition.
-  std::optional<Pred> llsc_premise(const AccessPath& svar) const;
+  std::optional<Pred> llsc_premise(const AccessPath& svar, Work& work) const;
 
   /// Directional protection of `e` by region `r` (see DESIGN.md):
   /// the slot immediately before/after e is strictly inside the region.
@@ -163,7 +230,7 @@ class InferEngine {
   /// adjacent to `e` (in ctx_e) in the given direction. When it is, `*why`
   /// (if non-null) names the exclusion theorem: "5.1", "5.4" or "5.5".
   bool excluded(const VariantCtx& ctx_e, EventId e, const VariantCtx& ctx_f,
-                EventId f, bool before, const char** why = nullptr) const;
+                EventId f, bool before, const char** why, Work& work) const;
 
   /// Evidence collected by the step-4 conflict scan in provenance mode.
   struct Step4Info {
@@ -177,9 +244,10 @@ class InferEngine {
   };
 
   Atomicity classify_event(const VariantCtx& ctx, EventId e,
-                           std::vector<obs::ProvenanceRecord>* prov) const;
-  Atomicity step4(const VariantCtx& ctx, EventId e,
-                  Step4Info* info = nullptr) const;
+                           std::vector<obs::ProvenanceRecord>* prov,
+                           Work& work) const;
+  Atomicity step4(const VariantCtx& ctx, EventId e, Step4Info* info,
+                  Work& work) const;
 
   std::string variant_name(const VariantCtx& ctx) const {
     return prog_.proc(ctx.id).variant_tag.empty()
@@ -191,7 +259,7 @@ class InferEngine {
 
   void mix_variant_signature(Hasher& h, const VariantCtx& ctx) const;
 
-  void propagate(const VariantCtx& ctx, VariantResult& out) const;
+  void propagate(const VariantCtx& ctx, VariantResult& out, Work& work) const;
   Atomicity stmt_atom(const VariantCtx& ctx, const VariantResult& res,
                       synl::StmtId id,
                       std::unordered_map<uint32_t, Atomicity>& memo) const;
@@ -201,8 +269,17 @@ class InferEngine {
 
   Program& prog_;
   const InferOptions opts_;
+  const CountedSet counted_;
   std::vector<ProcEntry> procs_;  ///< per original procedure
   std::vector<VariantCtx> vctx_;  ///< every variant of every procedure
+  /// Every conflict candidate in (variant, event) order, and its alias
+  /// index: steps 2 and 4 and the premises read only the candidates of
+  /// the queried location's bucket, in this order.
+  std::vector<Action> actions_;
+  analysis::AliasIndex action_index_;
+  /// Every LL-SC block as (variant, region), in order, and its svar index.
+  std::vector<std::pair<uint32_t, uint32_t>> llsc_blocks_;
+  analysis::AliasIndex llsc_index_;
 };
 
 // ---------------------------------------------------------------------------
@@ -211,8 +288,11 @@ void InferEngine::build_variant_ctx(ProcId variant) {
   VariantCtx ctx;
   ctx.id = variant;
   ctx.pa = std::make_shared<ProcAnalysis>(prog_, variant);
-  build_regions(ctx);
-  build_lock_sets(ctx);
+  {
+    obs::SpanScope span(obs::StageId::Contexts);
+    build_regions(ctx);
+    build_lock_sets(ctx);
+  }
   vctx_.push_back(std::move(ctx));
 }
 
@@ -345,44 +425,86 @@ void InferEngine::build_lock_sets(VariantCtx& ctx) {
   ctx.held = std::move(in);
 }
 
-bool InferEngine::all_updates_via(const AccessPath& path, EventKind prim) const {
-  for (const VariantCtx& w : vctx_) {
+void InferEngine::build_index(Work& work) {
+  obs::SpanScope span(obs::StageId::Contexts);
+  for (uint32_t c = 0; c < vctx_.size(); ++c) {
+    const VariantCtx& w = vctx_[c];
     const cfg::Cfg& cfg = w.pa->cfg();
     for (uint32_t i = 0; i < cfg.num_nodes(); ++i) {
       EventId f(i);
       const Event& fe = cfg.node(f);
-      if (!write_like(fe)) continue;
-      if (fe.kind == prim) continue;
-      if (!is_global_action(w, f)) continue;  // local updates do not count
-      if (may_alias(prog_, fe.path, path)) return false;
+      if (fe.kind == EventKind::Acquire || fe.kind == EventKind::Release)
+        continue;
+      if (!is_global_action(w, f)) continue;
+      actions_.push_back({c, f});
+      action_index_.add(prog_, fe.path);
+    }
+    for (uint32_t r = 0; r < w.regions.size(); ++r) {
+      if (w.regions[r].kind != Region::LLSCBlock) continue;
+      llsc_blocks_.emplace_back(c, r);
+      llsc_index_.add(prog_, w.regions[r].svar);
     }
   }
-  return true;
+  if (!opts_.use_local_conditions) return;
+  for (VariantCtx& w : vctx_) {
+    for (Region& r : w.regions) {
+      if (r.kind != Region::Window && r.cond != Pred::True)
+        r.premise = llsc_premise(r.svar, work);
+    }
+  }
 }
 
-std::optional<Pred> InferEngine::llsc_premise(const AccessPath& svar) const {
-  std::optional<Pred> common;
-  for (const VariantCtx& w : vctx_) {
-    for (const Region& r : w.regions) {
-      if (r.kind != Region::LLSCBlock) continue;
-      if (!may_alias(prog_, r.svar, svar)) continue;
-      if (r.cond == Pred::True) return std::nullopt;
-      if (common && *common != r.cond) return std::nullopt;
-      common = r.cond;
+bool InferEngine::all_updates_via(const AccessPath& path, EventKind prim,
+                                  Work& work) const {
+  bool all = true;
+  action_index_.for_each_candidate(prog_, path, [&](uint32_t a) {
+    ++work.candidates;
+    const Event& fe = node(actions_[a]);
+    if (!write_like(fe) || fe.kind == prim) return true;
+    if (!may_alias(prog_, fe.path, path)) {
+      ++work.rejected;
+      return true;
     }
-  }
-  if (!common) return std::nullopt;
+    all = false;
+    return false;
+  });
+  return all;
+}
+
+std::optional<Pred> InferEngine::llsc_premise(const AccessPath& svar,
+                                              Work& work) const {
+  std::optional<Pred> common;
+  bool holds = true;
+  llsc_index_.for_each_candidate(prog_, svar, [&](uint32_t b) {
+    ++work.candidates;
+    const auto [c, ri] = llsc_blocks_[b];
+    const Region& r = vctx_[c].regions[ri];
+    if (!may_alias(prog_, r.svar, svar)) {
+      ++work.rejected;
+      return true;
+    }
+    if (r.cond == Pred::True || (common && *common != r.cond)) {
+      holds = false;
+      return false;
+    }
+    common = r.cond;
+    return true;
+  });
+  if (!holds || !common) return std::nullopt;
 
   // Every global update of ~svar must be an SC inside an LL-SC block on it.
-  for (const VariantCtx& w : vctx_) {
-    const cfg::Cfg& cfg = w.pa->cfg();
-    for (uint32_t i = 0; i < cfg.num_nodes(); ++i) {
-      EventId f(i);
-      const Event& fe = cfg.node(f);
-      if (!write_like(fe) || !is_global_action(w, f)) continue;
-      if (!may_alias(prog_, fe.path, svar)) continue;
-      if (fe.kind != EventKind::SC) return std::nullopt;
-      bool inside = false;
+  action_index_.for_each_candidate(prog_, svar, [&](uint32_t a) {
+    ++work.candidates;
+    const VariantCtx& w = vctx_[actions_[a].ctx];
+    const EventId f = actions_[a].ev;
+    const Event& fe = node(actions_[a]);
+    if (!write_like(fe)) return true;
+    if (!may_alias(prog_, fe.path, svar)) {
+      ++work.rejected;
+      return true;
+    }
+    bool inside = false;
+    if (fe.kind == EventKind::SC) {
       for (const Region& r : w.regions) {
         if (r.kind == Region::LLSCBlock && may_alias(prog_, r.svar, svar) &&
             r.members[f.idx]) {
@@ -390,9 +512,11 @@ std::optional<Pred> InferEngine::llsc_premise(const AccessPath& svar) const {
           break;
         }
       }
-      if (!inside) return std::nullopt;
     }
-  }
+    holds = inside;
+    return holds;
+  });
+  if (!holds) return std::nullopt;
   return common;
 }
 
@@ -416,7 +540,8 @@ bool InferEngine::after_protected(const VariantCtx& ctx, const Region& r,
 
 bool InferEngine::excluded(const VariantCtx& ctx_e, EventId e,
                            const VariantCtx& ctx_f, EventId f,
-                           bool before, const char** why) const {
+                           bool before, const char** why, Work& work) const {
+  ++work.exclusion_checks;
   // (a) Theorem 5.1: both hold a common lock.
   for (const AccessPath& le : ctx_e.held[e.idx]) {
     for (const AccessPath& lf : ctx_f.held[f.idx]) {
@@ -447,7 +572,7 @@ bool InferEngine::excluded(const VariantCtx& ctx_e, EventId e,
     // (c) Theorem 5.5: condition-disjoint LL-SC / local block pair.
     if (opts_.use_local_conditions && re.cond != Pred::True &&
         (re.kind == Region::LLSCBlock || re.kind == Region::PlainBlock)) {
-      std::optional<Pred> p = llsc_premise(re.svar);
+      const std::optional<Pred>& p = re.premise;
       if (!p) continue;
       // e's own block condition must be p (LL-SC side) or !p (local side).
       bool e_is_llsc = re.kind == Region::LLSCBlock;
@@ -468,9 +593,8 @@ bool InferEngine::excluded(const VariantCtx& ctx_e, EventId e,
 }
 
 Atomicity InferEngine::step4(const VariantCtx& ctx, EventId e,
-                             Step4Info* info) const {
-  // The O(n^2) conflict scan dominates runtime on large programs; poll the
-  // budget once per classified event so deadlines trip promptly.
+                             Step4Info* info, Work& work) const {
+  // Poll the budget once per classified event so deadlines trip promptly.
   if (opts_.variant_opts.budget != nullptr)
     opts_.variant_opts.budget->check("mover classification");
   const Event& ev = ctx.pa->cfg().node(e);
@@ -494,40 +618,43 @@ Atomicity InferEngine::step4(const VariantCtx& ctx, EventId e,
     }
   };
 
-  for (const VariantCtx& w : vctx_) {
-    const cfg::Cfg& wcfg = w.pa->cfg();
-    for (uint32_t i = 0; i < wcfg.num_nodes(); ++i) {
-      EventId f(i);
-      const Event& fe = wcfg.node(f);
-      if (!fe.is_action() || !is_global_action(w, f)) continue;
-      // A read conflicts with writes; a write conflicts with reads+writes.
-      bool is_conflict = write_like(fe) || (write_like(ev) && read_like(fe));
-      if (!is_conflict) continue;
-      if (fe.kind == EventKind::Acquire || fe.kind == EventKind::Release)
-        continue;
-      if (!may_alias(prog_, ev.path, fe.path)) continue;
-      if (info != nullptr) info->had_conflict = true;
-      if (!conflict_before) {
-        const char* why = nullptr;
-        if (!excluded(ctx, e, w, f, /*before=*/true, &why)) {
-          conflict_before = true;
-          note_conflict(w, f);
-        } else {
-          note_exclusion(why, w, f);
-        }
-      }
-      if (!conflict_after) {
-        const char* why = nullptr;
-        if (!excluded(ctx, e, w, f, /*before=*/false, &why)) {
-          conflict_after = true;
-          note_conflict(w, f);
-        } else {
-          note_exclusion(why, w, f);
-        }
-      }
-      if (conflict_before && conflict_after) return Atomicity::A;
+  // The index hands out only candidates in ev's alias bucket, in
+  // (variant, event) order, so the first witness and the exclusions seen
+  // before the early exit are those of a scan over every global action.
+  action_index_.for_each_candidate(prog_, ev.path, [&](uint32_t a) {
+    ++work.candidates;
+    const VariantCtx& w = vctx_[actions_[a].ctx];
+    const EventId f = actions_[a].ev;
+    const Event& fe = node(actions_[a]);
+    // A read conflicts with writes; a write conflicts with reads+writes.
+    bool is_conflict = write_like(fe) || (write_like(ev) && read_like(fe));
+    if (!is_conflict) return true;
+    if (!may_alias(prog_, ev.path, fe.path)) {
+      ++work.rejected;
+      return true;
     }
-  }
+    if (info != nullptr) info->had_conflict = true;
+    if (!conflict_before) {
+      const char* why = nullptr;
+      if (!excluded(ctx, e, w, f, /*before=*/true, &why, work)) {
+        conflict_before = true;
+        note_conflict(w, f);
+      } else {
+        note_exclusion(why, w, f);
+      }
+    }
+    if (!conflict_after) {
+      const char* why = nullptr;
+      if (!excluded(ctx, e, w, f, /*before=*/false, &why, work)) {
+        conflict_after = true;
+        note_conflict(w, f);
+      } else {
+        note_exclusion(why, w, f);
+      }
+    }
+    return !(conflict_before && conflict_after);
+  });
+  if (conflict_before && conflict_after) return Atomicity::A;
   if (!conflict_before && !conflict_after) return Atomicity::B;
   if (!conflict_before) return Atomicity::L;  // nothing can be right before it
   return Atomicity::R;                        // nothing can be right after it
@@ -558,7 +685,7 @@ std::string excl_theorems(uint8_t excl) {
 
 Atomicity InferEngine::classify_event(
     const VariantCtx& ctx, EventId e,
-    std::vector<obs::ProvenanceRecord>* prov) const {
+    std::vector<obs::ProvenanceRecord>* prov, Work& work) const {
   const Event& ev = ctx.pa->cfg().node(e);
   auto emit = [&](uint32_t step, std::string theorem, const char* rule,
                   Atomicity atom,
@@ -617,7 +744,7 @@ Atomicity InferEngine::classify_event(
   Atomicity s2_atom = Atomicity::A;
   switch (ev.kind) {
     case EventKind::SC:
-      if (ev.must_succeed && all_updates_via(ev.path, EventKind::SC)) {
+      if (ev.must_succeed && all_updates_via(ev.path, EventKind::SC, work)) {
         result = meet(result, Atomicity::L);
         s2_rule = "sc-discipline";
         s2_atom = Atomicity::L;
@@ -627,7 +754,7 @@ Atomicity InferEngine::classify_event(
       }
       break;
     case EventKind::VL:
-      if (ev.must_succeed && all_updates_via(ev.path, EventKind::SC)) {
+      if (ev.must_succeed && all_updates_via(ev.path, EventKind::SC, work)) {
         result = meet(result, Atomicity::L);
         s2_rule = "vl-discipline";
         s2_atom = Atomicity::L;
@@ -638,7 +765,7 @@ Atomicity InferEngine::classify_event(
       break;
     case EventKind::CAS:
       if (ev.must_succeed && counted_cas(ev.path) &&
-          all_updates_via(ev.path, EventKind::CAS)) {
+          all_updates_via(ev.path, EventKind::CAS, work)) {
         result = meet(result, Atomicity::L);
         s2_rule = "counted-cas-discipline";
         s2_atom = Atomicity::L;
@@ -656,7 +783,7 @@ Atomicity InferEngine::classify_event(
             !pe.must_succeed)
           continue;
         if (ctx.pa->matching().is_match(prim, e) &&
-            all_updates_via(pe.path, EventKind::SC)) {
+            all_updates_via(pe.path, EventKind::SC, work)) {
           result = meet(result, Atomicity::R);
           s2_rule = "matching-ll";
           s2_atom = Atomicity::R;
@@ -675,7 +802,7 @@ Atomicity InferEngine::classify_event(
         const Event& pe = ctx.pa->cfg().node(prim);
         if (pe.kind != EventKind::CAS || !pe.must_succeed) continue;
         if (counted_cas(pe.path) && ctx.pa->matching().is_match(prim, e) &&
-            all_updates_via(pe.path, EventKind::CAS)) {
+            all_updates_via(pe.path, EventKind::CAS, work)) {
           result = meet(result, Atomicity::R);
           s2_rule = "matching-read";
           s2_atom = Atomicity::R;
@@ -706,7 +833,7 @@ Atomicity InferEngine::classify_event(
   }
 
   Step4Info info;
-  Atomicity s4 = step4(ctx, e, prov != nullptr ? &info : nullptr);
+  Atomicity s4 = step4(ctx, e, prov != nullptr ? &info : nullptr, work);
   Atomicity final_atom = meet(result, s4);
 
   if (prov != nullptr) {
@@ -846,7 +973,8 @@ Atomicity InferEngine::stmt_atom(
   return a;
 }
 
-void InferEngine::propagate(const VariantCtx& ctx, VariantResult& out) const {
+void InferEngine::propagate(const VariantCtx& ctx, VariantResult& out,
+                            Work& work) const {
   obs::SpanScope span(obs::StageId::Movers);
   const cfg::Cfg& cfg = ctx.pa->cfg();
   std::vector<obs::ProvenanceRecord>* prov =
@@ -856,7 +984,7 @@ void InferEngine::propagate(const VariantCtx& ctx, VariantResult& out) const {
       opts_.variant_opts.budget->check("mover classification");
     EventId e(i);
     if (!cfg.node(e).is_action()) continue;
-    out.event_atom[i] = classify_event(ctx, e, prov);
+    out.event_atom[i] = classify_event(ctx, e, prov, work);
   }
   std::unordered_map<uint32_t, Atomicity> memo;
   out.atomicity =
@@ -963,7 +1091,7 @@ std::vector<obs::ProvenanceRecord> InferEngine::step0_provenance(
 
 InferEngine::InferEngine(Program& prog, DiagEngine& diags,
                          const InferOptions& opts)
-    : prog_(prog), opts_(opts) {
+    : prog_(prog), opts_(opts), counted_(prog, opts.counted_cas) {
   obs::SpanScope span(obs::StageId::Infer);
   const size_t num_original = prog_.num_procs();
   ExecBudget* budget = opts_.variant_opts.budget;
@@ -990,6 +1118,9 @@ InferEngine::InferEngine(Program& prog, DiagEngine& diags,
       build_variant_ctx(v);
     }
   }
+  Work work;
+  build_index(work);
+  work.flush();
 }
 
 ProcResult InferEngine::classify(ProcId proc) const {
@@ -1011,15 +1142,17 @@ ProcResult InferEngine::classify(ProcId proc) const {
   pr.no_variants = entry.vs.variants.empty();
   pr.prov = entry.step0;
   Atomicity overall = Atomicity::B;
+  Work work;
   for (size_t k = 0; k < entry.vs.variants.size(); ++k) {
     const VariantCtx& ctx = vctx_[entry.first_ctx + k];
     VariantResult vr;
     vr.variant = ctx.id;
     vr.pa = ctx.pa;
-    propagate(ctx, vr);
+    propagate(ctx, vr, work);
     overall = join(overall, vr.atomicity);
     pr.variants.push_back(std::move(vr));
   }
+  work.flush();
   pr.atomicity = overall;
   pr.atomic = leq(overall, Atomicity::A);
   if (opts_.provenance) {

@@ -24,8 +24,10 @@ enum class StageId : uint8_t {
   // Pipeline stages (category "pipeline").
   Parse,
   CfgLiveness,
+  Dataflow,       ///< escape, uniqueness, LL/SC matching, local conditions
   Purity,
   Variants,
+  Contexts,       ///< regions, lock sets, alias indexes, Thm 5.5 premises
   Movers,
   Infer,
   Blocks,

@@ -32,6 +32,11 @@ Registry::Registry() {
       {"synat_programs_total", true},
       {"synat_procs_analyzed_total", true},
       {"synat_variants_generated_total", true},
+      // Conflict-analysis work (infer.cpp): alias-index candidates, the
+      // candidates may_alias rejects, and exclusion-theorem checks.
+      {"synat_alias_candidates_total", true},
+      {"synat_alias_rejected_total", true},
+      {"synat_exclusion_checks_total", true},
       {"synat_parse_recovered_total", true},
       {"synat_degraded_total", true},
       {"synat_cache_hits_total", true},

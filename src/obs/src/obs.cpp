@@ -21,8 +21,10 @@ std::string_view stage_name(StageId s) {
   switch (s) {
     case StageId::Parse: return "parse";
     case StageId::CfgLiveness: return "cfg_liveness";
+    case StageId::Dataflow: return "dataflow";
     case StageId::Purity: return "purity";
     case StageId::Variants: return "variants";
+    case StageId::Contexts: return "contexts";
     case StageId::Movers: return "movers";
     case StageId::Infer: return "infer";
     case StageId::Blocks: return "blocks";

@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "synat/support/diag.h"
@@ -46,6 +47,17 @@ using VarId = detail::Id<struct VarTag>;
 using ProcId = detail::Id<struct ProcTag>;
 using ClassId = detail::Id<struct ClassTag>;
 using TypeId = detail::Id<struct TypeTag>;
+
+}  // namespace synat::synl
+
+template <class Tag>
+struct std::hash<synat::synl::detail::Id<Tag>> {
+  size_t operator()(synat::synl::detail::Id<Tag> id) const noexcept {
+    return std::hash<uint32_t>{}(id.idx);
+  }
+};
+
+namespace synat::synl {
 
 // ---------------------------------------------------------------------------
 // Types
@@ -261,8 +273,12 @@ class Program {
 
   // -- types ---------------------------------------------------------------
   TypeId add_type(TypeNode t) {
+    TypeId id(static_cast<uint32_t>(types_.size()));
     types_.push_back(t);
-    return TypeId(static_cast<uint32_t>(types_.size() - 1));
+    // ref_type/array_type return the first node of a shape.
+    if (t.kind == TypeKind::Ref) ref_types_.try_emplace(t.cls, id);
+    if (t.kind == TypeKind::Array) array_types_.try_emplace(t.elem, id);
+    return id;
   }
   const TypeNode& type(TypeId id) const {
     SYNAT_ASSERT(id.valid() && id.idx < types_.size(), "bad TypeId");
@@ -277,13 +293,15 @@ class Program {
 
   // -- declarations --------------------------------------------------------
   ClassId add_class(ClassInfo c) {
+    ClassId id(static_cast<uint32_t>(classes_.size()));
+    class_names_.try_emplace(c.name, id);
     classes_.push_back(std::move(c));
-    return ClassId(static_cast<uint32_t>(classes_.size() - 1));
+    return id;
   }
+  /// The first class declared with `name`.
   ClassId find_class(Symbol name) const {
-    for (size_t i = 0; i < classes_.size(); ++i)
-      if (classes_[i].name == name) return ClassId(static_cast<uint32_t>(i));
-    return ClassId();
+    auto it = class_names_.find(name);
+    return it == class_names_.end() ? ClassId() : it->second;
   }
   ClassInfo& cls(ClassId id) {
     SYNAT_ASSERT(id.valid() && id.idx < classes_.size(), "bad ClassId");
@@ -329,10 +347,24 @@ class Program {
   }
   size_t num_procs() const { return procs_.size(); }
 
-  std::vector<VarId>& globals() { return globals_; }
   const std::vector<VarId>& globals() const { return globals_; }
-  std::vector<VarId>& threadlocals() { return threadlocals_; }
   const std::vector<VarId>& threadlocals() const { return threadlocals_; }
+  void add_global(VarId v) {
+    globals_.push_back(v);
+    global_names_[var(v).name] = v;
+  }
+  void add_threadlocal(VarId v) {
+    threadlocals_.push_back(v);
+    threadlocal_names_[var(v).name] = v;
+  }
+  /// Program-scope name resolution, shared by every procedure and variant:
+  /// the last thread-local declared with `name`, else the last global.
+  VarId find_global(Symbol name) const {
+    if (auto it = threadlocal_names_.find(name); it != threadlocal_names_.end())
+      return it->second;
+    auto it = global_names_.find(name);
+    return it == global_names_.end() ? VarId() : it->second;
+  }
 
   /// True if `t` can hold a reference (Ref, Null or Unknown).
   bool is_ref_like(TypeId t) const {
@@ -352,6 +384,12 @@ class Program {
   std::vector<ProcInfo> procs_;
   std::vector<VarId> globals_;
   std::vector<VarId> threadlocals_;
+  // Name and shape indexes over the arenas above.
+  std::unordered_map<Symbol, ClassId> class_names_;
+  std::unordered_map<ClassId, TypeId> ref_types_;
+  std::unordered_map<TypeId, TypeId> array_types_;
+  std::unordered_map<Symbol, VarId> global_names_;
+  std::unordered_map<Symbol, VarId> threadlocal_names_;
   TypeId type_unknown_, type_int_, type_bool_, type_null_;
 };
 
@@ -399,10 +437,3 @@ void for_each_expr_in_stmt(const Program& prog, StmtId root, Fn&& fn) {
 }
 
 }  // namespace synat::synl
-
-template <class Tag>
-struct std::hash<synat::synl::detail::Id<Tag>> {
-  size_t operator()(synat::synl::detail::Id<Tag> id) const noexcept {
-    return std::hash<uint32_t>{}(id.idx);
-  }
-};

@@ -59,16 +59,13 @@ std::string_view to_string(VarKind k) {
 }
 
 TypeId Program::ref_type(ClassId c) {
-  for (size_t i = 0; i < types_.size(); ++i)
-    if (types_[i].kind == TypeKind::Ref && types_[i].cls == c)
-      return TypeId(static_cast<uint32_t>(i));
+  if (auto it = ref_types_.find(c); it != ref_types_.end()) return it->second;
   return add_type({TypeKind::Ref, c, {}});
 }
 
 TypeId Program::array_type(TypeId elem) {
-  for (size_t i = 0; i < types_.size(); ++i)
-    if (types_[i].kind == TypeKind::Array && types_[i].elem == elem)
-      return TypeId(static_cast<uint32_t>(i));
+  if (auto it = array_types_.find(elem); it != array_types_.end())
+    return it->second;
   return add_type({TypeKind::Array, {}, elem});
 }
 

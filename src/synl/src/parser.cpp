@@ -197,9 +197,9 @@ void Parser::parse_global(VarKind kind) {
   v.loc = loc;
   VarId id = prog_.add_var(v);
   if (kind == VarKind::Global) {
-    prog_.globals().push_back(id);
+    prog_.add_global(id);
   } else {
-    prog_.threadlocals().push_back(id);
+    prog_.add_threadlocal(id);
   }
   expect(Tok::Semi, "after declaration");
 }

@@ -1,5 +1,6 @@
 #include "synat/synl/sema.h"
 
+#include <cstdint>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -14,10 +15,6 @@ class Resolver {
       : prog_(prog), proc_(proc), diags_(diags) {}
 
   void run() {
-    // Program-scope names: globals and threadlocals.
-    for (VarId v : prog_.globals()) scope_global_[prog_.var(v).name] = v;
-    for (VarId v : prog_.threadlocals()) scope_global_[prog_.var(v).name] = v;
-
     ProcInfo& p = prog_.proc(proc_);
     p.locals.clear();
     push_scope();
@@ -50,9 +47,7 @@ class Resolver {
     for (auto it = scopes_.rbegin(); it != scopes_.rend(); ++it) {
       if (auto f = it->find(name); f != it->end()) return f->second;
     }
-    if (auto f = scope_global_.find(name); f != scope_global_.end())
-      return f->second;
-    return VarId();
+    return prog_.find_global(name);
   }
 
   TypeId location_type(ExprId id) { return prog_.expr(id).type; }
@@ -341,7 +336,6 @@ class Resolver {
   Program& prog_;
   ProcId proc_;
   DiagEngine& diags_;
-  std::unordered_map<Symbol, VarId> scope_global_;
   std::vector<std::unordered_map<Symbol, VarId>> scopes_;
   std::vector<LoopCtx> loops_;
 };
@@ -354,17 +348,25 @@ void resolve_proc(Program& prog, ProcId proc, DiagEngine& diags) {
 
 bool run_sema(Program& prog, DiagEngine& diags, bool contain) {
   size_t toplevel_before = diags.num_errors();
-  // Duplicate procedure names.
-  for (size_t i = 0; i < prog.num_procs(); ++i) {
-    for (size_t j = i + 1; j < prog.num_procs(); ++j) {
-      if (prog.proc(ProcId(static_cast<uint32_t>(i))).name ==
-          prog.proc(ProcId(static_cast<uint32_t>(j))).name) {
-        diags.error(prog.proc(ProcId(static_cast<uint32_t>(j))).loc,
-                    "duplicate procedure '" +
-                        std::string(prog.syms().name(
-                            prog.proc(ProcId(static_cast<uint32_t>(j))).name)) +
-                        "'");
-      }
+  // Duplicate procedure names: one error for every pair i < j of
+  // procedures sharing a name, at j, in (i, j) order. `next_same[i]` links
+  // each procedure to the next one with its name.
+  const uint32_t num_procs = static_cast<uint32_t>(prog.num_procs());
+  constexpr uint32_t kNone = UINT32_MAX;
+  std::vector<uint32_t> next_same(num_procs, kNone);
+  std::unordered_map<Symbol, uint32_t> last_with_name;
+  for (uint32_t i = 0; i < num_procs; ++i) {
+    auto [it, fresh] = last_with_name.try_emplace(prog.proc(ProcId(i)).name, i);
+    if (!fresh) {
+      next_same[it->second] = i;
+      it->second = i;
+    }
+  }
+  for (uint32_t i = 0; i < num_procs; ++i) {
+    for (uint32_t j = next_same[i]; j != kNone; j = next_same[j]) {
+      const ProcInfo& dup = prog.proc(ProcId(j));
+      diags.error(dup.loc, "duplicate procedure '" +
+                               std::string(prog.syms().name(dup.name)) + "'");
     }
   }
   // Duplicate globals/threadlocals.

@@ -1,6 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <unordered_set>
+
+#include "gen.h"
 #include "synat/analysis/expr_util.h"
+#include "synat/atomicity/infer.h"
+#include "synat/corpus/corpus.h"
 #include "synat/synl/parser.h"
 
 namespace synat::analysis {
@@ -172,6 +181,145 @@ TEST(ReadsExactly, MatchesLocationAndLL) {
   EXPECT_TRUE(reads_exactly(f.prog, inits[0], x));
   EXPECT_TRUE(reads_exactly(f.prog, inits[1], x));  // LL(X) counts
   EXPECT_FALSE(reads_exactly(f.prog, inits[0], y));
+}
+
+// --- alias index -------------------------------------------------------------
+//
+// The conflict analysis (infer.cpp) reads step 2/4 candidates and Theorem
+// 5.5 blocks from AliasIndex buckets instead of scanning every action. Its
+// output stays byte-identical only if no aliasing location is ever left out
+// of a query: may_alias(a, b) must imply that a query for a reads b's
+// bucket, so the index hands b out.
+
+/// The items the index hands to a query for `path`, checking their order.
+std::vector<bool> handed_out(const Program& prog, const AliasIndex& index,
+                             const AccessPath& path) {
+  std::vector<bool> handed(index.size());
+  int64_t last = -1;
+  index.for_each_candidate(prog, path, [&](uint32_t b) {
+    EXPECT_GT(static_cast<int64_t>(b), last) << "candidates out of order";
+    last = b;
+    handed[b] = true;
+    return true;
+  });
+  return handed;
+}
+
+/// Checks the contract over every pair of `paths`, which the index holds in
+/// the given order.
+void expect_index_contract(const Program& prog,
+                           const std::vector<AccessPath>& paths,
+                           const std::string& where) {
+  AliasIndex index;
+  for (const AccessPath& p : paths) index.add(prog, p);
+  ASSERT_EQ(index.size(), paths.size());
+  for (size_t a = 0; a < paths.size(); ++a) {
+    std::vector<bool> handed = handed_out(prog, index, paths[a]);
+    for (size_t b = 0; b < paths.size(); ++b) {
+      if (!may_alias(prog, paths[a], paths[b])) continue;
+      EXPECT_TRUE(handed[b]) << where << ": " << paths[a].str(prog) << " ~ "
+                             << paths[b].str(prog) << " not handed out";
+    }
+  }
+}
+
+/// Every distinct location the conflict analysis indexes or queries in
+/// `src`: the paths of every variant's actions (global actions and window
+/// regions among them) and every local block's shared variable (the
+/// Theorem 5.5 regions).
+void check_program(const std::string& where, const std::string& src) {
+  DiagEngine diags;
+  synl::FrontEnd fe = synl::parse_and_recover(src, diags);
+  ASSERT_FALSE(diags.has_errors()) << where << "\n" << diags.dump();
+  Program& prog = fe.prog;
+  atomicity::AtomicityResult r = atomicity::infer_atomicity(prog, diags);
+  std::vector<AccessPath> paths;
+  std::unordered_set<std::string> seen;
+  auto add = [&](const AccessPath& p) {
+    std::string key = std::to_string(p.root.idx);
+    for (const cfg::Selector& s : p.sels)
+      key += s.kind == cfg::Selector::Field ? "." + std::to_string(s.field.id())
+                                             : std::string("[]");
+    if (seen.insert(key).second) paths.push_back(p);
+  };
+  for (const atomicity::ProcResult& pr : r.procs()) {
+    for (const atomicity::VariantResult& vr : pr.variants) {
+      const cfg::Cfg& cfg = vr.pa->cfg();
+      for (uint32_t i = 0; i < cfg.num_nodes(); ++i) {
+        const cfg::Event& ev = cfg.node(cfg::EventId(i));
+        if (ev.is_action()) add(ev.path);
+      }
+      for (const LocalBlock& b : vr.pa->localcond().blocks()) add(b.svar);
+    }
+  }
+  ASSERT_FALSE(paths.empty()) << where;
+  expect_index_contract(prog, paths, where);
+}
+
+TEST(AliasIndex, CandidatesCoverMayAliasOnEveryCorpusProgram) {
+  for (const corpus::Entry& e : corpus::all())
+    check_program(std::string(e.name), std::string(e.source));
+}
+
+TEST(AliasIndex, CandidatesCoverMayAliasOnEveryExample) {
+  std::vector<std::filesystem::path> files;
+  for (const auto& f : std::filesystem::directory_iterator(SYNAT_EXAMPLES_DIR))
+    if (f.path().extension() == ".synl") files.push_back(f.path());
+  ASSERT_FALSE(files.empty());
+  std::sort(files.begin(), files.end());
+  for (const std::filesystem::path& f : files) {
+    std::ifstream in(f);
+    std::stringstream ss;
+    ss << in.rdbuf();
+    check_program(f.filename().string(), ss.str());
+  }
+}
+
+TEST(AliasIndex, CandidatesCoverMayAliasOnGeneratedPrograms) {
+  for (perfbench::AliasMode mode :
+       {perfbench::AliasMode::Disjoint, perfbench::AliasMode::Shared}) {
+    perfbench::GenOptions o;
+    o.procs = 80;
+    o.seed = 1;
+    o.mode = mode;
+    check_program(mode == perfbench::AliasMode::Shared ? "gen shared"
+                                                        : "gen disjoint",
+                  perfbench::GenProgram(o).render());
+  }
+}
+
+TEST(AliasIndex, WildcardAndIndefiniteHoldersReachEveryField) {
+  Fixture f(R"(
+    class A { int v; }
+    class B { int v; }
+    global int I;
+    proc F(A a, B b) { a.v := b.v; }
+  )");
+  AccessPath unknown;  // invalid root: aliases everything
+  unknown.sels.push_back({cfg::Selector::Field, f.prog.syms().lookup("v")});
+  AccessPath int_holder = f.path("I", "v");  // holder is not a class
+  // a.I.v: A has no field I, so the holder's type is unknown and the
+  // location may alias the v of every class.
+  AccessPath untyped = f.path("a", "I");
+  untyped.sels.push_back({cfg::Selector::Field, f.prog.syms().lookup("v")});
+  AccessPath elem = f.path("a", "v");
+  elem.sels.push_back({cfg::Selector::Index, {}});
+  std::vector<AccessPath> paths = {f.path("a", "v"), f.path("b", "v"),
+                                   int_holder,       untyped,
+                                   unknown,          f.path("I"),
+                                   elem};
+  EXPECT_EQ(alias_key(f.prog, int_holder).holder, AliasKey::kIndefinite);
+  EXPECT_EQ(alias_key(f.prog, untyped).holder, AliasKey::kIndefinite);
+  EXPECT_EQ(alias_key(f.prog, unknown).kind, AliasKey::Any);
+  EXPECT_TRUE(may_alias(f.prog, untyped, paths[0]));
+  EXPECT_TRUE(may_alias(f.prog, untyped, paths[1]));
+  expect_index_contract(f.prog, paths, "fixture");
+  // Holder classes separate a.v from b.v: a's query skips b's bucket.
+  AliasIndex index;
+  for (const AccessPath& p : paths) index.add(f.prog, p);
+  std::vector<bool> handed = handed_out(f.prog, index, paths[0]);
+  EXPECT_FALSE(handed[1]);
+  EXPECT_TRUE(handed[2] && handed[3] && handed[4]);  // indefinite, wildcard
 }
 
 }  // namespace

@@ -7,8 +7,9 @@ not need the third-party jsonschema package. On top of the structural
 check it enforces the trace semantics the ISSUE pins down:
 
   * every "X" event carries name/cat/tid/ts/dur;
-  * with --require-pipeline-stages, all seven pipeline stage spans
-    (parse, cfg_liveness, purity, variants, movers, infer, blocks) occur;
+  * with --require-pipeline-stages, all nine pipeline stage spans
+    (parse, cfg_liveness, dataflow, purity, variants, contexts, movers,
+    infer, blocks) occur;
   * with --min-lanes N, at least N distinct pids (lanes) occur — the
     per-worker-lane check for --isolate runs.
 
@@ -22,7 +23,8 @@ import os
 import sys
 
 PIPELINE_STAGES = {
-    "parse", "cfg_liveness", "purity", "variants", "movers", "infer", "blocks",
+    "parse", "cfg_liveness", "dataflow", "purity", "variants", "contexts",
+    "movers", "infer", "blocks",
 }
 
 TYPE_CHECKS = {
@@ -101,7 +103,7 @@ def main():
         return 1
     print(f"validate_trace: OK {args.trace} "
           f"({len(spans)} spans, {len(lanes)} lane(s), "
-          f"{len(stages & PIPELINE_STAGES)}/7 pipeline stages)")
+          f"{len(stages & PIPELINE_STAGES)}/{len(PIPELINE_STAGES)} pipeline stages)")
     return 0
 
 
