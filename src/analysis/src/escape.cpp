@@ -1,7 +1,6 @@
 #include "synat/analysis/escape.h"
 
 #include "synat/analysis/expr_util.h"
-#include "synat/obs/trace.h"
 
 namespace synat::analysis {
 
@@ -26,7 +25,6 @@ synl::ExprId write_rhs(const Stmt& s) {
 
 EscapeAnalysis::EscapeAnalysis(const Program& prog, const Cfg& cfg)
     : prog_(prog), cfg_(cfg) {
-  obs::SpanScope span(obs::StageId::Dataflow);
   const synl::ProcInfo& p = prog.proc(cfg.proc());
   auto consider = [&](VarId v) {
     if (prog.is_ref_like(prog.var(v).type)) analyze_var(v);

@@ -1,7 +1,6 @@
 #include "synat/analysis/localcond.h"
 
 #include "synat/analysis/expr_util.h"
-#include "synat/obs/trace.h"
 
 namespace synat::analysis {
 
@@ -56,7 +55,6 @@ Pred pred_of(const Program& prog, synl::ExprId id, VarId lvar) {
 
 LocalCondAnalysis::LocalCondAnalysis(const Program& prog, const Cfg& cfg)
     : prog_(prog), cfg_(cfg) {
-  obs::SpanScope span(obs::StageId::Dataflow);
   synl::for_each_stmt(prog, prog.proc(cfg.proc()).body, [&](StmtId sid) {
     if (prog.stmt(sid).kind == StmtKind::Local) analyze_block(sid);
   });

@@ -1,7 +1,6 @@
 #include "synat/analysis/matching.h"
 
 #include "synat/analysis/expr_util.h"
-#include "synat/obs/trace.h"
 
 namespace synat::analysis {
 
@@ -14,7 +13,6 @@ using synl::StmtKind;
 
 MatchingAnalysis::MatchingAnalysis(const Program& prog, const Cfg& cfg)
     : prog_(prog), cfg_(cfg) {
-  obs::SpanScope span(obs::StageId::Dataflow);
   for (uint32_t i = 0; i < cfg.num_nodes(); ++i) {
     EventId id(i);
     switch (cfg.node(id).kind) {

@@ -1,7 +1,6 @@
 #include "synat/analysis/unique.h"
 
 #include "synat/analysis/expr_util.h"
-#include "synat/obs/trace.h"
 
 namespace synat::analysis {
 
@@ -17,7 +16,6 @@ using synl::VarKind;
 
 UniqueAnalysis::UniqueAnalysis(const Program& prog, const Cfg& cfg)
     : prog_(prog), cfg_(cfg) {
-  obs::SpanScope span(obs::StageId::Dataflow);
   const synl::ProcInfo& p = prog.proc(cfg.proc());
   auto consider = [&](VarId v) {
     if (!prog.is_ref_like(prog.var(v).type)) return;
