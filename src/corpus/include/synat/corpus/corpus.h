@@ -19,7 +19,6 @@
 //   racy_counter     - negative control: must NOT be proven atomic
 #pragma once
 
-#include <iosfwd>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -39,10 +38,5 @@ const std::vector<Entry>& all();
 
 /// Lookup by name; throws InternalError for unknown names.
 const Entry& get(std::string_view name);
-
-/// Prints the entry's name. GoogleTest uses it for the parameter of the
-/// Corpus/* suites, so their ctest names end in the entry name instead of
-/// a byte dump that holds string addresses.
-void PrintTo(const Entry& e, std::ostream* os);
 
 }  // namespace synat::corpus

@@ -1,7 +1,5 @@
 #include "synat/corpus/corpus.h"
 
-#include <ostream>
-
 #include "synat/support/diag.h"
 
 namespace synat::corpus {
@@ -729,7 +727,5 @@ const Entry& get(std::string_view name) {
   }
   SYNAT_ASSERT(false, "unknown corpus entry: " + std::string(name));
 }
-
-void PrintTo(const Entry& e, std::ostream* os) { *os << e.name; }
 
 }  // namespace synat::corpus
