@@ -22,6 +22,13 @@
 // that may alias, in scan order: DESIGN.md §5); ConflictUniverse::classify
 // then runs steps 1-7 for one procedure against it, so classifying any
 // subset of procedures gives exactly the results of a whole-program run.
+//
+// Given a thread pool with idle workers, the build runs its read-only
+// phases in parallel: the originals' analyses (each kept only as its loop
+// verdicts) and the variants' contexts, each into its own slot. Variant
+// generation between them appends to the Program, so it runs serially, as
+// does the alias index. classify() is const and only reads the universe
+// and the Program, so callers may classify procedures concurrently.
 #pragma once
 
 #include <memory>
@@ -34,6 +41,10 @@
 #include "synat/atomicity/variants.h"
 #include "synat/obs/provenance.h"
 #include "synat/support/diag.h"
+
+namespace synat {
+class ThreadPool;
+}
 
 namespace synat::atomicity {
 
@@ -120,9 +131,11 @@ class ConflictUniverse {
   /// `opts.variant_opts.budget` and throws BudgetExceeded when it trips. A
   /// procedure over `opts.variant_opts.max_variants` enters the universe as
   /// its unspecialized clone, which over-approximates every variant for
-  /// the other procedures; only its own classify() fails.
+  /// the other procedures; only its own classify() fails. With a `pool`,
+  /// the pool's idle workers help build the universe (see above); the
+  /// result is the same either way.
   ConflictUniverse(synl::Program& prog, DiagEngine& diags,
-                   const InferOptions& opts);
+                   const InferOptions& opts, ThreadPool* pool = nullptr);
   ~ConflictUniverse();
   ConflictUniverse(const ConflictUniverse&) = delete;
   ConflictUniverse& operator=(const ConflictUniverse&) = delete;

@@ -55,10 +55,22 @@ struct VariantOptions {
   ExecBudget* budget = nullptr;
 };
 
-/// Generates the exceptional variants of `proc`. `pa` must be the analysis
-/// of the original procedure (purity decides which loops are sliced).
+/// Section 4's verdict on one loop of an original procedure: all that
+/// step 0 keeps of the procedure's analysis.
+struct LoopVerdict {
+  synl::StmtId loop;
+  bool pure = false;
+  std::vector<analysis::ImpureReason> reasons;  ///< empty when pure
+};
+
+/// The verdict on every loop of `pa`'s procedure, in CFG loop order.
+std::vector<LoopVerdict> loop_verdicts(const analysis::ProcAnalysis& pa);
+
+/// Generates the exceptional variants of `proc`. `loops` must be the loop
+/// verdicts of the original procedure (purity decides which loops are
+/// sliced).
 VariantSet generate_variants(Program& prog, ProcId proc,
-                             const analysis::ProcAnalysis& pa,
+                             const std::vector<LoopVerdict>& loops,
                              DiagEngine& diags,
                              const VariantOptions& opts = {});
 

@@ -35,9 +35,10 @@ struct Path {
 
 class VariantGen {
  public:
-  VariantGen(Program& prog, const analysis::ProcAnalysis& pa,
-             DiagEngine& diags, const VariantOptions& opts)
-      : prog_(prog), pa_(pa), diags_(diags), opts_(opts) {}
+  VariantGen(Program& prog, ProcId proc,
+             const std::vector<LoopVerdict>& loops, DiagEngine& diags,
+             const VariantOptions& opts)
+      : prog_(prog), proc_(proc), loops_(loops), diags_(diags), opts_(opts) {}
 
   std::vector<StmtId> run(StmtId body, bool& bailed) {
     std::vector<Path> paths = enumerate(body);
@@ -166,7 +167,7 @@ class VariantGen {
   void note_explosion() {
     if (!bailed_) {
       bailed_ = true;
-      diags_.warning(prog_.proc(pa_.proc()).loc,
+      diags_.warning(prog_.proc(proc_).loc,
                      "exceptional-variant generation exceeded " +
                          std::to_string(opts_.max_paths) +
                          " paths; falling back to an unspecialized clone");
@@ -317,7 +318,7 @@ class VariantGen {
         return out;
       }
       case StmtKind::Loop: {
-        bool pure = !opts_.disable && pa_.purity().is_pure(id);
+        bool pure = !opts_.disable && is_pure(id);
         if (!pure) {
           // Kept whole; one clone per possible exit so block sequencing can
           // continue after a break or stop at a return.
@@ -357,8 +358,15 @@ class VariantGen {
     return {};
   }
 
+  bool is_pure(StmtId loop) const {
+    for (const LoopVerdict& v : loops_)
+      if (v.loop == loop) return v.pure;
+    return false;
+  }
+
   Program& prog_;
-  const analysis::ProcAnalysis& pa_;
+  ProcId proc_;
+  const std::vector<LoopVerdict>& loops_;
   DiagEngine& diags_;
   const VariantOptions& opts_;
   bool bailed_ = false;
@@ -366,14 +374,23 @@ class VariantGen {
 
 }  // namespace
 
+std::vector<LoopVerdict> loop_verdicts(const analysis::ProcAnalysis& pa) {
+  std::vector<LoopVerdict> out;
+  for (const cfg::LoopInfo& li : pa.cfg().loops()) {
+    if (const analysis::LoopPurity* lp = pa.purity().result(li.stmt))
+      out.push_back({li.stmt, lp->pure, lp->reasons});
+  }
+  return out;
+}
+
 VariantSet generate_variants(Program& prog, ProcId proc,
-                             const analysis::ProcAnalysis& pa,
+                             const std::vector<LoopVerdict>& loops,
                              DiagEngine& diags, const VariantOptions& opts) {
   obs::SpanScope span(obs::StageId::Variants);
   VariantSet out;
   out.original = proc;
 
-  VariantGen gen(prog, pa, diags, opts);
+  VariantGen gen(prog, proc, loops, diags, opts);
   bool bailed = false;
   std::vector<StmtId> bodies = gen.run(prog.proc(proc).body, bailed);
   out.bailed_out = bailed;

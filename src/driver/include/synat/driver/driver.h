@@ -5,12 +5,15 @@
 // of per-procedure results.
 //
 // Concurrency model: one task per program. The task parses its own Program
-// (no AST is ever shared between threads: variant generation appends to
+// (no AST is shared between program tasks: variant generation appends to
 // the Program it analyzes), builds the program's conflict universe once,
 // takes every procedure's cache address from that universe, classifies
 // only the cache misses against it, and publishes the finished program to
-// the ReportSink in one call. Output assembly is index-addressed, which
-// makes the rendered documents byte-identical for any --jobs value.
+// the ReportSink in one call. Inside the task, the pool's idle workers
+// help with the read-only parts: the universe's analyses and contexts, and
+// the classification and rendering of the misses, each landing by index.
+// Output assembly is index-addressed throughout, which makes the rendered
+// documents byte-identical for any --jobs value.
 #pragma once
 
 #include <atomic>
@@ -23,6 +26,10 @@
 #include "synat/driver/cache.h"
 #include "synat/driver/report.h"
 #include "synat/driver/watchdog.h"
+
+namespace synat {
+class ThreadPool;
+}
 
 namespace synat::obs {
 class EventLog;
@@ -113,8 +120,10 @@ class BatchDriver {
     std::atomic<size_t> misses{0};
   };
 
+  /// Analyzes one program on the calling thread, with the idle workers of
+  /// `pool` (the batch's own) helping inside the program.
   void run_program_task(const ProgramInput& input, size_t index,
-                        ReportSink& sink, CacheTally& tally);
+                        ReportSink& sink, CacheTally& tally, ThreadPool& pool);
   /// Stage timing is collected when asked for (--timings) or whenever a
   /// wide-event sink needs per-program latencies.
   bool timed() const { return opts_.collect_timings || opts_.events != nullptr; }

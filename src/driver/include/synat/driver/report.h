@@ -220,10 +220,13 @@ class ReportSink {
   /// Publishes a program that was already journaled: a journal replay or a
   /// decoded worker result. Does not fire the completion callback.
   void set_program(size_t i, ProgramReport report);
+  /// Records `ns` as one sample of stage `s`'s batch histogram.
   void add_stage_time(Stage s, uint64_t ns);
   /// Accumulates `ns` against program `i`'s own stage tally (the wide
   /// event's parse/analyze/report fields) as well as the batch histogram.
   void add_stage_time(size_t i, Stage s, uint64_t ns);
+  /// Accumulates `ns` against program `i`'s own stage tally only.
+  void add_program_time(size_t i, Stage s, uint64_t ns);
   /// Per-program accumulated stage wall times (ns), indexed by Stage.
   /// Consumed by the driver's event emission; valid after finish() too.
   std::array<uint64_t, static_cast<size_t>(Stage::COUNT)> program_stage_ns(

@@ -2,17 +2,18 @@
 
 #include <algorithm>
 #include <chrono>
+#include <exception>
 #include <thread>
 
 #include "synat/atomicity/blocks.h"
 #include "synat/atomicity/infer.h"
 #include "synat/driver/journal.h"
-#include "synat/driver/thread_pool.h"
 #include "synat/driver/worker.h"
 #include "synat/obs/events.h"
 #include "synat/obs/metrics.h"
 #include "synat/obs/trace.h"
 #include "synat/support/hash.h"
+#include "synat/support/thread_pool.h"
 #include "synat/synl/parser.h"
 #include "synat/synl/printer.h"
 
@@ -40,7 +41,8 @@ obs::StageId obs_stage(Stage s) {
 /// RAII stage timer; no clock calls unless timing collection is on. The
 /// embedded SpanScope gates itself on the obs flags independently. Times
 /// are charged both to the batch histograms and to program `index`'s own
-/// tally (the wide event's parse/analyze/report fields).
+/// tally (the wide event's parse/analyze/report fields). Only the
+/// program's own thread uses one, so the tally stays wall time.
 class StageTimer {
  public:
   StageTimer(ReportSink& sink, size_t index, Stage stage, bool enabled)
@@ -55,6 +57,30 @@ class StageTimer {
   ReportSink& sink_;
   size_t index_;
   Stage stage_;
+  bool enabled_;
+  uint64_t start_;
+};
+
+/// A StageTimer for one call that may run on a pool helper: the call is a
+/// sample of the batch histogram, and its time is added to `ns` instead of
+/// the program's tally, which the program's own thread charges.
+class CallTimer {
+ public:
+  CallTimer(ReportSink& sink, Stage stage, uint64_t& ns, bool enabled)
+      : span_(obs_stage(stage)), sink_(sink), stage_(stage), ns_(ns),
+        enabled_(enabled), start_(enabled ? now_ns() : 0) {}
+  ~CallTimer() {
+    if (!enabled_) return;
+    const uint64_t ns = now_ns() - start_;
+    sink_.add_stage_time(stage_, ns);
+    ns_ += ns;
+  }
+
+ private:
+  obs::SpanScope span_;
+  ReportSink& sink_;
+  Stage stage_;
+  uint64_t& ns_;
   bool enabled_;
   uint64_t start_;
 };
@@ -210,7 +236,8 @@ BatchDriver::BatchDriver(DriverOptions opts, ResultCache* cache)
 BatchDriver::~BatchDriver() = default;
 
 void BatchDriver::run_program_task(const ProgramInput& input, size_t index,
-                                   ReportSink& sink, CacheTally& tally) {
+                                   ReportSink& sink, CacheTally& tally,
+                                   ThreadPool& pool) {
   DiagEngine diags;
   synl::FrontEnd fe = [&] {
     StageTimer t(sink, index, Stage::Parse, timed());
@@ -276,7 +303,7 @@ void BatchDriver::run_program_task(const ProgramInput& input, size_t index,
   try {
     const atomicity::ConflictUniverse universe = [&] {
       StageTimer ta(sink, index, Stage::Analyze, timed());
-      return atomicity::ConflictUniverse(prog, diags, iopts);
+      return atomicity::ConflictUniverse(prog, diags, iopts, &pool);
     }();
     // Cache addressing (DESIGN.md §3g). When the program fingerprints
     // completely, each procedure's result is cached under H(options, own
@@ -291,6 +318,18 @@ void BatchDriver::run_program_task(const ProgramInput& input, size_t index,
     const bool content_keys =
         opts_.use_cache && !input.opts.provenance && !recovered;
     const uint64_t universe_fp = content_keys ? universe.fingerprint() : 0;
+    struct Miss {
+      Miss(synl::ProcId proc, uint64_t key, uint64_t addr)
+          : proc(proc), key(key), addr(addr) {}
+      synl::ProcId proc;
+      uint64_t key;
+      uint64_t addr;
+      std::shared_ptr<const ProcReport> report;
+      std::exception_ptr error;
+      uint64_t analyze_ns = 0;
+      uint64_t report_ns = 0;
+    };
+    std::vector<Miss> misses;
     for (size_t p = 0; p < num_procs; ++p) {
       if (out.procs[p] != nullptr) continue;  // broken
       synl::ProcId pid(static_cast<uint32_t>(p));
@@ -313,19 +352,53 @@ void BatchDriver::run_program_task(const ProgramInput& input, size_t index,
         }
         ++tally.misses;
       }
+      misses.emplace_back(pid, key, addr);
+    }
+    // This thread and the pool's idle workers classify and render the
+    // misses, each into its own slot; a failure is kept with its
+    // procedure. This thread times the whole loop and splits that wall
+    // time between the two stages in the ratio of their call times.
+    const uint64_t loop_start = timed() ? now_ns() : 0;
+    pool.parallel_for(misses.size(), [&](size_t k) {
+      Miss& m = misses[k];
       try {
         atomicity::ProcResult result = [&] {
-          StageTimer ta(sink, index, Stage::Analyze, timed());
-          return universe.classify(pid);
+          CallTimer ta(sink, Stage::Analyze, m.analyze_ns, timed());
+          return universe.classify(m.proc);
         }();
-        StageTimer tr(sink, index, Stage::Report, timed());
-        std::shared_ptr<const ProcReport> report =
-            make_proc_report(prog, result, key, iopts.provenance);
+        CallTimer tr(sink, Stage::Report, m.report_ns, timed());
+        m.report = make_proc_report(prog, result, m.key, iopts.provenance);
+      } catch (...) {
+        m.error = std::current_exception();
+      }
+    });
+    if (timed() && !misses.empty()) {
+      const uint64_t wall = now_ns() - loop_start;
+      uint64_t analyze = 0, report = 0;
+      for (const Miss& m : misses) {
+        analyze += m.analyze_ns;
+        report += m.report_ns;
+      }
+      const double share = analyze + report == 0
+                               ? 0.0
+                               : static_cast<double>(analyze) /
+                                     static_cast<double>(analyze + report);
+      const auto analyze_wall =
+          static_cast<uint64_t>(share * static_cast<double>(wall));
+      sink.add_program_time(index, Stage::Analyze, analyze_wall);
+      sink.add_program_time(index, Stage::Report, wall - analyze_wall);
+    }
+    // Budget trips and errors apply in procedure order, as a serial loop
+    // meets them.
+    for (Miss& m : misses) {
+      try {
+        if (m.error) std::rethrow_exception(m.error);
+        std::shared_ptr<const ProcReport> report = std::move(m.report);
         if (opts_.use_cache)
-          report = with_key(cache_->insert(addr, report), key);
-        out.procs[p] = std::move(report);
+          report = with_key(cache_->insert(m.addr, report), m.key);
+        out.procs[m.proc.idx] = std::move(report);
       } catch (const BudgetExceeded& e) {
-        trip(p, e);
+        trip(m.proc.idx, e);
       }
     }
   } catch (const BudgetExceeded& e) {
@@ -436,9 +509,9 @@ BatchReport BatchDriver::run(const std::vector<ProgramInput>& inputs) {
     ThreadPool pool(jobs <= 1 ? 0 : jobs);
     for (size_t i = 0; i < inputs.size(); ++i) {
       if (done[i]) continue;
-      pool.submit([this, &inputs, i, &sink, &tally] {
+      pool.submit([this, &inputs, i, &sink, &tally, &pool] {
         try {
-          run_program_task(inputs[i], i, sink, tally);
+          run_program_task(inputs[i], i, sink, tally, pool);
         } catch (const std::exception& e) {
           sink.fail_program(i, inputs[i].name, ProgramStatus::InternalError,
                             {{"error", 0, 0, e.what()}});

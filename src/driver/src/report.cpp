@@ -168,6 +168,11 @@ void ReportSink::add_stage_time(size_t i, Stage s, uint64_t ns) {
   stage_ns_.at(i)[static_cast<size_t>(s)] += ns;
 }
 
+void ReportSink::add_program_time(size_t i, Stage s, uint64_t ns) {
+  std::lock_guard<std::mutex> lock(mu_);
+  stage_ns_.at(i)[static_cast<size_t>(s)] += ns;
+}
+
 std::array<uint64_t, static_cast<size_t>(Stage::COUNT)>
 ReportSink::program_stage_ns(size_t i) const {
   std::lock_guard<std::mutex> lock(mu_);

@@ -35,10 +35,10 @@
 #include <string>
 
 #include "synat/driver/cache.h"
-#include "synat/driver/thread_pool.h"
 #include "synat/obs/slo.h"
 #include "synat/serve/quarantine.h"
 #include "synat/serve/rpc.h"
+#include "synat/support/thread_pool.h"
 
 namespace synat::driver {
 struct ProgramInput;  // driver.h; only named in a private declaration here
@@ -156,7 +156,7 @@ class Service {
   driver::ResultCache cache_;
   Quarantine quarantine_;
   obs::SloTracker slo_;
-  std::unique_ptr<driver::ThreadPool> pool_;
+  std::unique_ptr<ThreadPool> pool_;
   std::atomic<size_t> in_flight_{0};
   std::atomic<bool> draining_{false};
   std::atomic<uint64_t> next_request_{0};

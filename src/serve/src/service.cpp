@@ -136,7 +136,7 @@ Service::Service(ServiceOptions opts)
   jobs_ = opts_.jobs == 0
               ? std::max(1u, std::thread::hardware_concurrency())
               : opts_.jobs;
-  pool_ = std::make_unique<driver::ThreadPool>(jobs_);
+  pool_ = std::make_unique<ThreadPool>(jobs_);
   start_ns_ = obs::now_ns();
 }
 

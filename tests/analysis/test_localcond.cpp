@@ -22,8 +22,8 @@ struct VariantSetup {
       : prog(synl::parse_and_check(src, diags)) {
     EXPECT_FALSE(diags.has_errors()) << diags.dump();
     synl::ProcId pid = prog.find_proc(proc);
-    ProcAnalysis pa(prog, pid);
-    auto set = atomicity::generate_variants(prog, pid, pa, diags);
+    auto set = atomicity::generate_variants(
+        prog, pid, atomicity::loop_verdicts(ProcAnalysis(prog, pid)), diags);
     for (synl::ProcId v : set.variants)
       variants.push_back(std::make_unique<ProcAnalysis>(prog, v));
   }

@@ -21,8 +21,9 @@ struct Fixture {
       : prog(synl::parse_and_check(src, diags)) {
     EXPECT_FALSE(diags.has_errors()) << diags.dump();
     synl::ProcId pid = prog.find_proc(proc);
-    analysis::ProcAnalysis pa(prog, pid);
-    set = generate_variants(prog, pid, pa, diags, opts);
+    set = generate_variants(
+        prog, pid, loop_verdicts(analysis::ProcAnalysis(prog, pid)), diags,
+        opts);
     EXPECT_FALSE(diags.has_errors()) << diags.dump();
   }
 

@@ -4,9 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <fstream>
+#include <sstream>
 
+#include "gen.h"
 #include "synat/corpus/corpus.h"
+#include "synat/obs/events.h"
 #include "synat/obs/obs.h"
 
 namespace synat::driver {
@@ -107,6 +111,132 @@ TEST(BatchDriver, CachePersistedAcrossProcessesViaSnapshot) {
   ASSERT_TRUE(reloaded.load(path));
   run_json(opts, &reloaded);
   EXPECT_EQ(reloaded.misses(), 0u);  // snapshot served every procedure
+  std::remove(path.c_str());
+}
+
+// One large program: a seed-1 generated program with the generator's
+// counted CAS set, as perfbench analyzes it. With spare workers the pool
+// builds its universe and classifies its procedures in parallel.
+ProgramInput generated_input(
+    size_t procs, perfbench::AliasMode mode = perfbench::AliasMode::Disjoint) {
+  perfbench::GenOptions o;
+  o.procs = procs;
+  o.seed = 1;
+  o.mode = mode;
+  perfbench::GenProgram gen(o);
+  ProgramInput in;
+  in.name = "gen:" + std::to_string(procs);
+  in.source = gen.render();
+  for (const std::string& c : gen.counted()) in.opts.counted_cas.push_back(c);
+  return in;
+}
+
+uint64_t telemetry_counter(const BatchReport& r, const std::string& name) {
+  for (const obs::CounterSample& c : r.metrics.telemetry.counters)
+    if (c.name == name) return c.value;
+  ADD_FAILURE() << "no counter " << name;
+  return 0;
+}
+
+TEST(BatchDriver, LargeProgramIdenticalAcrossJobCounts) {
+  const ProgramInput base = generated_input(160);
+  for (bool provenance : {false, true}) {
+    ProgramInput in = base;
+    in.opts.provenance = provenance;
+    RenderOptions ropts;
+    ropts.provenance = provenance;
+    // Per job count: uncached, then a cold and a warm cached run.
+    std::vector<std::string> docs[2];
+    for (unsigned jobs : {1u, 4u}) {
+      DriverOptions opts;
+      opts.jobs = jobs;
+      std::vector<std::string>& out = docs[jobs == 1 ? 0 : 1];
+      out.push_back(to_json(BatchDriver(opts).run({in}), ropts));
+      opts.use_cache = true;
+      ResultCache cache;
+      BatchDriver cached(opts, &cache);
+      out.push_back(to_json(cached.run({in}), ropts));
+      out.push_back(to_json(cached.run({in}), ropts));
+      EXPECT_EQ(cache.misses(), 160u) << "jobs " << jobs;
+    }
+    for (size_t k = 0; k < docs[0].size(); ++k)
+      EXPECT_EQ(docs[0][k], docs[1][k])
+          << "run " << k << (provenance ? ", provenance" : "");
+  }
+}
+
+TEST(BatchDriver, LargeProgramDegradesTheSameProceduresAcrossJobCounts) {
+  ProgramInput in = generated_input(160);
+  in.opts.variant_opts.max_variants = 1;
+  std::vector<std::string> degraded[2];
+  std::string docs[2];
+  for (unsigned jobs : {1u, 4u}) {
+    DriverOptions opts;
+    opts.jobs = jobs;
+    BatchReport r = BatchDriver(opts).run({in});
+    for (const auto& p : r.programs.at(0).procs)
+      if (p->degraded) degraded[jobs == 1 ? 0 : 1].push_back(p->name);
+    docs[jobs == 1 ? 0 : 1] = to_json(r);
+  }
+  EXPECT_FALSE(degraded[0].empty());
+  EXPECT_EQ(degraded[0], degraded[1]);
+  EXPECT_EQ(docs[0], docs[1]);
+}
+
+TEST(BatchDriver, LargeProgramWorkCountsEqualAcrossJobCounts) {
+  const ProgramInput in = generated_input(160);
+  const char* names[] = {
+      "synat_alias_candidates_total", "synat_exclusion_checks_total",
+      "synat_variants_generated_total", "synat_procs_analyzed_total"};
+  std::vector<uint64_t> counts[2];
+  for (unsigned jobs : {1u, 4u}) {
+    DriverOptions opts;
+    opts.jobs = jobs;
+    BatchReport r = BatchDriver(opts).run({in});
+    for (const char* name : names)
+      counts[jobs == 1 ? 0 : 1].push_back(telemetry_counter(r, name));
+  }
+  EXPECT_EQ(counts[0], counts[1]);
+  EXPECT_EQ(counts[0][3], 160u);  // every procedure classified once
+}
+
+// The wide event's stage latencies are wall time on the program's own
+// thread, even when pool helpers classify and render its procedures. Real
+// clock: the virtual clock would zero them. In shared alias mode,
+// classification is most of the work, so summing the helpers' call times
+// instead would exceed the wall time of the whole run.
+TEST(BatchDriver, ProgramLatencyIsWallTimeWithHelpers) {
+  if (obs::virtual_clock()) GTEST_SKIP() << "virtual clock zeroes latencies";
+  const std::string path = testing::TempDir() + "synat_latency_events.jsonl";
+  std::remove(path.c_str());
+  uint64_t wall_ns = 0;
+  {
+    obs::EventLogOptions eopts;
+    eopts.path = path;
+    eopts.mirror_recorder = false;
+    obs::EventLog events(eopts);
+    DriverOptions opts;
+    opts.jobs = 4;
+    opts.events = &events;
+    BatchDriver drv(opts);
+    const std::vector<ProgramInput> inputs = {
+        generated_input(1280, perfbench::AliasMode::Shared)};
+    const auto start = std::chrono::steady_clock::now();
+    drv.run(inputs);
+    wall_ns = static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - start)
+            .count());
+  }
+  std::ifstream in(path);
+  std::string line;
+  ASSERT_TRUE(std::getline(in, line));
+  const size_t at = line.find("\"dur_ns\":");
+  ASSERT_NE(at, std::string::npos) << line;
+  uint64_t dur_ns = 0;
+  std::istringstream(line.substr(at + 9)) >> dur_ns;
+  EXPECT_GT(dur_ns, 0u);
+  EXPECT_LE(dur_ns, wall_ns);
   std::remove(path.c_str());
 }
 
