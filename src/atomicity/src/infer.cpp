@@ -1,6 +1,7 @@
 #include "synat/atomicity/infer.h"
 
 #include <algorithm>
+#include <functional>
 #include <optional>
 #include <string>
 #include <unordered_set>
@@ -111,6 +112,17 @@ SourceLoc event_loc(const Program& prog, const Event& ev) {
   if (ev.expr.valid()) return prog.expr(ev.expr).loc;
   if (ev.stmt.valid()) return prog.stmt(ev.stmt).loc;
   return {};
+}
+
+/// body(0) .. body(n-1) on `pool` (its idle workers help), or in order on
+/// this thread when there is no pool.
+void for_each_index(ThreadPool* pool, size_t n,
+                    const std::function<void(size_t)>& body) {
+  if (pool != nullptr) {
+    pool->parallel_for(n, body);
+  } else {
+    for (size_t i = 0; i < n; ++i) body(i);
+  }
 }
 
 }  // namespace
@@ -1096,53 +1108,36 @@ InferEngine::InferEngine(Program& prog, DiagEngine& diags,
   const size_t num_original = prog_.num_procs();
   ExecBudget* budget = opts_.variant_opts.budget;
 
-  // Step 0. Generation appends to `prog`, so it runs serially, in
-  // procedure order. It reads only each original's loop verdicts, and the
-  // original's analysis is freed as soon as they are taken.
-  procs_.resize(num_original);
-  std::vector<ProcId> variants;
-  auto verdicts = [&](size_t i) {
+  // Step 0. The originals' analyses only read `prog`, and each keeps just
+  // its loop verdicts. Generation appends to `prog`, so it starts after
+  // all of them and runs serially, in procedure order.
+  std::vector<std::vector<LoopVerdict>> loops(num_original);
+  for_each_index(pool, num_original, [&](size_t i) {
     if (budget != nullptr) budget->check("variant expansion");
     ProcId pid(static_cast<uint32_t>(i));
-    return loop_verdicts(ProcAnalysis(prog_, pid));
-  };
-  auto generate = [&](size_t i, const std::vector<LoopVerdict>& loops) {
+    loops[i] = loop_verdicts(ProcAnalysis(prog_, pid));
+  });
+  procs_.resize(num_original);
+  std::vector<ProcId> variants;
+  for (size_t i = 0; i < num_original; ++i) {
     ProcId pid(static_cast<uint32_t>(i));
     ProcEntry& entry = procs_[i];
     entry.vs =
-        generate_variants(prog_, pid, loops, diags, opts_.variant_opts);
+        generate_variants(prog_, pid, loops[i], diags, opts_.variant_opts);
     if (opts_.provenance)
-      entry.step0 = step0_provenance(pid, loops, entry.vs);
+      entry.step0 = step0_provenance(pid, loops[i], entry.vs);
     entry.first_ctx = variants.size();
     variants.insert(variants.end(), entry.vs.variants.begin(),
                     entry.vs.variants.end());
-  };
-  if (pool != nullptr && pool->idle_workers() > 0) {
-    // Idle workers help with the analyses. They read `prog`, so
-    // generation starts only after all of them.
-    std::vector<std::vector<LoopVerdict>> loops(num_original);
-    pool->parallel_for(num_original,
-                       [&](size_t i) { loops[i] = verdicts(i); });
-    for (size_t i = 0; i < num_original; ++i) generate(i, loops[i]);
-  } else {
-    // Alone, each procedure is generated right after its analysis, while
-    // its AST is still in cache: analyzing every procedure first cost the
-    // corpus 3% of its serial throughput.
-    for (size_t i = 0; i < num_original; ++i) generate(i, verdicts(i));
   }
 
   // Contexts for every variant (the cross-variant conflict universe), each
   // into its own slot.
   vctx_.resize(variants.size());
-  auto context = [&](size_t c) {
+  for_each_index(pool, variants.size(), [&](size_t c) {
     if (budget != nullptr) budget->check("variant expansion");
     vctx_[c] = make_variant_ctx(variants[c]);
-  };
-  if (pool != nullptr) {
-    pool->parallel_for(variants.size(), context);
-  } else {
-    for (size_t c = 0; c < variants.size(); ++c) context(c);
-  }
+  });
   Work work;
   build_index(work);
   work.flush();

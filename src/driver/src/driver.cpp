@@ -41,15 +41,24 @@ obs::StageId obs_stage(Stage s) {
 /// RAII stage timer; no clock calls unless timing collection is on. The
 /// embedded SpanScope gates itself on the obs flags independently. Times
 /// are charged both to the batch histograms and to program `index`'s own
-/// tally (the wide event's parse/analyze/report fields). Only the
-/// program's own thread uses one, so the tally stays wall time.
+/// tally (the wide event's parse/analyze/report fields). A call that may
+/// run on a pool helper passes `acc`, which takes the time instead of the
+/// tally; the program's own thread then charges the tally with wall time.
 class StageTimer {
  public:
-  StageTimer(ReportSink& sink, size_t index, Stage stage, bool enabled)
+  StageTimer(ReportSink& sink, size_t index, Stage stage, bool enabled,
+             uint64_t* acc = nullptr)
       : span_(obs_stage(stage)), sink_(sink), index_(index), stage_(stage),
-        enabled_(enabled), start_(enabled ? now_ns() : 0) {}
+        enabled_(enabled), acc_(acc), start_(enabled ? now_ns() : 0) {}
   ~StageTimer() {
-    if (enabled_) sink_.add_stage_time(index_, stage_, now_ns() - start_);
+    if (!enabled_) return;
+    const uint64_t ns = now_ns() - start_;
+    if (acc_ == nullptr) {
+      sink_.add_stage_time(index_, stage_, ns);
+    } else {
+      sink_.add_stage_time(stage_, ns);
+      *acc_ += ns;
+    }
   }
 
  private:
@@ -58,30 +67,7 @@ class StageTimer {
   size_t index_;
   Stage stage_;
   bool enabled_;
-  uint64_t start_;
-};
-
-/// A StageTimer for one call that may run on a pool helper: the call is a
-/// sample of the batch histogram, and its time is added to `ns` instead of
-/// the program's tally, which the program's own thread charges.
-class CallTimer {
- public:
-  CallTimer(ReportSink& sink, Stage stage, uint64_t& ns, bool enabled)
-      : span_(obs_stage(stage)), sink_(sink), stage_(stage), ns_(ns),
-        enabled_(enabled), start_(enabled ? now_ns() : 0) {}
-  ~CallTimer() {
-    if (!enabled_) return;
-    const uint64_t ns = now_ns() - start_;
-    sink_.add_stage_time(stage_, ns);
-    ns_ += ns;
-  }
-
- private:
-  obs::SpanScope span_;
-  ReportSink& sink_;
-  Stage stage_;
-  uint64_t& ns_;
-  bool enabled_;
+  uint64_t* acc_;
   uint64_t start_;
 };
 
@@ -363,10 +349,10 @@ void BatchDriver::run_program_task(const ProgramInput& input, size_t index,
       Miss& m = misses[k];
       try {
         atomicity::ProcResult result = [&] {
-          CallTimer ta(sink, Stage::Analyze, m.analyze_ns, timed());
+          StageTimer ta(sink, index, Stage::Analyze, timed(), &m.analyze_ns);
           return universe.classify(m.proc);
         }();
-        CallTimer tr(sink, Stage::Report, m.report_ns, timed());
+        StageTimer tr(sink, index, Stage::Report, timed(), &m.report_ns);
         m.report = make_proc_report(prog, result, m.key, iopts.provenance);
       } catch (...) {
         m.error = std::current_exception();

@@ -54,16 +54,11 @@ class ThreadPool {
   /// a serial loop would.
   void parallel_for(size_t n, const std::function<void(size_t)>& body);
 
-  /// Workers a parallel_for starting now would take as helpers: those
-  /// waiting for work, less the tasks already queued for them.
-  size_t idle_workers();
-
   unsigned num_threads() const { return static_cast<unsigned>(workers_.size()); }
 
  private:
   struct Loop;
   void worker_loop();
-  size_t idle_workers_locked() const;
 
   std::mutex mu_;
   std::condition_variable work_cv_;   ///< signals workers: queue non-empty/stop

@@ -83,23 +83,15 @@ void ThreadPool::wait_idle() {
   idle_cv_.wait(lock, [this] { return queue_.empty() && in_flight_ == 0; });
 }
 
-size_t ThreadPool::idle_workers_locked() const {
-  // Queued tasks will take waiting workers first; only the rest are idle.
-  return waiting_ > queue_.size() ? waiting_ - queue_.size() : 0;
-}
-
-size_t ThreadPool::idle_workers() {
-  if (workers_.empty()) return 0;
-  std::lock_guard<std::mutex> lock(mu_);
-  return idle_workers_locked();
-}
-
 void ThreadPool::parallel_for(size_t n,
                               const std::function<void(size_t)>& body) {
   size_t helpers = 0;
   if (n > 1 && !workers_.empty()) {
+    // Queued tasks will take waiting workers first; only the rest are idle.
     std::lock_guard<std::mutex> lock(mu_);
-    helpers = std::min(idle_workers_locked(), n - 1);
+    const size_t idle =
+        waiting_ > queue_.size() ? waiting_ - queue_.size() : 0;
+    helpers = std::min(idle, n - 1);
   }
   if (helpers == 0) {
     for (size_t i = 0; i < n; ++i) body(i);
