@@ -46,4 +46,14 @@ class EscapeAnalysis {
   std::unordered_map<VarId, bool> fresh_;
 };
 
+class UniqueAnalysis;
+
+/// Theorem 3.1's test: `e` is a *local action* if it accesses an unshared
+/// variable, or dereferences a verified unique reference (a working copy,
+/// unique.h) or an object that has not escaped at `e`. Step 1 of the mover
+/// assignment and purity conditions (i) and (ii) both use it.
+bool is_local_action(const Program& prog, const Cfg& cfg,
+                     const EscapeAnalysis& escape,
+                     const UniqueAnalysis& unique, EventId e);
+
 }  // namespace synat::analysis

@@ -13,10 +13,18 @@
 //
 // A block is additionally an *LL-SC block on svar* when its initializer is
 // LL(svar) and its body contains a successful (TRUE-guarded) SC on svar.
+//
+// Cost. A block's events are the events of its Local statement and of every
+// statement in its body. One pre-order walk maps each statement to its
+// innermost enclosing block; one pass over the CFG then appends each event
+// to that block and its ancestors. Membership is therefore linear in the
+// procedure's events times its block nesting depth. Only lvar_updated and
+// the condition walk each block's own body.
 #pragma once
 
-#include <optional>
+#include <cstdint>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "synat/cfg/cfg.h"
@@ -56,7 +64,7 @@ struct LocalBlock {
   bool lvar_updated = false; ///< condition (i) violated
   bool has_successful_sc = false;  ///< body contains TRUE-guarded SC on svar
   Pred cond = Pred::True;
-  /// Events belonging to this block (initializer + body).
+  /// Events belonging to this block (initializer + body), in event order.
   std::vector<EventId> events;
 
   bool is_llsc_block() const {
@@ -71,6 +79,7 @@ class LocalCondAnalysis {
  public:
   LocalCondAnalysis(const Program& prog, const Cfg& cfg);
 
+  /// Every block of the procedure, in pre-order.
   const std::vector<LocalBlock>& blocks() const { return blocks_; }
   const LocalBlock* block_for(StmtId local_stmt) const {
     auto it = index_.find(local_stmt);
@@ -78,11 +87,18 @@ class LocalCondAnalysis {
   }
 
  private:
+  static constexpr uint32_t kNoBlock = UINT32_MAX;
+
+  /// Pre-order walk of `sid`'s subtree, where `block` is the innermost
+  /// block enclosing `sid`: adds each Local's block and records every
+  /// enclosed statement's innermost block in `owner` as (StmtId, block).
+  void walk(StmtId sid, uint32_t block,
+            std::vector<std::pair<uint32_t, uint32_t>>& owner);
   void analyze_block(StmtId local_stmt);
 
   const Program& prog_;
-  const Cfg& cfg_;
   std::vector<LocalBlock> blocks_;
+  std::vector<uint32_t> parent_;  ///< enclosing block of each, or kNoBlock
   std::unordered_map<StmtId, size_t> index_;
 };
 

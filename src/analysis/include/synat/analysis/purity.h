@@ -15,6 +15,13 @@
 // Lock acquire/release pairs are permitted in normally terminating
 // iterations: the CFG builder guarantees they are matched on every path
 // (Theorem 4.1's proof relies on exactly this).
+//
+// Only step 0 reads these verdicts, on original procedures: its
+// atomicity::loop_verdicts builds a PurityAnalysis over the CFG, escape,
+// uniqueness and matching results, once per original with a loop. Variant
+// contexts (ProcAnalysis) build none. Conditions (i) and (ii) use Theorem
+// 3.1's local-action test, which lives in escape.h because the mover
+// assignment asks it too.
 #pragma once
 
 #include <string>
@@ -68,12 +75,6 @@ class PurityAnalysis {
   /// True if the SC/CAS at `e` counts as a read under normal termination of
   /// its innermost loop (success branch unreachable from normal paths).
   bool treated_as_read(EventId e) const { return sc_as_read_.count(e) != 0; }
-
-  /// True if the event is a *local action*: an access to an unshared
-  /// variable or a dereference of a unique / unescaped reference
-  /// (Theorem 3.1). Exposed because the mover assignment uses the same
-  /// classification.
-  bool is_local_action(EventId e) const;
 
  private:
   void analyze_loop(const cfg::LoopInfo& info);

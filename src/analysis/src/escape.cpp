@@ -1,6 +1,7 @@
 #include "synat/analysis/escape.h"
 
 #include "synat/analysis/expr_util.h"
+#include "synat/analysis/unique.h"
 
 namespace synat::analysis {
 
@@ -137,6 +138,24 @@ void EscapeAnalysis::analyze_var(VarId v) {
     }
   }
   escaped_after_[v] = std::move(escaped);
+}
+
+bool is_local_action(const Program& prog, const Cfg& cfg,
+                     const EscapeAnalysis& escape,
+                     const UniqueAnalysis& unique, EventId e) {
+  const Event& ev = cfg.node(e);
+  if (!ev.path.root.valid()) return false;
+  VarKind k = prog.var(ev.path.root).kind;
+  if (ev.path.is_plain_var()) {
+    // Unshared variables: everything except globals.
+    return k != VarKind::Global;
+  }
+  if (k == VarKind::Global) return false;  // dereference of a shared pointer
+  // Dereference through a local pointer: local action iff the pointer is a
+  // verified unique reference (working copy) or the object is a fresh,
+  // not-yet-escaped allocation at this point.
+  return unique.is_working_copy(ev.path.root) ||
+         escape.unescaped_at(e, ev.path.root);
 }
 
 }  // namespace synat::analysis

@@ -1,5 +1,7 @@
 #include "synat/analysis/localcond.h"
 
+#include <algorithm>
+
 #include "synat/analysis/expr_util.h"
 
 namespace synat::analysis {
@@ -54,10 +56,43 @@ Pred pred_of(const Program& prog, synl::ExprId id, VarId lvar) {
 }  // namespace
 
 LocalCondAnalysis::LocalCondAnalysis(const Program& prog, const Cfg& cfg)
-    : prog_(prog), cfg_(cfg) {
-  synl::for_each_stmt(prog, prog.proc(cfg.proc()).body, [&](StmtId sid) {
-    if (prog.stmt(sid).kind == StmtKind::Local) analyze_block(sid);
-  });
+    : prog_(prog) {
+  std::vector<std::pair<uint32_t, uint32_t>> owner;
+  walk(prog.proc(cfg.proc()).body, kNoBlock, owner);
+  std::sort(owner.begin(), owner.end());
+
+  // An event belongs to the block of its statement and to every block
+  // enclosing that one; a successful SC on a block's svar marks it.
+  for (uint32_t i = 0; i < cfg.num_nodes(); ++i) {
+    const Event& ev = cfg.node(EventId(i));
+    if (!ev.stmt.valid()) continue;
+    auto it = std::lower_bound(owner.begin(), owner.end(),
+                               std::make_pair(ev.stmt.idx, uint32_t{0}));
+    if (it == owner.end() || it->first != ev.stmt.idx) continue;
+    for (uint32_t b = it->second; b != kNoBlock; b = parent_[b]) {
+      LocalBlock& block = blocks_[b];
+      block.events.push_back(EventId(i));
+      if (ev.kind == EventKind::SC && ev.must_succeed && block.reads_svar &&
+          ev.path == block.svar)
+        block.has_successful_sc = true;
+    }
+  }
+}
+
+void LocalCondAnalysis::walk(
+    StmtId sid, uint32_t block,
+    std::vector<std::pair<uint32_t, uint32_t>>& owner) {
+  if (!sid.valid()) return;
+  const Stmt& s = prog_.stmt(sid);
+  if (s.kind == StmtKind::Local) {
+    analyze_block(sid);
+    parent_.push_back(block);
+    block = static_cast<uint32_t>(blocks_.size() - 1);
+  }
+  if (block != kNoBlock) owner.emplace_back(sid.idx, block);
+  walk(s.s1, block, owner);
+  walk(s.s2, block, owner);
+  for (StmtId child : s.stmts) walk(child, block, owner);
 }
 
 void LocalCondAnalysis::analyze_block(StmtId local_stmt) {
@@ -77,7 +112,7 @@ void LocalCondAnalysis::analyze_block(StmtId local_stmt) {
     block.reads_svar = block.svar.root.valid();
   }
 
-  // Walk the body: updates of lvar, conditions, successful SCs on svar.
+  // Walk the body: updates of lvar, conditions.
   synl::for_each_stmt(prog_, s.s1, [&](StmtId sid) {
     const Stmt& inner = prog_.stmt(sid);
     if (inner.kind == StmtKind::Assign) {
@@ -94,26 +129,6 @@ void LocalCondAnalysis::analyze_block(StmtId local_stmt) {
       }
     }
   });
-
-  // Collect the block's events and find a TRUE-guarded SC on svar.
-  for (uint32_t i = 0; i < cfg_.num_nodes(); ++i) {
-    EventId id(i);
-    const Event& ev = cfg_.node(id);
-    if (!ev.stmt.valid()) continue;
-    // An event belongs to the block if its statement is the Local itself or
-    // is nested inside its body.
-    bool inside = false;
-    if (ev.stmt == local_stmt) inside = true;
-    synl::for_each_stmt(prog_, s.s1, [&](StmtId sid) {
-      if (sid == ev.stmt) inside = true;
-    });
-    if (!inside) continue;
-    block.events.push_back(id);
-    if (ev.kind == EventKind::SC && ev.must_succeed &&
-        block.reads_svar && ev.path == block.svar) {
-      block.has_successful_sc = true;
-    }
-  }
 
   index_[local_stmt] = blocks_.size();
   blocks_.push_back(std::move(block));

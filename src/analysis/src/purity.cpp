@@ -12,7 +12,6 @@ using cfg::Event;
 using cfg::EventKind;
 using synl::ExprKind;
 using synl::StmtKind;
-using synl::VarKind;
 
 PurityAnalysis::PurityAnalysis(const Program& prog, const Cfg& cfg,
                                const MatchingAnalysis& matching,
@@ -22,22 +21,6 @@ PurityAnalysis::PurityAnalysis(const Program& prog, const Cfg& cfg,
       unique_(unique) {
   obs::SpanScope span(obs::StageId::Purity);
   for (const cfg::LoopInfo& info : cfg.loops()) analyze_loop(info);
-}
-
-bool PurityAnalysis::is_local_action(EventId e) const {
-  const Event& ev = cfg_.node(e);
-  if (!ev.path.root.valid()) return false;
-  VarKind k = prog_.var(ev.path.root).kind;
-  if (ev.path.is_plain_var()) {
-    // Unshared variables: everything except globals.
-    return k != VarKind::Global;
-  }
-  if (k == VarKind::Global) return false;  // dereference of a shared pointer
-  // Dereference through a local pointer: local action iff the pointer is a
-  // verified unique reference (working copy) or the object is a fresh,
-  // not-yet-escaped allocation at this point.
-  return unique_.is_working_copy(ev.path.root) ||
-         escape_.unescaped_at(e, ev.path.root);
 }
 
 namespace {
@@ -170,7 +153,7 @@ void PurityAnalysis::analyze_loop(const cfg::LoopInfo& info) {
         break;
       }
       case EventKind::Write: {
-        if (!is_local_action(n)) {
+        if (!is_local_action(prog_, cfg_, escape_, unique_, n)) {
           impure(n, "i", "global write in a normally terminating iteration");
           break;
         }
@@ -182,7 +165,7 @@ void PurityAnalysis::analyze_loop(const cfg::LoopInfo& info) {
       case EventKind::SC:
       case EventKind::CAS: {
         if (sc_as_read_.count(n)) break;  // success branch never normal
-        if (is_local_action(n)) {
+        if (is_local_action(prog_, cfg_, escape_, unique_, n)) {
           // SC/CAS on an unshared location behaves like a conditional local
           // write; require deadness like any other local update.
           if (cfg::live_after(prog_, cfg_, info.head, ev.path))

@@ -24,11 +24,12 @@
 // subset of procedures gives exactly the results of a whole-program run.
 //
 // Given a thread pool with idle workers, the build runs its read-only
-// phases in parallel: the originals' analyses (each kept only as its loop
-// verdicts) and the variants' contexts, each into its own slot. Variant
-// generation between them appends to the Program, so it runs serially, as
-// does the alias index. classify() is const and only reads the universe
-// and the Program, so callers may classify procedures concurrently.
+// phases in parallel: the originals' loop verdicts (loop_verdicts: §4's
+// facts only, and none for a procedure without a loop) and the variants'
+// contexts, each into its own slot. Variant generation between them
+// appends to the Program, so it runs serially, as does the alias index.
+// classify() is const and only reads the universe and the Program, so
+// callers may classify procedures concurrently.
 #pragma once
 
 #include <memory>

@@ -12,11 +12,16 @@
 // Variants are appended to the same Program as new procedures with
 // `variant_of` pointing at the original; they are re-run through sema so
 // all names, types and jump targets are resolved in the cloned bodies.
+//
+// Generation reads only Section 4's verdict on each loop of the original.
+// loop_verdicts computes them from the facts that section needs, and
+// nothing for a procedure without a loop, so step 0 costs one CFG and one
+// pure-loop analysis per original with a loop, and nothing per other.
 #pragma once
 
 #include <vector>
 
-#include "synat/analysis/proc_analysis.h"
+#include "synat/analysis/purity.h"
 #include "synat/support/budget.h"
 #include "synat/support/diag.h"
 #include "synat/synl/ast.h"
@@ -63,8 +68,11 @@ struct LoopVerdict {
   std::vector<analysis::ImpureReason> reasons;  ///< empty when pure
 };
 
-/// The verdict on every loop of `pa`'s procedure, in CFG loop order.
-std::vector<LoopVerdict> loop_verdicts(const analysis::ProcAnalysis& pa);
+/// The verdict on every loop of `proc`, in CFG loop order. Builds only
+/// what Section 4 reads: the CFG, escape, uniqueness, matching and a
+/// PurityAnalysis, and no local conditions. A body with no `loop`
+/// statement has no verdicts, and builds no CFG.
+std::vector<LoopVerdict> loop_verdicts(const Program& prog, ProcId proc);
 
 /// Generates the exceptional variants of `proc`. `loops` must be the loop
 /// verdicts of the original procedure (purity decides which loops are

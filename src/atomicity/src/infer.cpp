@@ -203,7 +203,7 @@ class InferEngine {
       case EventKind::VL:
       case EventKind::SC:
       case EventKind::CAS:
-        return !ctx.pa->purity().is_local_action(e);
+        return !ctx.pa->is_local_action(e);
       case EventKind::Acquire:
       case EventKind::Release:
         return true;
@@ -740,7 +740,7 @@ Atomicity InferEngine::classify_event(
   }
 
   // Step 1: local actions (Theorem 3.1).
-  if (ctx.pa->purity().is_local_action(e)) {
+  if (ctx.pa->is_local_action(e)) {
     emit(1, "3.1", "local-action", Atomicity::B,
          "access to an unshared or unescaped location is a both-mover "
          "(Theorem 3.1)");
@@ -1108,14 +1108,14 @@ InferEngine::InferEngine(Program& prog, DiagEngine& diags,
   const size_t num_original = prog_.num_procs();
   ExecBudget* budget = opts_.variant_opts.budget;
 
-  // Step 0. The originals' analyses only read `prog`, and each keeps just
-  // its loop verdicts. Generation appends to `prog`, so it starts after
-  // all of them and runs serially, in procedure order.
+  // Step 0. The originals' loop verdicts only read `prog`. Generation
+  // appends to `prog`, so it starts after all of them and runs serially,
+  // in procedure order.
   std::vector<std::vector<LoopVerdict>> loops(num_original);
   for_each_index(pool, num_original, [&](size_t i) {
     if (budget != nullptr) budget->check("variant expansion");
     ProcId pid(static_cast<uint32_t>(i));
-    loops[i] = loop_verdicts(ProcAnalysis(prog_, pid));
+    loops[i] = loop_verdicts(prog_, pid);
   });
   procs_.resize(num_original);
   std::vector<ProcId> variants;

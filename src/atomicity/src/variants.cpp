@@ -1,5 +1,6 @@
 #include "synat/atomicity/variants.h"
 
+#include <optional>
 #include <string>
 
 #include "synat/obs/metrics.h"
@@ -374,10 +375,28 @@ class VariantGen {
 
 }  // namespace
 
-std::vector<LoopVerdict> loop_verdicts(const analysis::ProcAnalysis& pa) {
+std::vector<LoopVerdict> loop_verdicts(const Program& prog, ProcId proc) {
+  bool has_loop = false;
+  synl::for_each_stmt(prog, prog.proc(proc).body, [&](StmtId sid) {
+    if (prog.stmt(sid).kind == StmtKind::Loop) has_loop = true;
+  });
+  if (!has_loop) return {};
+
+  const cfg::Cfg cfg = cfg::build_cfg(prog, proc);
+  std::optional<analysis::EscapeAnalysis> escape;
+  std::optional<analysis::UniqueAnalysis> unique;
+  std::optional<analysis::MatchingAnalysis> matching;
+  {
+    obs::SpanScope span(obs::StageId::Dataflow);
+    escape.emplace(prog, cfg);
+    unique.emplace(prog, cfg);
+    matching.emplace(prog, cfg);
+  }
+  const analysis::PurityAnalysis purity(prog, cfg, *matching, *escape,
+                                        *unique);
   std::vector<LoopVerdict> out;
-  for (const cfg::LoopInfo& li : pa.cfg().loops()) {
-    if (const analysis::LoopPurity* lp = pa.purity().result(li.stmt))
+  for (const cfg::LoopInfo& li : cfg.loops()) {
+    if (const analysis::LoopPurity* lp = purity.result(li.stmt))
       out.push_back({li.stmt, lp->pure, lp->reasons});
   }
   return out;

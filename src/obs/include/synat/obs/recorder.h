@@ -1,21 +1,29 @@
-// Always-on flight recorder (DESIGN.md §3i): a bounded, lock-light ring of
+// Always-on flight recorder (DESIGN.md §3i): a bounded, lock-free ring of
 // the last N preformatted frames — wide-event lines, serve-stage span
 // edges, and free-form notes — kept in memory at all times so the daemon's
 // final moments can be dumped from the fatal-signal path.
 //
-// Write path: one atomic fetch_add to claim a slot, a memcpy, and a
-// release-store of the frame length. No locks, no allocation, no clock.
-// Readers (the dump paths) tolerate torn frames: a frame whose length is 0
-// is mid-write and skipped; a frame overwritten during the dump yields one
-// garbled line in the postmortem, never UB — the renderer treats unparsable
-// lines as raw text.
+// Each frame is a seqlock. Its sequence number is odd while one writer owns
+// the frame, and its payload is a run of relaxed atomic words, so a reader
+// racing a writer copies well-defined values and never touches a byte the
+// writer is storing non-atomically.
+//
+// Write path: one atomic fetch_add to claim a slot, a compare-exchange that
+// makes the frame's sequence odd, the payload copied word by word, and a
+// release store of the next even sequence. No locks, no allocation, no
+// clock. A writer whose frame another writer still owns (the ring wrapped
+// during that write) claims the next slot instead.
+//
+// Read path (the dumps): a frame is kept only if its sequence is even and
+// unchanged across the copy, so a dump never emits a torn frame. A frame
+// being written, or rewritten during the copy, is skipped.
 //
 // Dump path: dump_incident() rewinds the pre-opened postmortem fd and
 // writes a header line plus the ring oldest-first, using only write/lseek/
-// ftruncate/fsync — async-signal-safe, so support/crash.h can call it from
-// a SIGSEGV handler. The latest incident wins the file (quarantine trips
-// and worker-death dumps are overwritten by a later fatal dump, which is
-// the one you want).
+// ftruncate/fsync and lock-free atomics — async-signal-safe, so
+// support/crash.h can call it from a SIGSEGV handler. The latest incident
+// wins the file (quarantine trips and worker-death dumps are overwritten by
+// a later fatal dump, which is the one you want).
 #pragma once
 
 #include <atomic>
@@ -53,7 +61,9 @@ class Recorder {
   /// Returns false when no fd is armed.
   bool dump_incident(const char* reason, int signal = 0);
 
-  /// Frames ever recorded (monotonic; min(captured, kFrames) are live).
+  /// Ring slots ever claimed (monotonic; min(captured, kFrames) are live).
+  /// Equals the frames recorded unless a writer skipped a slot that another
+  /// writer still owned.
   uint64_t captured() const;
 
   /// Clears the ring (tests). Does not touch the postmortem fd.
@@ -62,10 +72,18 @@ class Recorder {
  private:
   Recorder() = default;
 
+  static constexpr size_t kFrameWords = kFrameBytes / sizeof(uint64_t);
+
   struct Frame {
-    std::atomic<uint32_t> len{0};
-    char data[kFrameBytes];
+    std::atomic<uint32_t> seq{0};  ///< odd while a writer owns the frame
+    std::atomic<uint32_t> len{0};  ///< payload bytes; 0 for an empty frame
+    std::atomic<uint64_t> words[kFrameWords] = {};
   };
+
+  /// Copies `f`'s payload into `buf` (kFrameBytes) and its length into
+  /// `len`; false when the frame is empty, owned by a writer, or rewritten
+  /// during the copy. Async-signal-safe.
+  static bool read_frame(const Frame& f, char* buf, uint32_t& len);
 
   Frame frames_[kFrames];
   std::atomic<uint64_t> head_{0};

@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 
@@ -41,15 +42,47 @@ Recorder& Recorder::instance() {
   return *r;
 }
 
+static_assert(std::atomic<uint32_t>::is_always_lock_free &&
+                  std::atomic<uint64_t>::is_always_lock_free,
+              "the dump path reads frames from a signal handler");
+
 void Recorder::note(std::string_view line) {
-  size_t len = line.size();
-  if (len > kFrameBytes - 1) len = kFrameBytes - 1;
-  Frame& f = frames_[head_.fetch_add(1, std::memory_order_relaxed) % kFrames];
-  // len 0 marks the frame mid-write; readers skip it. The release store of
-  // the real length publishes the copied bytes.
-  f.len.store(0, std::memory_order_release);
-  std::memcpy(f.data, line.data(), len);
-  f.len.store(static_cast<uint32_t>(len), std::memory_order_release);
+  const size_t len = std::min(line.size(), kFrameBytes - 1);
+  Frame* f = nullptr;
+  uint32_t seq = 0;
+  do {
+    f = &frames_[head_.fetch_add(1, std::memory_order_relaxed) % kFrames];
+    seq = f->seq.load(std::memory_order_relaxed);
+  } while ((seq & 1) != 0 ||
+           !f->seq.compare_exchange_strong(seq, seq + 1,
+                                           std::memory_order_relaxed));
+  // The odd sequence is ordered before every payload store: a reader that
+  // sees one of them sees the frame owned when it re-reads the sequence.
+  std::atomic_thread_fence(std::memory_order_release);
+  for (size_t off = 0; off < len; off += sizeof(uint64_t)) {
+    uint64_t word = 0;
+    std::memcpy(&word, line.data() + off,
+                std::min(sizeof(uint64_t), len - off));
+    f->words[off / sizeof(uint64_t)].store(word, std::memory_order_relaxed);
+  }
+  f->len.store(static_cast<uint32_t>(len), std::memory_order_relaxed);
+  f->seq.store(seq + 2, std::memory_order_release);
+}
+
+bool Recorder::read_frame(const Frame& f, char* buf, uint32_t& len) {
+  const uint32_t seq = f.seq.load(std::memory_order_acquire);
+  if ((seq & 1) != 0) return false;  // a writer owns it
+  len = f.len.load(std::memory_order_relaxed);
+  if (len == 0 || len >= kFrameBytes) return false;
+  for (size_t off = 0; off < len; off += sizeof(uint64_t)) {
+    const uint64_t word =
+        f.words[off / sizeof(uint64_t)].load(std::memory_order_relaxed);
+    std::memcpy(buf + off, &word, sizeof(uint64_t));
+  }
+  // Orders the payload loads before the re-read: a payload store seen above
+  // makes the writer's odd sequence visible here.
+  std::atomic_thread_fence(std::memory_order_acquire);
+  return f.seq.load(std::memory_order_relaxed) == seq;
 }
 
 void Recorder::note_span(uint32_t stage, uint64_t start_ns, uint64_t dur_ns) {
@@ -112,12 +145,12 @@ bool Recorder::dump_incident(const char* reason, int signal) {
   if (!write_all(fd, header, n)) return false;
 
   uint64_t first = total < kFrames ? 0 : total - kFrames;
+  char line[kFrameBytes];
   for (uint64_t i = first; i < total; ++i) {
-    const Frame& f = frames_[i % kFrames];
-    uint32_t len = f.len.load(std::memory_order_acquire);
-    if (len == 0 || len >= kFrameBytes) continue;  // mid-write or torn
-    write_all(fd, f.data, len);
-    write_all(fd, "\n", 1);
+    uint32_t len = 0;
+    if (!read_frame(frames_[i % kFrames], line, len)) continue;
+    line[len] = '\n';
+    write_all(fd, line, len + 1);
   }
   fsync(fd);
   return true;

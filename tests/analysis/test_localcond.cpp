@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include "../support/reference_inputs.h"
+#include "synat/analysis/expr_util.h"
 #include "synat/analysis/proc_analysis.h"
 #include "synat/atomicity/variants.h"
 #include "synat/corpus/corpus.h"
@@ -23,7 +25,7 @@ struct VariantSetup {
     EXPECT_FALSE(diags.has_errors()) << diags.dump();
     synl::ProcId pid = prog.find_proc(proc);
     auto set = atomicity::generate_variants(
-        prog, pid, atomicity::loop_verdicts(ProcAnalysis(prog, pid)), diags);
+        prog, pid, atomicity::loop_verdicts(prog, pid), diags);
     for (synl::ProcId v : set.variants)
       variants.push_back(std::make_unique<ProcAnalysis>(prog, v));
   }
@@ -125,6 +127,119 @@ TEST(LocalCond, BlockEventsCoverInitializerAndBody) {
   EXPECT_EQ(lls, 1);
   EXPECT_EQ(scs, 1);
   EXPECT_EQ(vls, 1);
+}
+
+/// The null-ness predicate of `id` over `lvar`, as the block analysis
+/// canonicalizes it (reference copy).
+Pred reference_pred(const Program& prog, synl::ExprId id, VarId lvar) {
+  if (!id.valid()) return Pred::True;
+  const synl::Expr& e = prog.expr(id);
+  if (e.kind == synl::ExprKind::Unary) {
+    return e.un_op == synl::UnOp::Not
+               ? negate(reference_pred(prog, e.a, lvar))
+               : Pred::True;
+  }
+  if (e.kind != synl::ExprKind::Binary ||
+      (e.bin_op != synl::BinOp::Eq && e.bin_op != synl::BinOp::Ne))
+    return Pred::True;
+  auto is_lvar = [&](synl::ExprId x) {
+    return x.valid() && prog.expr(x).kind == synl::ExprKind::VarRef &&
+           prog.expr(x).var == lvar;
+  };
+  auto is_null = [&](synl::ExprId x) {
+    return x.valid() && prog.expr(x).kind == synl::ExprKind::NullLit;
+  };
+  if (!(is_lvar(e.a) && is_null(e.b)) && !(is_null(e.a) && is_lvar(e.b)))
+    return Pred::True;
+  return e.bin_op == synl::BinOp::Eq ? Pred::EqNull : Pred::NeNull;
+}
+
+/// The block of `local_stmt` computed by the nested walk: for every CFG
+/// event, a walk of the block's whole body decides membership.
+LocalBlock reference_block(const Program& prog, const cfg::Cfg& cfg,
+                           synl::StmtId local_stmt) {
+  const synl::Stmt& s = prog.stmt(local_stmt);
+  LocalBlock block;
+  block.stmt = local_stmt;
+  block.lvar = s.var;
+  const synl::Expr& init = prog.expr(s.e1);
+  if (init.kind == synl::ExprKind::LL) {
+    block.svar = path_of_expr(prog, init.a);
+    block.reads_svar = block.svar.root.valid();
+    block.init_is_ll = true;
+  } else if (synl::is_location_kind(init.kind)) {
+    block.svar = path_of_expr(prog, s.e1);
+    block.reads_svar = block.svar.root.valid();
+  }
+  synl::for_each_stmt(prog, s.s1, [&](synl::StmtId sid) {
+    const synl::Stmt& inner = prog.stmt(sid);
+    if (inner.kind == synl::StmtKind::Assign) {
+      AccessPath lhs = path_of_expr(prog, inner.e1);
+      if (lhs.is_plain_var() && lhs.root == block.lvar)
+        block.lvar_updated = true;
+    }
+    if (inner.kind == synl::StmtKind::Assume) {
+      Pred p = reference_pred(prog, inner.e1, block.lvar);
+      if (p != Pred::True && block.cond == Pred::True) block.cond = p;
+    }
+  });
+  for (uint32_t i = 0; i < cfg.num_nodes(); ++i) {
+    const cfg::Event& ev = cfg.node(cfg::EventId(i));
+    if (!ev.stmt.valid()) continue;
+    bool inside = ev.stmt == local_stmt;
+    synl::for_each_stmt(prog, s.s1, [&](synl::StmtId sid) {
+      if (sid == ev.stmt) inside = true;
+    });
+    if (!inside) continue;
+    block.events.push_back(cfg::EventId(i));
+    if (ev.kind == cfg::EventKind::SC && ev.must_succeed &&
+        block.reads_svar && ev.path == block.svar)
+      block.has_successful_sc = true;
+  }
+  return block;
+}
+
+TEST(LocalCond, OnePassBlocksMatchTheNestedWalk) {
+  size_t checked = 0;
+  for (const auto& [name, source] : test_support::reference_inputs()) {
+    DiagEngine diags;
+    synl::FrontEnd fe = synl::parse_and_recover(source, diags);
+    ASSERT_FALSE(diags.has_errors()) << name << "\n" << diags.dump();
+    Program& prog = fe.prog;
+    const size_t originals = prog.num_procs();
+    for (size_t p = 0; p < originals; ++p) {
+      synl::ProcId pid(static_cast<uint32_t>(p));
+      atomicity::VariantSet set = atomicity::generate_variants(
+          prog, pid, atomicity::loop_verdicts(prog, pid), diags);
+      for (synl::ProcId v : set.variants) {
+        ProcAnalysis pa(prog, v);
+        const std::string where = name + " " + prog.proc(v).variant_tag;
+        std::vector<synl::StmtId> locals;
+        synl::for_each_stmt(prog, prog.proc(v).body, [&](synl::StmtId sid) {
+          if (prog.stmt(sid).kind == synl::StmtKind::Local)
+            locals.push_back(sid);
+        });
+        const std::vector<LocalBlock>& blocks = pa.localcond().blocks();
+        ASSERT_EQ(blocks.size(), locals.size()) << where;
+        for (size_t b = 0; b < blocks.size(); ++b) {
+          const LocalBlock& got = blocks[b];
+          LocalBlock want = reference_block(prog, pa.cfg(), locals[b]);
+          ASSERT_EQ(got.stmt, want.stmt) << where << " block " << b;
+          EXPECT_EQ(pa.localcond().block_for(got.stmt), &got) << where;
+          EXPECT_EQ(got.lvar, want.lvar) << where;
+          EXPECT_TRUE(got.svar == want.svar) << where;
+          EXPECT_EQ(got.reads_svar, want.reads_svar) << where;
+          EXPECT_EQ(got.init_is_ll, want.init_is_ll) << where;
+          EXPECT_EQ(got.lvar_updated, want.lvar_updated) << where;
+          EXPECT_EQ(got.has_successful_sc, want.has_successful_sc) << where;
+          EXPECT_EQ(got.cond, want.cond) << where;
+          EXPECT_EQ(got.events, want.events) << where << " block " << b;
+          ++checked;
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 0u);
 }
 
 }  // namespace

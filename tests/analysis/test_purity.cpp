@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "synat/analysis/proc_analysis.h"
+#include "synat/analysis/purity.h"
 #include "synat/corpus/corpus.h"
 #include "synat/synl/parser.h"
 
@@ -13,21 +14,26 @@ struct Fixture {
   DiagEngine diags;
   Program prog;
   std::unique_ptr<ProcAnalysis> pa;
+  std::unique_ptr<PurityAnalysis> loop_purity;  ///< over pa's own parts
 
   explicit Fixture(std::string_view src, std::string_view proc)
       : prog(synl::parse_and_check(src, diags)) {
     EXPECT_FALSE(diags.has_errors()) << diags.dump();
     pa = std::make_unique<ProcAnalysis>(prog, prog.find_proc(proc));
+    loop_purity = std::make_unique<PurityAnalysis>(
+        prog, pa->cfg(), pa->matching(), pa->escape(), pa->unique());
   }
+
+  const PurityAnalysis& purity() const { return *loop_purity; }
 
   /// Purity of the `index`-th loop (in CFG construction order).
   bool loop_pure(size_t index = 0) const {
     const auto& loops = pa->cfg().loops();
     EXPECT_LT(index, loops.size());
-    return pa->purity().is_pure(loops[index].stmt);
+    return purity().is_pure(loops[index].stmt);
   }
   const LoopPurity* loop_result(size_t index = 0) const {
-    return pa->purity().result(pa->cfg().loops()[index].stmt);
+    return purity().result(pa->cfg().loops()[index].stmt);
   }
 };
 
@@ -64,8 +70,8 @@ TEST(Purity, GhV1OuterPureInnerImpure) {
   const auto& loops = s.pa->cfg().loops();
   ASSERT_EQ(loops.size(), 2u);
   // Loop 0 is the outer (built first), loop 1 the inner copy loop.
-  EXPECT_TRUE(s.pa->purity().is_pure(loops[0].stmt));
-  EXPECT_FALSE(s.pa->purity().is_pure(loops[1].stmt));
+  EXPECT_TRUE(s.purity().is_pure(loops[0].stmt));
+  EXPECT_FALSE(s.purity().is_pure(loops[1].stmt));
 }
 
 TEST(Purity, GhV2OuterImpure) {
@@ -123,7 +129,7 @@ TEST(Purity, ScAsIfConditionTreatedAsRead) {
   const cfg::Cfg& cfg = s.pa->cfg();
   for (uint32_t i = 0; i < cfg.num_nodes(); ++i) {
     if (cfg.node(cfg::EventId(i)).kind == cfg::EventKind::SC) {
-      EXPECT_TRUE(s.pa->purity().treated_as_read(cfg::EventId(i)));
+      EXPECT_TRUE(s.purity().treated_as_read(cfg::EventId(i)));
     }
   }
 }
@@ -201,8 +207,8 @@ TEST(Purity, CasLoopsInAllocatorArePure) {
   Fixture s(corpus::get("michael_malloc").source, "MallocFromActive");
   const auto& loops = s.pa->cfg().loops();
   ASSERT_EQ(loops.size(), 2u);
-  EXPECT_TRUE(s.pa->purity().is_pure(loops[0].stmt));
-  EXPECT_TRUE(s.pa->purity().is_pure(loops[1].stmt));
+  EXPECT_TRUE(s.purity().is_pure(loops[0].stmt));
+  EXPECT_TRUE(s.purity().is_pure(loops[1].stmt));
 }
 
 }  // namespace

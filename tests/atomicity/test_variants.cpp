@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include "../support/reference_inputs.h"
 #include "synat/analysis/proc_analysis.h"
 #include "synat/atomicity/variants.h"
 #include "synat/corpus/corpus.h"
+#include "synat/obs/metrics.h"
 #include "synat/synl/parser.h"
 #include "synat/synl/printer.h"
 
@@ -21,9 +23,8 @@ struct Fixture {
       : prog(synl::parse_and_check(src, diags)) {
     EXPECT_FALSE(diags.has_errors()) << diags.dump();
     synl::ProcId pid = prog.find_proc(proc);
-    set = generate_variants(
-        prog, pid, loop_verdicts(analysis::ProcAnalysis(prog, pid)), diags,
-        opts);
+    set = generate_variants(prog, pid, loop_verdicts(prog, pid), diags,
+                            opts);
     EXPECT_FALSE(diags.has_errors()) << diags.dump();
   }
 
@@ -175,6 +176,98 @@ TEST(Variants, HerlihyVariantMatchesFigure4) {
   EXPECT_NE(v.find("TRUE(VL(Q))"), std::string::npos);
   EXPECT_NE(v.find("TRUE(SC(Q, prv))"), std::string::npos);
   EXPECT_NE(v.find("prv := m"), std::string::npos);
+}
+
+bool has_loop(const Program& prog, synl::ProcId pid) {
+  bool found = false;
+  synl::for_each_stmt(prog, prog.proc(pid).body, [&](synl::StmtId sid) {
+    if (prog.stmt(sid).kind == synl::StmtKind::Loop) found = true;
+  });
+  return found;
+}
+
+uint64_t observations(obs::StageId stage) {
+  return obs::registry().stage_histogram(stage).count();
+}
+
+/// Records stage observations while in scope, then restores the flags.
+struct MetricsOn {
+  const uint32_t saved = obs::flags();
+  MetricsOn() { obs::set_flags(obs::kMetricsFlag); }
+  ~MetricsOn() { obs::set_flags(saved); }
+  MetricsOn(const MetricsOn&) = delete;
+  MetricsOn& operator=(const MetricsOn&) = delete;
+};
+
+/// Step 0's verdicts equal those of a PurityAnalysis over the procedure's
+/// full analysis (CFG, escape, uniqueness, matching, local conditions).
+TEST(Variants, LoopVerdictsMatchPurityOverAFullAnalysis) {
+  size_t loops = 0;
+  for (const auto& [name, source] : test_support::reference_inputs()) {
+    DiagEngine diags;
+    synl::FrontEnd fe = synl::parse_and_recover(source, diags);
+    ASSERT_FALSE(diags.has_errors()) << name << "\n" << diags.dump();
+    const Program& prog = fe.prog;
+    for (size_t p = 0; p < prog.num_procs(); ++p) {
+      synl::ProcId pid(static_cast<uint32_t>(p));
+      const std::string where =
+          name + " " + std::string(prog.syms().name(prog.proc(pid).name));
+      std::vector<LoopVerdict> got = loop_verdicts(prog, pid);
+      analysis::ProcAnalysis full(prog, pid);
+      analysis::PurityAnalysis purity(prog, full.cfg(), full.matching(),
+                                      full.escape(), full.unique());
+      const std::vector<cfg::LoopInfo>& want = full.cfg().loops();
+      ASSERT_EQ(got.size(), want.size()) << where;
+      for (size_t k = 0; k < want.size(); ++k) {
+        const analysis::LoopPurity* lp = purity.result(want[k].stmt);
+        ASSERT_NE(lp, nullptr) << where;
+        EXPECT_EQ(got[k].loop, want[k].stmt) << where << " loop " << k;
+        EXPECT_EQ(got[k].pure, lp->pure) << where << " loop " << k;
+        ASSERT_EQ(got[k].reasons.size(), lp->reasons.size()) << where;
+        for (size_t r = 0; r < lp->reasons.size(); ++r) {
+          EXPECT_EQ(got[k].reasons[r].condition, lp->reasons[r].condition)
+              << where << " loop " << k << " reason " << r;
+          EXPECT_EQ(got[k].reasons[r].message, lp->reasons[r].message)
+              << where << " loop " << k << " reason " << r;
+          EXPECT_EQ(got[k].reasons[r].line, lp->reasons[r].line)
+              << where << " loop " << k << " reason " << r;
+        }
+        ++loops;
+      }
+    }
+  }
+  EXPECT_GT(loops, 0u);
+}
+
+/// A procedure without a loop statement has no verdicts and costs no CFG;
+/// one with a loop builds one CFG and one pure-loop analysis.
+TEST(Variants, LoopVerdictsBuildACfgOnlyForLoops) {
+  MetricsOn metrics;
+  size_t loop_free = 0;
+  for (const auto& [name, source] : test_support::reference_inputs()) {
+    DiagEngine diags;
+    synl::FrontEnd fe = synl::parse_and_recover(source, diags);
+    ASSERT_FALSE(diags.has_errors()) << name << "\n" << diags.dump();
+    const Program& prog = fe.prog;
+    for (size_t p = 0; p < prog.num_procs(); ++p) {
+      synl::ProcId pid(static_cast<uint32_t>(p));
+      const std::string where =
+          name + " " + std::string(prog.syms().name(prog.proc(pid).name));
+      const uint64_t cfgs = observations(obs::StageId::CfgLiveness);
+      const uint64_t purities = observations(obs::StageId::Purity);
+      std::vector<LoopVerdict> got = loop_verdicts(prog, pid);
+      const uint64_t built = has_loop(prog, pid) ? 1 : 0;
+      if (built == 0) {
+        EXPECT_TRUE(got.empty()) << where;
+        ++loop_free;
+      }
+      EXPECT_EQ(observations(obs::StageId::CfgLiveness) - cfgs, built)
+          << where;
+      EXPECT_EQ(observations(obs::StageId::Purity) - purities, built)
+          << where;
+    }
+  }
+  EXPECT_GT(loop_free, 0u);
 }
 
 }  // namespace

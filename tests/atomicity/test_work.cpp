@@ -3,11 +3,14 @@
 // instances share a location (the generator's disjoint mode), the alias
 // index must keep the candidates of steps 2 and 4 and the exclusion checks
 // linear in the program's size. In both alias modes, the holder-class keys
-// must hand out no candidate that may_alias then rejects.
+// must hand out no candidate that may_alias then rejects. Building a
+// universe analyzes each variant once and each original procedure only if
+// it has a loop, whose §4 verdicts step 0 reads.
 #include <gtest/gtest.h>
 
 #include "gen.h"
 #include "synat/atomicity/infer.h"
+#include "synat/corpus/corpus.h"
 #include "synat/obs/metrics.h"
 #include "synat/synl/parser.h"
 
@@ -72,6 +75,79 @@ TEST(ConflictWork, HolderClassKeysHandOutNoRejectedCandidate) {
           << (mode == perfbench::AliasMode::Shared ? "shared" : "disjoint");
     }
   }
+}
+
+/// Stage observations of one universe build and classification.
+struct Built {
+  uint64_t cfgs = 0;      ///< cfg_liveness observations
+  uint64_t purities = 0;  ///< purity observations
+  uint64_t variants = 0;
+  uint64_t looping = 0;   ///< original procedures with a `loop` statement
+};
+
+Built analyses_built(const std::string& source,
+                     const std::vector<std::string>& counted) {
+  DiagEngine diags;
+  synl::FrontEnd fe = synl::parse_and_recover(source, diags);
+  EXPECT_FALSE(diags.has_errors()) << diags.dump();
+  Built b;
+  for (size_t p = 0; p < fe.prog.num_procs(); ++p) {
+    bool loop = false;
+    synl::for_each_stmt(
+        fe.prog, fe.prog.proc(synl::ProcId(static_cast<uint32_t>(p))).body,
+        [&](synl::StmtId sid) {
+          if (fe.prog.stmt(sid).kind == synl::StmtKind::Loop) loop = true;
+        });
+    b.looping += loop ? 1 : 0;
+  }
+  InferOptions opts;
+  opts.counted_cas = counted;
+  obs::Histogram& cfg =
+      obs::registry().stage_histogram(obs::StageId::CfgLiveness);
+  obs::Histogram& purity =
+      obs::registry().stage_histogram(obs::StageId::Purity);
+  const uint64_t cfg0 = cfg.count();
+  const uint64_t purity0 = purity.count();
+  const uint32_t saved = obs::flags();
+  obs::set_flags(obs::kMetricsFlag);
+  AtomicityResult r = infer_atomicity(fe.prog, diags, opts);
+  obs::set_flags(saved);
+  b.cfgs = cfg.count() - cfg0;
+  b.purities = purity.count() - purity0;
+  for (const ProcResult& pr : r.procs()) b.variants += pr.variants.size();
+  return b;
+}
+
+TEST(ConflictWork, UniverseAnalyzesVariantsAndLoopingOriginalsOnly) {
+  for (perfbench::AliasMode mode :
+       {perfbench::AliasMode::Disjoint, perfbench::AliasMode::Shared}) {
+    perfbench::GenOptions o;
+    o.procs = 160;
+    o.seed = 1;
+    o.mode = mode;
+    perfbench::GenProgram gen(o);
+    Built b = analyses_built(gen.render(), gen.counted());
+    const char* where =
+        mode == perfbench::AliasMode::Shared ? "shared" : "disjoint";
+    EXPECT_EQ(b.cfgs, b.variants + b.looping) << where;
+    EXPECT_EQ(b.purities, b.looping) << where;
+    EXPECT_EQ(b.cfgs, 304u) << where;
+    EXPECT_EQ(b.purities, 96u) << where;
+  }
+
+  Built corpus_total;
+  for (const corpus::Entry& e : corpus::all()) {
+    std::vector<std::string> counted(e.counted_cas.begin(),
+                                     e.counted_cas.end());
+    Built b = analyses_built(std::string(e.source), counted);
+    EXPECT_EQ(b.cfgs, b.variants + b.looping) << e.name;
+    EXPECT_EQ(b.purities, b.looping) << e.name;
+    corpus_total.cfgs += b.cfgs;
+    corpus_total.purities += b.purities;
+  }
+  EXPECT_EQ(corpus::all().size(), 17u);
+  EXPECT_EQ(corpus_total.cfgs, 98u);
+  EXPECT_EQ(corpus_total.purities, 37u);
 }
 
 }  // namespace

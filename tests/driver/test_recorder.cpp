@@ -1,5 +1,6 @@
 // Flight-recorder tests (DESIGN.md §3i): ring bounds and wrap-around,
-// incident dumps through a pre-opened fd, and the real fatal-signal path —
+// incident dumps through a pre-opened fd, dumps racing writers that wrap
+// the ring (never a torn frame), and the real fatal-signal path —
 // a forked child arms support/crash.h, fills the ring, and dies on SIGSEGV;
 // the parent asserts the postmortem file holds the header and the last-N
 // events while the wait status still reports the original signal.
@@ -11,10 +12,13 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "synat/support/crash.h"
 
@@ -106,6 +110,64 @@ TEST_F(RecorderTest, OverlongFramesAreTruncatedNotDropped) {
   std::string text = slurp(path);
   EXPECT_NE(text.find("BEGIN"), std::string::npos);
   EXPECT_LE(text.size(), obs::Recorder::kFrameBytes + 256);
+  close(fd);
+  obs::recorder().set_postmortem_fd(-1);
+  std::remove(path.c_str());
+}
+
+// Line `i` of writer `w`: its own identity plus a padding whose length and
+// letter both vary, so a frame mixing two lines cannot pass for either.
+std::string concurrent_line(unsigned w, unsigned i) {
+  const char letter = static_cast<char>('a' + (w * 7 + i) % 26);
+  return "{\"w\":" + std::to_string(w) + ",\"i\":" + std::to_string(i) +
+         ",\"pad\":\"" + std::string((i * 37 + w * 101) % 400, letter) +
+         "\"}";
+}
+
+TEST_F(RecorderTest, ConcurrentNotesAndDumps) {
+  std::string path = tmp_path("concurrent");
+  int fd = open(path.c_str(), O_CREAT | O_WRONLY | O_CLOEXEC, 0644);
+  ASSERT_GE(fd, 0);
+  obs::recorder().set_postmortem_fd(fd);
+  // Every writer wraps the ring many times, and keeps writing until the
+  // dumps below have raced it often enough.
+  constexpr unsigned kWriters = 3;
+  constexpr unsigned kMinLines = 2000;
+  constexpr size_t kMinDumps = 50;
+  std::atomic<size_t> dumps{0};
+  std::atomic<unsigned> writing{kWriters};
+  std::vector<std::thread> writers;
+  for (unsigned w = 0; w < kWriters; ++w) {
+    writers.emplace_back([w, &dumps, &writing] {
+      for (unsigned i = 0; i < kMinLines || dumps.load() < kMinDumps; ++i)
+        obs::recorder().note(concurrent_line(w, i));
+      writing.fetch_sub(1);
+    });
+  }
+
+  size_t frames = 0;
+  std::vector<std::string> torn;
+  bool last = false;
+  while (!last) {
+    last = writing.load() == 0;  // one more dump after every writer is done
+    if (!obs::recorder().dump_incident("concurrent")) break;
+    dumps.fetch_add(1);
+    std::istringstream text(slurp(path));
+    std::string line;
+    std::getline(text, line);  // the header
+    while (std::getline(text, line)) {
+      unsigned w = 0, i = 0;
+      if (std::sscanf(line.c_str(), "{\"w\":%u,\"i\":%u,", &w, &i) != 2 ||
+          w >= kWriters || line != concurrent_line(w, i))
+        torn.push_back(line);
+      ++frames;
+    }
+  }
+  for (std::thread& t : writers) t.join();
+  EXPECT_GE(dumps.load(), kMinDumps);
+  EXPECT_GE(frames, obs::Recorder::kFrames);
+  EXPECT_TRUE(torn.empty()) << torn.size() << " torn frames of " << frames
+                            << ", first: " << torn.front();
   close(fd);
   obs::recorder().set_postmortem_fd(-1);
   std::remove(path.c_str());
