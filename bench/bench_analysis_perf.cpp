@@ -21,6 +21,7 @@
 #include "synat/driver/driver.h"
 #include "synat/interp/interp.h"
 #include "synat/obs/events.h"
+#include "synat/obs/export.h"
 #include "synat/obs/metrics.h"
 #include "synat/obs/obs.h"
 #include "synat/obs/trace.h"
@@ -178,12 +179,10 @@ double serve_rpc_ms(serve::Service& svc, const std::string& line, int reps) {
   return best;
 }
 
-std::string json_escape(const std::string& s) {
+/// `s` as a JSON string literal, quotes included.
+std::string json_string(std::string_view s) {
   std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    if (static_cast<unsigned char>(c) >= 0x20) out.push_back(c);
-  }
+  obs::append_json_escaped(out, s);
   return out;
 }
 
@@ -362,12 +361,12 @@ void emit_driver_json(const char* path) {
                "{\n"
                "  \"bench\": \"driver_corpus_sweep\",\n"
                "  \"host\": {\n"
-               "    \"cpu_model\": \"%s\",\n"
-               "    \"kernel\": \"%s\"\n"
+               "    \"cpu_model\": %s,\n"
+               "    \"kernel\": %s\n"
                "  },\n"
                "  \"hardware_concurrency\": %u,\n",
-               json_escape(cpu_model()).c_str(),
-               json_escape(kernel_version()).c_str(), hw);
+               json_string(cpu_model()).c_str(),
+               json_string(kernel_version()).c_str(), hw);
   std::fprintf(f,
                "  \"programs\": %zu,\n"
                "  \"procedures\": %zu,\n"

@@ -59,9 +59,11 @@ bool get_program_report(Reader& in, ProgramReport& r);
 /// Telemetry payload (worker Telemetry frame unit): the spans a worker
 /// collected plus its registry delta since fork. Span lanes are not
 /// encoded — the supervisor assigns the lane when it injects the spans.
-/// Counts are sanity-capped (kMaxTelemetrySpans / kMaxTelemetryMetrics)
-/// and the histogram bucket count must match obs::Histogram::kBuckets, so
-/// a corrupt frame fails decode instead of driving a giant allocation.
+/// Histograms travel sparse: name, sum, then (index, count) pairs for the
+/// occupied buckets only. Counts are sanity-capped (kMaxTelemetrySpans /
+/// kMaxTelemetryMetrics, at most obs::Histogram::kBuckets pairs) and bucket
+/// indices must be in range and strictly increasing, so a corrupt frame
+/// fails decode instead of driving a giant allocation.
 inline constexpr uint64_t kMaxTelemetrySpans = uint64_t{1} << 22;
 inline constexpr uint64_t kMaxTelemetryMetrics = uint64_t{1} << 16;
 void put_telemetry(std::string& out, const std::vector<obs::SpanRecord>& spans,

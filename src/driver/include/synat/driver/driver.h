@@ -14,6 +14,11 @@
 // the classification and rendering of the misses, each landing by index.
 // Output assembly is index-addressed throughout, which makes the rendered
 // documents byte-identical for any --jobs value.
+//
+// Timing has one clock: parse, analyze and report are obs spans (DESIGN.md
+// §3e), so their histograms live in the obs registry and reach the report
+// through the run's registry delta (Metrics::telemetry, `--timings`). The
+// same spans charge each program's wall-time split for the wide events.
 #pragma once
 
 #include <atomic>
@@ -54,8 +59,6 @@ struct DriverOptions {
   unsigned jobs = 1;
   /// Memoize per-procedure reports in `cache` (or an internal cache).
   bool use_cache = false;
-  /// Record per-stage wall times (adds clock calls on the hot path).
-  bool collect_timings = false;
   /// Wall-clock deadline per program in milliseconds; 0 disables it. Every
   /// procedure the deadline stops is reported as degraded ("deadline"),
   /// the batch proceeds. Deadline trips depend on machine speed, so results
@@ -65,18 +68,19 @@ struct DriverOptions {
   /// Escalate instead of degrading: recovered parse errors fail the
   /// program (ParseError) and budget/deadline trips are internal errors.
   bool strict = false;
-  /// Run every program in a sandboxed one-shot worker process (DESIGN.md
-  /// §3d). A worker death of any kind — SIGSEGV, OOM kill, stall — is
-  /// contained as that one program's ProgramStatus::Degraded verdict.
-  /// Requires that no other threads exist when run() is called (workers
-  /// are plain forks). `jobs` caps concurrent workers; the cache is not
-  /// consulted (workers are separate address spaces).
+  /// Run every program in a sandboxed one-shot worker process, through the
+  /// fork-worker supervisor of worker.h (DESIGN.md §3d). A worker death of
+  /// any kind — SIGSEGV, OOM kill, stall — is contained as that one
+  /// program's ProgramStatus::Degraded verdict. Workers are plain forks,
+  /// so call run() with no other threads alive. `jobs` caps concurrent
+  /// workers; the cache is not consulted (workers are separate address
+  /// spaces).
   bool isolate = false;
   /// Address-space cap per worker in MiB (RLIMIT_AS); 0 = unlimited.
   /// Only meaningful with `isolate`.
   unsigned max_rss_mb = 0;
   /// Re-dispatches of a program whose worker died before retrying turns
-  /// into a Degraded verdict (exponential backoff between attempts).
+  /// into a Degraded verdict (backoff doubling from 50 ms, capped at 1.6 s).
   unsigned retries = 1;
   /// Write-ahead journal file for crash-resumable batches; empty disables
   /// journaling. Works with and without `isolate`.
@@ -87,7 +91,8 @@ struct DriverOptions {
   bool resume = false;
   /// Wide-event sink (DESIGN.md §3i): when set, run() appends one event
   /// per program, in input order, after the report is assembled. Not owned.
-  /// Enabling events also enables per-program stage timing.
+  /// Enabling events also enables per-program stage wall times. (Stage
+  /// histograms are the obs registry's, recorded under obs::kMetricsFlag.)
   obs::EventLog* events = nullptr;
 };
 
@@ -124,9 +129,10 @@ class BatchDriver {
   /// `pool` (the batch's own) helping inside the program.
   void run_program_task(const ProgramInput& input, size_t index,
                         ReportSink& sink, CacheTally& tally, ThreadPool& pool);
-  /// Stage timing is collected when asked for (--timings) or whenever a
-  /// wide-event sink needs per-program latencies.
-  bool timed() const { return opts_.collect_timings || opts_.events != nullptr; }
+  /// Per-program stage wall times are taken only for the wide events.
+  bool timed() const { return opts_.events != nullptr; }
+  /// Where a stage span adds its duration: `ns` when timed(), else nowhere.
+  uint64_t* charge(uint64_t& ns) const { return timed() ? &ns : nullptr; }
 
   DriverOptions opts_;
   ResultCache* cache_;

@@ -3,7 +3,8 @@
 // The writer is append-only and key order is exactly the call order, so two
 // runs that produce the same logical report produce byte-identical documents
 // (the determinism contract `synat batch --jobs N` is tested against).
-// No DOM, no parsing: report shapes are known statically.
+// No DOM, no parsing: report shapes are known statically. Strings go
+// through obs::append_json_escaped, the one JSON string escape.
 #pragma once
 
 #include <cstdint>
@@ -12,9 +13,6 @@
 #include <vector>
 
 namespace synat::driver {
-
-/// Escapes `s` per RFC 8259 (quotes, backslash, control characters).
-std::string json_escape(std::string_view s);
 
 /// Streaming writer with automatic comma insertion. Usage:
 ///

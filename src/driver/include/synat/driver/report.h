@@ -5,7 +5,8 @@
 // they were computed from (Programs are per-task and per-thread; reports are
 // cached across tasks and runs). All ordering is by task/procedure index,
 // never by pointer or hash order, so documents are byte-stable across
-// --jobs settings.
+// --jobs settings. Durations are not part of the model: the `--timings`
+// block renders the obs stage histograms carried in Metrics::telemetry.
 #pragma once
 
 #include <array>
@@ -106,22 +107,6 @@ struct ProgramReport {
   bool all_atomic() const;
 };
 
-/// Power-of-two latency histogram: bucket i counts durations in
-/// [2^i, 2^(i+1)) nanoseconds. Fixed 40 buckets cover ~18 minutes.
-struct LatencyHistogram {
-  static constexpr size_t kBuckets = 40;
-  uint64_t count[kBuckets] = {};
-  uint64_t total_ns = 0;
-  uint64_t samples = 0;
-
-  void record(uint64_t ns);
-  void merge(const LatencyHistogram& other);
-};
-
-/// Names the pipeline stages the driver times.
-enum class Stage : uint8_t { Parse, Analyze, Report, COUNT };
-std::string_view to_string(Stage s);
-
 struct Metrics {
   size_t programs = 0;
   size_t procedures = 0;
@@ -140,11 +125,11 @@ struct Metrics {
   size_t journal_replayed = 0;  ///< programs served from the journal
   size_t journal_rejected = 0;  ///< journals/records rejected as corrupt/stale
   size_t jobs = 0;
-  LatencyHistogram stage[static_cast<size_t>(Stage::COUNT)];
   /// Registry delta for this run (obs counters/gauges/histograms), filled
   /// by BatchDriver::run. The deterministic counters feed the report's
-  /// "counters" section (RenderOptions::counters); the rest only reach the
-  /// Prometheus exporter.
+  /// "counters" section (RenderOptions::counters) and the parse, analyze
+  /// and report stage histograms its "stages" section
+  /// (RenderOptions::timings); everything reaches the Prometheus exporter.
   obs::MetricsSnapshot telemetry;
 };
 
@@ -167,8 +152,10 @@ struct BatchReport {
 };
 
 struct RenderOptions {
-  /// Include the per-stage wall-time histograms in the metrics block.
-  /// Off by default so default output is byte-deterministic across runs.
+  /// Include the parse, analyze and report stage histograms of
+  /// Metrics::telemetry in the metrics block; they hold samples only when
+  /// the run had obs::kMetricsFlag on. Off by default so default output is
+  /// byte-deterministic across runs.
   bool timings = false;
   /// Include the deterministic obs counters (schema v4 "counters" section).
   /// Off by default for the same reason --timings is: a --resume run must
@@ -220,17 +207,13 @@ class ReportSink {
   /// Publishes a program that was already journaled: a journal replay or a
   /// decoded worker result. Does not fire the completion callback.
   void set_program(size_t i, ProgramReport report);
-  /// Records `ns` as one sample of stage `s`'s batch histogram.
-  void add_stage_time(Stage s, uint64_t ns);
-  /// Accumulates `ns` against program `i`'s own stage tally (the wide
-  /// event's parse/analyze/report fields) as well as the batch histogram.
-  void add_stage_time(size_t i, Stage s, uint64_t ns);
-  /// Accumulates `ns` against program `i`'s own stage tally only.
-  void add_program_time(size_t i, Stage s, uint64_t ns);
-  /// Per-program accumulated stage wall times (ns), indexed by Stage.
+  /// Accumulates `ns` against program `i`'s own tally of stage `s` (the
+  /// wide event's parse/analyze/report fields): wall time on the
+  /// program's thread, not a histogram sample.
+  void add_program_time(size_t i, obs::StageId s, uint64_t ns);
+  /// Per-program accumulated stage wall times (ns), indexed by StageId.
   /// Consumed by the driver's event emission; valid after finish() too.
-  std::array<uint64_t, static_cast<size_t>(Stage::COUNT)> program_stage_ns(
-      size_t i) const;
+  std::array<uint64_t, obs::kNumStages> program_stage_ns(size_t i) const;
 
   /// Assembles the final report. Call after the pool is idle.
   BatchReport finish(const Metrics& counters, size_t jobs);
@@ -241,7 +224,7 @@ class ReportSink {
   mutable std::mutex mu_;
   std::vector<ProgramReport> programs_;
   std::vector<bool> completed_;        ///< completion callback already fired
-  std::vector<std::array<uint64_t, static_cast<size_t>(Stage::COUNT)>>
+  std::vector<std::array<uint64_t, obs::kNumStages>>
       stage_ns_;                       ///< per-program stage tallies
   CompletionFn on_complete_;
   Metrics metrics_;

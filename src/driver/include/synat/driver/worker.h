@@ -1,80 +1,76 @@
-// Process-isolated batch execution (DESIGN.md §3d): a single-threaded
-// supervisor event loop dispatching one analysis task per sandboxed,
-// one-shot worker process, plus the worker-side main function.
+// The fork-worker supervisor (DESIGN.md §3d): runs analysis inputs in
+// sandboxed, one-shot worker processes, at most N at a time, from one poll
+// loop on the calling thread. `batch --isolate` hands it every pending
+// input; `serve --sandbox` hands it one input from a pool thread. What an
+// outcome means — report slots, journal records, counters, quarantine —
+// stays with the caller.
 //
-// Protocol, over two pipes per worker (frames per support/frame.h):
-//   supervisor → worker:  Request  [u64 task index][u64 attempt]
-//   worker → supervisor:  Heartbeat (empty payload, every ~50 ms)
-//                         Result   [codec-encoded ProgramReport]
+// A worker is forked with its input and attempt already bound, and talks
+// back over one pipe (frames per support/frame.h):
+//   Heartbeat  (empty payload, every ~50 ms)
+//   Telemetry  [spans + registry delta]          \  trusted only when a
+//   Provenance [derivation records]               > decodable Result
+//   CacheDelta [new cache entries]               /  follows
+//   Result     [codec-encoded ProgramReport]
 // A worker that dies before its Result — crash, OOM kill, CPU-limit kill,
 // corrupt frame, or heartbeat silence past the stall deadline — is retried
-// with exponential backoff (DriverOptions::retries), then contained as
-// ProgramStatus::Degraded ("crashed: <cause>"). The rest of the batch is
-// never affected.
+// with a capped exponential backoff (DriverOptions::retries), then given up
+// with a degraded reason ("crashed: <cause>"). Nothing else is affected.
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <string>
 #include <vector>
 
+#include "synat/driver/cache.h"
 #include "synat/driver/driver.h"
-#include "synat/driver/journal.h"
 #include "synat/driver/report.h"
+#include "synat/obs/trace.h"
 
 namespace synat::driver {
 
-/// Worker-side entry point, run inside the forked child. Reads one Request
-/// from `in_fd`, analyzes that input with an in-process sub-driver (jobs=1,
-/// no cache, no journal, no isolation — byte-identical results to the
-/// non-isolated path), streams heartbeats, writes the Result frame to
-/// `out_fd`, and returns the process exit code.
-int worker_main(int in_fd, int out_fd, const std::vector<ProgramInput>& inputs,
-                const DriverOptions& opts);
-
-/// Outcome of one sandboxed request execution (serve --sandbox). Either a
-/// decoded report (ok) or a containment verdict: the degraded reason plus
-/// the failure taxonomy the serve layer turns into counters. Worker deaths
-/// are counted per kind across every attempt, retries included, so the
-/// counters reflect fork bandwidth actually burned.
-struct SandboxOutcome {
-  enum class FailKind : uint8_t { None, Crash, Timeout, Oom };
-
+/// What one input's workers produced, over every attempt.
+struct WorkerOutcome {
   bool ok = false;
-  ProgramReport report;        ///< valid only when ok
-  std::string reason;          ///< degraded reason when !ok ("crashed: ...")
-  FailKind kind = FailKind::None;  ///< final failure class when !ok
-  unsigned retries = 0;        ///< re-forks performed after a death
-  unsigned deaths_crash = 0;   ///< segfault / bad frame / unclassified exit
-  unsigned deaths_timeout = 0; ///< heartbeat stall or RLIMIT_CPU (SIGXCPU)
-  unsigned deaths_oom = 0;     ///< bad_alloc exit (114) or abort under rss cap
-  uint64_t cache_hits = 0;     ///< child's cache-delta hit count
-  uint64_t cache_misses = 0;   ///< child's cache-delta miss count (reanalyzed)
+  ProgramReport report;  ///< the decoded Result, provenance attached; when ok
+  std::string reason;    ///< degraded reason when !ok ("crashed: ...")
+  /// Spans the successful worker recorded; the caller picks their lane.
+  std::vector<obs::SpanRecord> spans;
+  unsigned retries = 0;         ///< re-forks performed after a death
+  unsigned deaths_crash = 0;    ///< segfault, bad frame, unclassified exit
+  unsigned deaths_timeout = 0;  ///< heartbeat stall or RLIMIT_CPU (SIGXCPU)
+  unsigned deaths_oom = 0;      ///< bad_alloc exit or abort under an rss cap
+  uint64_t cache_hits = 0;      ///< from the worker's cache delta
+  uint64_t cache_misses = 0;
+
+  unsigned deaths() const { return deaths_crash + deaths_timeout + deaths_oom; }
 };
 
-/// Runs one request in a forked one-shot worker: the child inherits the
-/// daemon's state (including `cache` as a copy-on-write image, when
-/// non-null), analyzes `input` under opts.deadline_ms / opts.max_rss_mb /
-/// opts.retries, and ships the report back over SYNF frames. New cache
-/// entries the child computed return via a CacheDelta frame and are folded
-/// into `cache`, so subsequent forks stay warm. Worker telemetry merges
-/// into the live registry, spans injected at `lane` (0 = drop spans).
-/// Unlike run_supervised this is called from a pool thread of a
-/// multi-threaded daemon. fork() from a threaded process is safe here
-/// because glibc reinitializes its malloc locks across fork; the residual
-/// hazard — the child inheriting some other subsystem's mutex mid-hold —
-/// manifests as a child that never heartbeats, which the stall detector
-/// reaps and retries like any other hang (DESIGN.md §3h).
-SandboxOutcome run_sandboxed(const ProgramInput& input,
-                             const DriverOptions& opts, ResultCache* cache,
-                             uint32_t lane);
+/// Runs every input in forked one-shot workers, at most `jobs` at a time,
+/// under opts.deadline_ms / opts.max_rss_mb / opts.retries, and calls
+/// `done(k, outcome)` on this thread as input k finishes. Each worker
+/// analyzes its input with an in-process sub-driver (jobs 1, no journal, no
+/// isolation), so a report is byte-identical to the in-process path's.
+///
+/// When `cache` is non-null the worker analyzes against its copy-on-write
+/// image of it and ships back the entries it added (CacheDelta), which are
+/// folded into `cache` so later forks stay warm. A worker's registry delta
+/// merges into this process's registry, except synat_programs_total: the
+/// caller counts the programs it hands out.
+///
+/// The supervisor only reads from worker pipes, so it never raises SIGPIPE
+/// and leaves the signal's disposition alone. It may run on a pool thread of
+/// a threaded process: glibc reinitializes its malloc locks across fork, and
+/// the residual hazard — a child inheriting some other mutex mid-hold —
+/// shows as a child that never heartbeats, which the stall detector reaps
+/// and retries like any other hang (DESIGN.md §3h).
+void run_workers(const std::vector<const ProgramInput*>& inputs,
+                 const DriverOptions& opts, unsigned jobs, ResultCache* cache,
+                 const std::function<void(size_t, WorkerOutcome)>& done);
 
-/// Supervisor-side driver: runs every input whose `done` flag is false
-/// through the worker pool (at most `jobs` live workers), delivering
-/// finished reports into `sink` and appending journal-worthy ones to
-/// `journal`. `keys[i]` is input i's journal key. Must be called with no
-/// other threads alive in the process (workers are plain forks).
-void run_supervised(const std::vector<ProgramInput>& inputs,
-                    const std::vector<uint64_t>& keys,
-                    const std::vector<bool>& done, const DriverOptions& opts,
-                    unsigned jobs, ReportSink& sink, JournalWriter& journal);
+/// Milliseconds to wait before re-forking an input whose attempt `attempt`
+/// (1-based) died: 50 ms doubling per attempt, capped at 1.6 s.
+uint64_t retry_backoff_ms(unsigned attempt);
 
 }  // namespace synat::driver

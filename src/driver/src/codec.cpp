@@ -206,15 +206,18 @@ void put_telemetry(std::string& out, const std::vector<obs::SpanRecord>& spans,
   put_u64(out, delta.histograms.size());
   for (const obs::HistogramSample& h : delta.histograms) {
     put_str(out, h.name);
-    put_u32(out, static_cast<uint32_t>(obs::Histogram::kBuckets));
-    for (uint64_t b : h.buckets) put_u64(out, b);
     put_u64(out, h.sum_ns);
+    put_u64(out, h.buckets.size());
+    for (const auto& [idx, n] : h.buckets) {
+      put_u32(out, idx);
+      put_u64(out, n);
+    }
   }
 }
 
 bool get_telemetry(Reader& in, std::vector<obs::SpanRecord>& spans,
                    obs::MetricsSnapshot& delta) {
-  uint64_t ns = 0, u = 0;
+  uint64_t ns = 0;
   uint32_t w = 0;
   if (!in.get_u64(ns) || ns > kMaxTelemetrySpans) return false;
   spans.clear();
@@ -238,12 +241,19 @@ bool get_telemetry(Reader& in, std::vector<obs::SpanRecord>& spans,
   if (!in.get_u64(nh) || nh > kMaxTelemetryMetrics) return false;
   delta.histograms.resize(nh);
   for (obs::HistogramSample& h : delta.histograms) {
-    if (!in.get_str(h.name) || !in.get_u32(w) || w != obs::Histogram::kBuckets)
+    uint64_t nb = 0;
+    if (!in.get_str(h.name) || !in.get_u64(h.sum_ns) || !in.get_u64(nb) ||
+        nb > obs::Histogram::kBuckets)
       return false;
-    for (uint64_t& b : h.buckets)
-      if (!in.get_u64(b)) return false;
-    if (!in.get_u64(u)) return false;
-    h.sum_ns = u;
+    h.buckets.resize(nb);
+    for (size_t i = 0; i < nb; ++i) {
+      auto& [idx, n] = h.buckets[i];
+      // Bucket indices are in range and strictly increasing, as a
+      // snapshot writes them.
+      if (!in.get_u32(idx) || idx >= obs::Histogram::kBuckets ||
+          (i > 0 && idx <= h.buckets[i - 1].first) || !in.get_u64(n))
+        return false;
+    }
   }
   return true;
 }

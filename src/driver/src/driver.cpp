@@ -1,7 +1,6 @@
 #include "synat/driver/driver.h"
 
 #include <algorithm>
-#include <chrono>
 #include <exception>
 #include <thread>
 
@@ -20,56 +19,6 @@
 namespace synat::driver {
 
 namespace {
-
-uint64_t now_ns() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-obs::StageId obs_stage(Stage s) {
-  switch (s) {
-    case Stage::Parse: return obs::StageId::Parse;
-    case Stage::Analyze: return obs::StageId::Analyze;
-    case Stage::Report: return obs::StageId::Report;
-    case Stage::COUNT: break;
-  }
-  return obs::StageId::Parse;
-}
-
-/// RAII stage timer; no clock calls unless timing collection is on. The
-/// embedded SpanScope gates itself on the obs flags independently. Times
-/// are charged both to the batch histograms and to program `index`'s own
-/// tally (the wide event's parse/analyze/report fields). A call that may
-/// run on a pool helper passes `acc`, which takes the time instead of the
-/// tally; the program's own thread then charges the tally with wall time.
-class StageTimer {
- public:
-  StageTimer(ReportSink& sink, size_t index, Stage stage, bool enabled,
-             uint64_t* acc = nullptr)
-      : span_(obs_stage(stage)), sink_(sink), index_(index), stage_(stage),
-        enabled_(enabled), acc_(acc), start_(enabled ? now_ns() : 0) {}
-  ~StageTimer() {
-    if (!enabled_) return;
-    const uint64_t ns = now_ns() - start_;
-    if (acc_ == nullptr) {
-      sink_.add_stage_time(index_, stage_, ns);
-    } else {
-      sink_.add_stage_time(stage_, ns);
-      *acc_ += ns;
-    }
-  }
-
- private:
-  obs::SpanScope span_;
-  ReportSink& sink_;
-  size_t index_;
-  Stage stage_;
-  bool enabled_;
-  uint64_t* acc_;
-  uint64_t start_;
-};
 
 std::string hex64(uint64_t v) {
   static const char* digits = "0123456789abcdef";
@@ -225,10 +174,12 @@ void BatchDriver::run_program_task(const ProgramInput& input, size_t index,
                                    ReportSink& sink, CacheTally& tally,
                                    ThreadPool& pool) {
   DiagEngine diags;
+  uint64_t parse_ns = 0;
   synl::FrontEnd fe = [&] {
-    StageTimer t(sink, index, Stage::Parse, timed());
+    obs::SpanScope span(obs::StageId::Parse, charge(parse_ns));
     return synl::parse_and_recover(input.source, diags);
   }();
+  sink.add_program_time(index, obs::StageId::Parse, parse_ns);
   synl::Program& prog = fe.prog;
   const size_t num_procs = prog.num_procs();
   size_t healthy = 0;
@@ -287,10 +238,12 @@ void BatchDriver::run_program_task(const ProgramInput& input, size_t index,
   }
 
   try {
+    uint64_t universe_ns = 0;
     const atomicity::ConflictUniverse universe = [&] {
-      StageTimer ta(sink, index, Stage::Analyze, timed());
+      obs::SpanScope span(obs::StageId::Analyze, charge(universe_ns));
       return atomicity::ConflictUniverse(prog, diags, iopts, &pool);
     }();
+    sink.add_program_time(index, obs::StageId::Analyze, universe_ns);
     // Cache addressing (DESIGN.md §3g). When the program fingerprints
     // completely, each procedure's result is cached under H(options, own
     // content, interference universe), the universe hash taken from the
@@ -344,22 +297,22 @@ void BatchDriver::run_program_task(const ProgramInput& input, size_t index,
     // misses, each into its own slot; a failure is kept with its
     // procedure. This thread times the whole loop and splits that wall
     // time between the two stages in the ratio of their call times.
-    const uint64_t loop_start = timed() ? now_ns() : 0;
+    const uint64_t loop_start = timed() ? obs::now_ns() : 0;
     pool.parallel_for(misses.size(), [&](size_t k) {
       Miss& m = misses[k];
       try {
         atomicity::ProcResult result = [&] {
-          StageTimer ta(sink, index, Stage::Analyze, timed(), &m.analyze_ns);
+          obs::SpanScope span(obs::StageId::Analyze, charge(m.analyze_ns));
           return universe.classify(m.proc);
         }();
-        StageTimer tr(sink, index, Stage::Report, timed(), &m.report_ns);
+        obs::SpanScope span(obs::StageId::Report, charge(m.report_ns));
         m.report = make_proc_report(prog, result, m.key, iopts.provenance);
       } catch (...) {
         m.error = std::current_exception();
       }
     });
     if (timed() && !misses.empty()) {
-      const uint64_t wall = now_ns() - loop_start;
+      const uint64_t wall = obs::now_ns() - loop_start;
       uint64_t analyze = 0, report = 0;
       for (const Miss& m : misses) {
         analyze += m.analyze_ns;
@@ -371,8 +324,8 @@ void BatchDriver::run_program_task(const ProgramInput& input, size_t index,
                                      static_cast<double>(analyze + report);
       const auto analyze_wall =
           static_cast<uint64_t>(share * static_cast<double>(wall));
-      sink.add_program_time(index, Stage::Analyze, analyze_wall);
-      sink.add_program_time(index, Stage::Report, wall - analyze_wall);
+      sink.add_program_time(index, obs::StageId::Analyze, analyze_wall);
+      sink.add_program_time(index, obs::StageId::Report, wall - analyze_wall);
     }
     // Budget trips and errors apply in procedure order, as a serial loop
     // meets them.
@@ -479,10 +432,47 @@ BatchReport BatchDriver::run(const std::vector<ProgramInput>& inputs) {
 
   CacheTally tally;
   if (opts_.isolate) {
-    // Supervisor path: sandboxed one-shot workers. Must fork before any
-    // thread exists, so no Watchdog/ThreadPool is created here (workers
-    // build their own).
-    run_supervised(inputs, keys, done, opts_, jobs, sink, journal);
+    // Sandboxed one-shot workers (DESIGN.md §3d), forked before any thread
+    // of this run exists: no Watchdog/ThreadPool here (workers build their
+    // own). Each outcome lands in the sink and the journal as it arrives.
+    static obs::Counter& dispatches =
+        obs::registry().counter("synat_worker_dispatches_total");
+    static obs::Counter& results =
+        obs::registry().counter("synat_worker_results_total");
+    static obs::Counter& retries =
+        obs::registry().counter("synat_worker_retries_total");
+    static obs::Counter& crashes =
+        obs::registry().counter("synat_worker_crashes_total");
+    std::vector<const ProgramInput*> pending;
+    std::vector<size_t> index_of;
+    for (size_t i = 0; i < inputs.size(); ++i) {
+      if (done[i]) continue;
+      pending.push_back(&inputs[i]);
+      index_of.push_back(i);
+    }
+    auto deliver = [&](size_t k, WorkerOutcome out) {
+      const size_t i = index_of[k];
+      dispatches.inc(out.deaths() + (out.ok ? 1 : 0));
+      crashes.inc(out.deaths());
+      retries.inc(out.retries);
+      if (!out.ok) {
+        sink.fail_program(i, inputs[i].name, ProgramStatus::Degraded,
+                          {{"error", 0, 0, out.reason}});
+        return;
+      }
+      results.inc();
+      if (!out.spans.empty()) {
+        // Lane = input index + 1 (lane 0 is this process): deterministic,
+        // where a pid would not be.
+        const auto lane = static_cast<uint32_t>(i + 1);
+        obs::Tracer::instance().inject(lane, out.spans);
+        obs::Tracer::instance().set_lane_name(lane, "worker " + inputs[i].name);
+      }
+      if (journal.active() && journal_worthy(out.report))
+        journal.append(keys[i], out.report);
+      sink.set_program(i, std::move(out.report));
+    };
+    run_workers(pending, opts_, jobs, nullptr, deliver);
   } else {
     if (opts_.deadline_ms > 0 && watchdog_ == nullptr)
       watchdog_ = std::make_unique<Watchdog>();
@@ -525,19 +515,19 @@ BatchReport BatchDriver::run(const std::vector<ProgramInput>& inputs) {
   // is byte-identical across --jobs values and --isolate under the virtual
   // clock. Per-program latency also feeds the p50/p95/p99 source here.
   if (opts_.events != nullptr) {
-    obs::Log2Histogram& latency =
-        obs::registry().log2_histogram("synat_driver_program_latency_seconds");
+    obs::Histogram& latency =
+        obs::registry().histogram("synat_driver_program_latency_seconds");
     for (size_t i = 0; i < out.programs.size(); ++i) {
       const ProgramReport& pr = out.programs[i];
       obs::Event ev = program_event(pr);
       if (ev.name.empty()) ev.name = inputs[i].name;
       const auto stages = sink.program_stage_ns(i);
-      ev.parse_ns = stages[static_cast<size_t>(Stage::Parse)];
-      ev.analyze_ns = stages[static_cast<size_t>(Stage::Analyze)];
-      ev.report_ns = stages[static_cast<size_t>(Stage::Report)];
+      ev.parse_ns = stages[static_cast<size_t>(obs::StageId::Parse)];
+      ev.analyze_ns = stages[static_cast<size_t>(obs::StageId::Analyze)];
+      ev.report_ns = stages[static_cast<size_t>(obs::StageId::Report)];
       ev.dur_ns = ev.parse_ns + ev.analyze_ns + ev.report_ns;
       if (pr.status == ProgramStatus::Degraded)
-        ev.deaths_crash = 1;  // supervisor collapses the cause; see §3d
+        ev.deaths_crash = 1;  // the report keeps no death kind; see §3d
       latency.observe(ev.dur_ns);
       opts_.events->append(ev);
     }

@@ -1,33 +1,8 @@
 #include "synat/driver/json.h"
 
-#include <cstdio>
+#include "synat/obs/export.h"
 
 namespace synat::driver {
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (unsigned char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += static_cast<char>(c);
-        }
-    }
-  }
-  return out;
-}
 
 void JsonWriter::comma_and_newline() {
   if (after_key_) {
@@ -86,18 +61,15 @@ JsonWriter& JsonWriter::end_array() {
 
 JsonWriter& JsonWriter::key(std::string_view k) {
   comma_and_newline();
-  out_ += '"';
-  out_ += json_escape(k);
-  out_ += "\": ";
+  obs::append_json_escaped(out_, k);
+  out_ += ": ";
   after_key_ = true;
   return *this;
 }
 
 JsonWriter& JsonWriter::value(std::string_view v) {
   comma_and_newline();
-  out_ += '"';
-  out_ += json_escape(v);
-  out_ += '"';
+  obs::append_json_escaped(out_, v);
   return *this;
 }
 

@@ -1,7 +1,6 @@
 #include "synat/driver/report.h"
 
 #include <algorithm>
-#include <bit>
 
 #include "synat/driver/json.h"
 
@@ -18,35 +17,11 @@ std::string_view to_string(ProgramStatus s) {
   return "?";
 }
 
-std::string_view to_string(Stage s) {
-  switch (s) {
-    case Stage::Parse: return "parse";
-    case Stage::Analyze: return "analyze";
-    case Stage::Report: return "report";
-    case Stage::COUNT: break;
-  }
-  return "?";
-}
-
 bool ProgramReport::all_atomic() const {
   if (status != ProgramStatus::Ok) return false;
   for (const auto& p : procs)
     if (!p || !p->atomic) return false;
   return true;
-}
-
-void LatencyHistogram::record(uint64_t ns) {
-  size_t bucket = ns == 0 ? 0 : static_cast<size_t>(std::bit_width(ns) - 1);
-  if (bucket >= kBuckets) bucket = kBuckets - 1;
-  ++count[bucket];
-  total_ns += ns;
-  ++samples;
-}
-
-void LatencyHistogram::merge(const LatencyHistogram& other) {
-  for (size_t i = 0; i < kBuckets; ++i) count[i] += other.count[i];
-  total_ns += other.total_ns;
-  samples += other.samples;
 }
 
 size_t BatchReport::procs_not_atomic() const {
@@ -157,24 +132,13 @@ void ReportSink::set_program(size_t i, ProgramReport report) {
   completed_.at(i) = true;
 }
 
-void ReportSink::add_stage_time(Stage s, uint64_t ns) {
-  std::lock_guard<std::mutex> lock(mu_);
-  metrics_.stage[static_cast<size_t>(s)].record(ns);
-}
-
-void ReportSink::add_stage_time(size_t i, Stage s, uint64_t ns) {
-  std::lock_guard<std::mutex> lock(mu_);
-  metrics_.stage[static_cast<size_t>(s)].record(ns);
-  stage_ns_.at(i)[static_cast<size_t>(s)] += ns;
-}
-
-void ReportSink::add_program_time(size_t i, Stage s, uint64_t ns) {
+void ReportSink::add_program_time(size_t i, obs::StageId s, uint64_t ns) {
   std::lock_guard<std::mutex> lock(mu_);
   stage_ns_.at(i)[static_cast<size_t>(s)] += ns;
 }
 
-std::array<uint64_t, static_cast<size_t>(Stage::COUNT)>
-ReportSink::program_stage_ns(size_t i) const {
+std::array<uint64_t, obs::kNumStages> ReportSink::program_stage_ns(
+    size_t i) const {
   std::lock_guard<std::mutex> lock(mu_);
   return stage_ns_.at(i);
 }
@@ -224,17 +188,24 @@ BatchReport ReportSink::finish(const Metrics& counters, size_t jobs) {
 
 namespace {
 
-void emit_histogram(JsonWriter& w, const LatencyHistogram& h) {
-  w.begin_object();
-  w.key("samples").value(h.samples);
-  w.key("total_ns").value(h.total_ns);
-  w.key("mean_ns").value(h.samples == 0 ? uint64_t{0} : h.total_ns / h.samples);
+/// One `--timings` stage: the run's registry histogram of that stage.
+void emit_stage(JsonWriter& w, const obs::MetricsSnapshot& telemetry,
+                obs::StageId stage) {
+  static const obs::HistogramSample kEmpty;
+  const std::string name = obs::stage_histogram_name(stage);
+  const obs::HistogramSample* h = &kEmpty;
+  for (const obs::HistogramSample& s : telemetry.histograms)
+    if (s.name == name) h = &s;
+  const uint64_t samples = h->count();
+  w.key(obs::stage_name(stage)).begin_object();
+  w.key("samples").value(samples);
+  w.key("total_ns").value(h->sum_ns);
+  w.key("mean_ns").value(samples == 0 ? uint64_t{0} : h->sum_ns / samples);
   w.key("buckets").begin_array();
-  for (size_t i = 0; i < LatencyHistogram::kBuckets; ++i) {
-    if (h.count[i] == 0) continue;
+  for (const auto& [idx, n] : h->buckets) {
     w.begin_object();
-    w.key("le_ns").value(uint64_t{1} << (i + 1));
-    w.key("count").value(h.count[i]);
+    w.key("le_ns").value(obs::Histogram::bucket_bound(idx));
+    w.key("count").value(n);
     w.end_object();
   }
   w.end_array();
@@ -272,10 +243,9 @@ void emit_metrics(JsonWriter& w, const BatchReport& r,
   }
   if (opts.timings) {
     w.key("stages").begin_object();
-    for (size_t s = 0; s < static_cast<size_t>(Stage::COUNT); ++s) {
-      w.key(to_string(static_cast<Stage>(s)));
-      emit_histogram(w, r.metrics.stage[s]);
-    }
+    for (obs::StageId s :
+         {obs::StageId::Parse, obs::StageId::Analyze, obs::StageId::Report})
+      emit_stage(w, r.metrics.telemetry, s);
     w.end_object();
   }
   w.end_object();

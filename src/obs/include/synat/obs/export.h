@@ -28,14 +28,15 @@ std::string to_chrome_trace(
 /// Renders a snapshot in Prometheus text exposition format. Counters gain
 /// a "_total" suffix if missing; nondeterministic counters carry
 /// "(nondeterministic)" in their HELP line so CI comparators can skip them.
-/// Histograms render cumulative `_bucket{le="..."}` series with bounds in
-/// seconds; log2 summaries render as `summary` families with p50/p95/p99
-/// quantiles in seconds.
+/// Histograms render cumulative `_bucket{le="..."}` series at the upper
+/// bounds (in seconds) of their occupied buckets, then `+Inf`, `_sum` and
+/// `_count`.
 std::string to_prometheus(const MetricsSnapshot& snap);
 
-/// Appends `s` as a JSON string literal (quotes included) with the minimal
-/// escaping the exporters share. obs cannot use the driver's JsonWriter
-/// (driver links against obs, not the other way around).
+/// Appends `s` as a JSON string literal (quotes included), escaped per
+/// RFC 8259. The one JSON string escape: the exporters, wide events and
+/// flight recorder here, the driver's report writer and serve's encoder
+/// (obs is the lowest library all of them link).
 void append_json_escaped(std::string& out, std::string_view s);
 
 /// Writes `content` to `path` (binary, truncate). Returns false and fills

@@ -1,7 +1,7 @@
-// Process-wide metrics registry: counters, gauges, and fixed-bound
-// histograms, unifying the driver's formerly scattered stderr counters
-// (cache hits/rejections, journal replay, worker retries, watchdog trips)
-// behind one exportable surface.
+// Process-wide metrics registry: counters, gauges, and duration histograms
+// of one kind (Histogram), behind one exportable surface: one sample type
+// per metric kind, one snapshot/delta/merge path, one telemetry encoding
+// (driver/codec.h) and one Prometheus rendering (export.h).
 //
 // Hot-path cost is one relaxed atomic RMW per event. Metric objects are
 // created once (under the registry mutex) and never move or die, so call
@@ -47,54 +47,14 @@ class Gauge {
   std::atomic<uint64_t> v_{0};
 };
 
-/// Duration histogram with fixed bucket bounds (ns): 1µs, 10µs, 100µs,
-/// 1ms, 10ms, 100ms, 1s, 10s, +Inf. Fixed bounds keep every exporter and
-/// the worker-telemetry merge trivially well defined.
+/// Duration histogram: log2 buckets subdivided 32 ways (values below 32ns
+/// are exact; above, the top 5 bits after the leading one select the
+/// sub-bucket), giving ~3% relative quantile error across the full uint64
+/// nanosecond range in 1920 fixed buckets. Fixed bucket indices keep every
+/// exporter and the worker-telemetry merge trivially well defined, and the
+/// quantiles are the p50/p95/p99 of the serve status RPC. Quantiles of
+/// wall-clock durations are nondeterministic and never enter the report.
 class Histogram {
- public:
-  static constexpr size_t kBuckets = 9;
-  static const uint64_t kBounds[kBuckets - 1];  ///< upper bounds, last is +Inf
-
-  void observe(uint64_t ns) {
-    size_t b = 0;
-    while (b < kBuckets - 1 && ns > kBounds[b]) ++b;
-    buckets_[b].fetch_add(1, std::memory_order_relaxed);
-    sum_ns_.fetch_add(ns, std::memory_order_relaxed);
-  }
-  void add(const uint64_t counts[kBuckets], uint64_t sum_ns) {
-    for (size_t i = 0; i < kBuckets; ++i)
-      buckets_[i].fetch_add(counts[i], std::memory_order_relaxed);
-    sum_ns_.fetch_add(sum_ns, std::memory_order_relaxed);
-  }
-  uint64_t bucket(size_t i) const {
-    return buckets_[i].load(std::memory_order_relaxed);
-  }
-  uint64_t sum_ns() const { return sum_ns_.load(std::memory_order_relaxed); }
-  uint64_t count() const {
-    uint64_t n = 0;
-    for (size_t i = 0; i < kBuckets; ++i) n += bucket(i);
-    return n;
-  }
-  /// In-place zeroing (Registry::reset) — cached references stay valid.
-  void reset() {
-    for (size_t i = 0; i < kBuckets; ++i)
-      buckets_[i].store(0, std::memory_order_relaxed);
-    sum_ns_.store(0, std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<uint64_t> buckets_[kBuckets] = {};
-  std::atomic<uint64_t> sum_ns_{0};
-};
-
-/// High-resolution latency histogram: log2 buckets subdivided 32 ways
-/// (values below 32ns are exact; above, the top 5 bits after the leading
-/// one select the sub-bucket), giving ~3% relative quantile error across
-/// the full uint64 nanosecond range in 1920 fixed buckets. This is the
-/// percentile source for serve/driver latency (p50/p95/p99 in `/metrics`
-/// and the status RPC); quantiles of wall-clock latency are inherently
-/// nondeterministic and never enter the report.
-class Log2Histogram {
  public:
   static constexpr uint32_t kSubBits = 5;
   static constexpr uint32_t kSub = 1u << kSubBits;  // 32 sub-buckets
@@ -139,6 +99,7 @@ class Log2Histogram {
   void add_sum(uint64_t sum_ns) {
     sum_ns_.fetch_add(sum_ns, std::memory_order_relaxed);
   }
+  /// In-place zeroing (Registry::reset) — cached references stay valid.
   void reset() {
     for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
     sum_ns_.store(0, std::memory_order_relaxed);
@@ -161,23 +122,16 @@ struct GaugeSample {
   std::string name;
   uint64_t value = 0;
 };
+/// Sparse sample of a Histogram: only occupied buckets, index-sorted.
 struct HistogramSample {
-  std::string name;
-  uint64_t buckets[Histogram::kBuckets] = {};
-  uint64_t sum_ns = 0;
-  uint64_t count() const {
-    uint64_t n = 0;
-    for (uint64_t b : buckets) n += b;
-    return n;
-  }
-};
-/// Sparse sample of a Log2Histogram: only occupied buckets, index-sorted.
-struct Log2Sample {
   std::string name;
   std::vector<std::pair<uint32_t, uint64_t>> buckets;  ///< (index, count)
   uint64_t sum_ns = 0;
-  uint64_t count = 0;
-  uint64_t quantile_ns(double q) const;
+  uint64_t count() const {
+    uint64_t n = 0;
+    for (const auto& b : buckets) n += b.second;
+    return n;
+  }
 };
 
 /// A full registry snapshot (all vectors sorted by name) or, equally, a
@@ -186,7 +140,6 @@ struct MetricsSnapshot {
   std::vector<CounterSample> counters;
   std::vector<GaugeSample> gauges;
   std::vector<HistogramSample> histograms;
-  std::vector<Log2Sample> summaries;
 
   /// this − base, per metric name (names missing from base count from 0).
   /// Gauges are carried over as-is: a gauge is a level, not an increment.
@@ -202,7 +155,6 @@ class Registry {
   Counter& counter(std::string_view name, bool deterministic = true);
   Gauge& gauge(std::string_view name);
   Histogram& histogram(std::string_view name);
-  Log2Histogram& log2_histogram(std::string_view name);
 
   /// The per-stage duration histogram
   /// ("synat_pipeline_parse_duration_seconds",
@@ -230,11 +182,12 @@ class Registry {
   std::map<std::string, std::unique_ptr<CounterEntry>, std::less<>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
-  std::map<std::string, std::unique_ptr<Log2Histogram>, std::less<>>
-      summaries_;
   Histogram* stage_hist_[kNumStages] = {};
 };
 
 inline Registry& registry() { return Registry::instance(); }
+
+/// Name of stage `s`'s histogram: "synat_<category>_<stage>_duration_seconds".
+std::string stage_histogram_name(StageId s);
 
 }  // namespace synat::obs

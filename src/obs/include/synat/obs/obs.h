@@ -37,7 +37,7 @@ enum class StageId : uint8_t {
   CacheLookup,
   CacheStore,
   Schedule,       ///< batch setup: keys, fingerprints, journal open
-  Dispatch,       ///< supervisor: fork + request write for one worker
+  Dispatch,       ///< supervisor: fork of one worker
   JournalAppend,
   JournalReplay,
   // Serve stages (category "serve"): the `synat serve` daemon.

@@ -47,7 +47,9 @@ class Recorder {
   /// Records a serve-stage span edge as a {"rec":"span",...} frame.
   void note_span(uint32_t stage, uint64_t start_ns, uint64_t dur_ns);
 
-  /// Records a free-form incident marker as {"rec":"note","what":...}.
+  /// Records a free-form incident marker as {"rec":"note","what":...,
+  /// "detail":...}: both strings JSON-escaped, the detail shortened so the
+  /// object fits one frame. Not signal-safe (it allocates).
   void note_event(const char* what, const char* detail);
 
   /// Pre-opens the postmortem sink. The fd stays open for the process

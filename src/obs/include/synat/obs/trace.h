@@ -84,13 +84,15 @@ class Tracer {
 };
 
 /// RAII span covering one pipeline or driver stage. Construction reads the
-/// flag word once; when no flag is set, neither constructor nor destructor
-/// touches a clock or any shared state.
+/// flag word once; when no flag is set and no `add_ns` is given, neither
+/// constructor nor destructor touches a clock or any shared state. A
+/// non-null `add_ns` also receives the span's duration, flags or not: the
+/// driver's per-program stage tallies read the span's own clock.
 class SpanScope {
  public:
-  explicit SpanScope(StageId stage)
-      : stage_(stage), flags_(obs::flags()),
-        start_(flags_ != 0 ? now_ns() : 0) {}
+  explicit SpanScope(StageId stage, uint64_t* add_ns = nullptr)
+      : stage_(stage), flags_(obs::flags()), add_ns_(add_ns),
+        start_(flags_ != 0 || add_ns != nullptr ? now_ns() : 0) {}
   ~SpanScope();
 
   SpanScope(const SpanScope&) = delete;
@@ -99,6 +101,7 @@ class SpanScope {
  private:
   StageId stage_;
   uint32_t flags_;
+  uint64_t* add_ns_;
   uint64_t start_;
 };
 

@@ -13,13 +13,16 @@ void append_json_escaped(std::string& out, std::string_view s) {
     switch (ch) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
+      case '\b': out += "\\b"; break;
+      case '\f': out += "\\f"; break;
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
       default:
         if (static_cast<unsigned char>(ch) < 0x20) {
           char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", ch);
+          std::snprintf(buf, sizeof(buf), "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(ch)));
           out += buf;
         } else {
           out += ch;
@@ -55,12 +58,6 @@ void append_seconds(std::string& out, uint64_t ns) {
                 ns % 1'000'000'000);
   out += buf;
 }
-
-// The fixed Histogram bounds (1µs..10s in ns) as exact decimal seconds.
-const char* const kBoundSeconds[Histogram::kBuckets - 1] = {
-    "0.000001", "0.00001", "0.0001", "0.001",
-    "0.01",     "0.1",     "1",      "10",
-};
 
 }  // namespace
 
@@ -149,41 +146,23 @@ std::string to_prometheus(const MetricsSnapshot& snap) {
     out += "# HELP " + h.name +
            " synat duration histogram (seconds; sums nondeterministic)\n";
     out += "# TYPE " + h.name + " histogram\n";
+    // Cumulative counts at the upper bound of every occupied bucket; the
+    // bounds of empty buckets add no information.
     uint64_t cum = 0;
-    for (size_t i = 0; i < Histogram::kBuckets; ++i) {
-      cum += h.buckets[i];
+    for (const auto& [idx, n] : h.buckets) {
+      cum += n;
       out += h.name + "_bucket{le=\"";
-      if (i < Histogram::kBuckets - 1)
-        out += kBoundSeconds[i];
-      else
-        out += "+Inf";
+      append_seconds(out, Histogram::bucket_bound(idx));
       out += "\"} ";
       append_u64(out, cum);
       out += '\n';
     }
-    out += h.name + "_sum ";
+    out += h.name + "_bucket{le=\"+Inf\"} ";
+    append_u64(out, cum);
+    out += '\n' + h.name + "_sum ";
     append_seconds(out, h.sum_ns);
     out += '\n' + h.name + "_count ";
     append_u64(out, cum);
-    out += '\n';
-  }
-  for (const auto& s : snap.summaries) {
-    // Quantiles of wall-clock latency: by nature schedule-dependent, so
-    // the whole family is flagged for the CI comparator.
-    out += "# HELP " + s.name +
-           " synat latency quantiles (seconds) (nondeterministic)\n";
-    out += "# TYPE " + s.name + " summary\n";
-    for (double q : {0.5, 0.95, 0.99}) {
-      char label[16];
-      std::snprintf(label, sizeof(label), "%g", q);
-      out += s.name + "{quantile=\"" + label + "\"} ";
-      append_seconds(out, s.quantile_ns(q));
-      out += '\n';
-    }
-    out += s.name + "_sum ";
-    append_seconds(out, s.sum_ns);
-    out += '\n' + s.name + "_count ";
-    append_u64(out, s.count);
     out += '\n';
   }
   return out;

@@ -4,17 +4,6 @@
 
 namespace synat::obs {
 
-const uint64_t Histogram::kBounds[Histogram::kBuckets - 1] = {
-    1'000,          // 1µs
-    10'000,         // 10µs
-    100'000,        // 100µs
-    1'000'000,      // 1ms
-    10'000'000,     // 10ms
-    100'000'000,    // 100ms
-    1'000'000'000,  // 1s
-    10'000'000'000, // 10s
-};
-
 Registry& Registry::instance() {
   static Registry* r = new Registry();  // leaked: usable during teardown
   return *r;
@@ -74,22 +63,24 @@ Registry::Registry() {
   for (const auto& c : kCounters) counter(c.name, c.deterministic);
   gauge("synat_jobs");
   gauge("synat_serve_in_flight");
-  for (size_t i = 0; i < kNumStages; ++i) {
-    const auto s = static_cast<StageId>(i);
-    std::string name = "synat_";
-    name += stage_category(s);
-    name += '_';
-    name += stage_name(s);
-    name += "_duration_seconds";
-    stage_hist_[i] = &histogram(name);
-  }
-  // Percentile sources (p50/p95/p99 in /metrics and the status RPC):
-  // per-RPC latency in serve, per-program latency in the batch driver.
-  log2_histogram("synat_serve_rpc_request_latency_seconds");
-  log2_histogram("synat_driver_program_latency_seconds");
+  for (size_t i = 0; i < kNumStages; ++i)
+    stage_hist_[i] = &histogram(stage_histogram_name(static_cast<StageId>(i)));
+  // Latency sources: per-RPC latency in serve (the status RPC's
+  // p50/p95/p99), per-program latency in the batch driver.
+  histogram("synat_serve_rpc_request_latency_seconds");
+  histogram("synat_driver_program_latency_seconds");
 }
 
-uint64_t Log2Histogram::quantile_ns(double q) const {
+std::string stage_histogram_name(StageId s) {
+  std::string name = "synat_";
+  name += stage_category(s);
+  name += '_';
+  name += stage_name(s);
+  name += "_duration_seconds";
+  return name;
+}
+
+uint64_t Histogram::quantile_ns(double q) const {
   uint64_t total = count();
   if (total == 0) return 0;
   if (q < 0.0) q = 0.0;
@@ -102,20 +93,6 @@ uint64_t Log2Histogram::quantile_ns(double q) const {
     if (cum >= target) return bucket_bound(i);
   }
   return bucket_bound(kBuckets - 1);
-}
-
-uint64_t Log2Sample::quantile_ns(double q) const {
-  if (count == 0) return 0;
-  if (q < 0.0) q = 0.0;
-  if (q > 1.0) q = 1.0;
-  uint64_t target = static_cast<uint64_t>(q * static_cast<double>(count));
-  if (target == 0) target = 1;
-  uint64_t cum = 0;
-  for (const auto& [idx, n] : buckets) {
-    cum += n;
-    if (cum >= target) return Log2Histogram::bucket_bound(idx);
-  }
-  return buckets.empty() ? 0 : Log2Histogram::bucket_bound(buckets.back().first);
 }
 
 Counter& Registry::counter(std::string_view name, bool deterministic) {
@@ -146,16 +123,6 @@ Histogram& Registry::histogram(std::string_view name) {
   return *it->second;
 }
 
-Log2Histogram& Registry::log2_histogram(std::string_view name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = summaries_.find(name);
-  if (it == summaries_.end())
-    it = summaries_
-             .emplace(std::string(name), std::make_unique<Log2Histogram>())
-             .first;
-  return *it->second;
-}
-
 MetricsSnapshot Registry::snapshot() const {
   MetricsSnapshot snap;
   std::lock_guard<std::mutex> lock(mu_);
@@ -167,21 +134,14 @@ MetricsSnapshot Registry::snapshot() const {
     snap.gauges.push_back({name, g->value()});
   snap.histograms.reserve(histograms_.size());
   for (const auto& [name, h] : histograms_) {
-    HistogramSample s;
+    HistogramSample& s = snap.histograms.emplace_back();
     s.name = name;
-    for (size_t i = 0; i < Histogram::kBuckets; ++i) s.buckets[i] = h->bucket(i);
     s.sum_ns = h->sum_ns();
-    snap.histograms.push_back(std::move(s));
-  }
-  snap.summaries.reserve(summaries_.size());
-  for (const auto& [name, h] : summaries_) {
-    Log2Sample s;
-    s.name = name;
-    for (uint32_t i = 0; i < Log2Histogram::kBuckets; ++i)
+    // Most histograms are empty in a run without --metrics-out/--trace-out,
+    // and run() snapshots twice per call: skip their 1920 buckets.
+    if (h->count() == 0) continue;
+    for (uint32_t i = 0; i < Histogram::kBuckets; ++i)
       if (uint64_t n = h->bucket(i); n != 0) s.buckets.emplace_back(i, n);
-    s.sum_ns = h->sum_ns();
-    s.count = h->count();
-    snap.summaries.push_back(std::move(s));
   }
   // std::map iteration is already name-sorted; the ordering contract of
   // MetricsSnapshot is kept explicit here for delta_from and exporters.
@@ -191,10 +151,8 @@ MetricsSnapshot Registry::snapshot() const {
 void Registry::merge(const MetricsSnapshot& delta) {
   for (const auto& c : delta.counters)
     if (c.value != 0) counter(c.name, c.deterministic).inc(c.value);
-  for (const auto& h : delta.histograms)
-    histogram(h.name).add(h.buckets, h.sum_ns);
-  for (const auto& s : delta.summaries) {
-    Log2Histogram& h = log2_histogram(s.name);
+  for (const auto& s : delta.histograms) {
+    Histogram& h = histogram(s.name);
     for (const auto& [idx, n] : s.buckets) h.add_bucket(idx, n);
     h.add_sum(s.sum_ns);
   }
@@ -211,10 +169,6 @@ void Registry::reset() {
     g->set(0);
   }
   for (auto& [name, h] : histograms_) {
-    (void)name;
-    h->reset();
-  }
-  for (auto& [name, h] : summaries_) {
     (void)name;
     h->reset();
   }
@@ -235,58 +189,28 @@ MetricsSnapshot MetricsSnapshot::delta_from(const MetricsSnapshot& base) const {
     out.counters.push_back({c.name, c.value >= b ? c.value - b : 0,
                             c.deterministic});
   }
-  auto base_hist = [&](const std::string& name) -> const HistogramSample* {
+  static const HistogramSample kEmpty;
+  auto base_hist = [&](const std::string& name) -> const HistogramSample& {
     auto it = std::lower_bound(base.histograms.begin(), base.histograms.end(),
                                name,
                                [](const HistogramSample& h, const std::string& n) {
                                  return h.name < n;
                                });
-    return (it != base.histograms.end() && it->name == name) ? &*it : nullptr;
+    return (it != base.histograms.end() && it->name == name) ? *it : kEmpty;
   };
   out.histograms.reserve(histograms.size());
   for (const auto& h : histograms) {
-    HistogramSample s;
-    s.name = h.name;
-    const HistogramSample* b = base_hist(h.name);
-    for (size_t i = 0; i < Histogram::kBuckets; ++i) {
-      uint64_t bv = b ? b->buckets[i] : 0;
-      s.buckets[i] = h.buckets[i] >= bv ? h.buckets[i] - bv : 0;
+    HistogramSample& d = out.histograms.emplace_back();
+    d.name = h.name;
+    const HistogramSample& b = base_hist(h.name);
+    auto bi = b.buckets.begin();
+    for (const auto& [idx, n] : h.buckets) {
+      while (bi != b.buckets.end() && bi->first < idx) ++bi;
+      const uint64_t bn =
+          bi != b.buckets.end() && bi->first == idx ? bi->second : 0;
+      if (n > bn) d.buckets.emplace_back(idx, n - bn);
     }
-    uint64_t bs = b ? b->sum_ns : 0;
-    s.sum_ns = h.sum_ns >= bs ? h.sum_ns - bs : 0;
-    out.histograms.push_back(std::move(s));
-  }
-  auto base_summary = [&](const std::string& name) -> const Log2Sample* {
-    auto it = std::lower_bound(base.summaries.begin(), base.summaries.end(),
-                               name,
-                               [](const Log2Sample& s, const std::string& n) {
-                                 return s.name < n;
-                               });
-    return (it != base.summaries.end() && it->name == name) ? &*it : nullptr;
-  };
-  out.summaries.reserve(summaries.size());
-  for (const auto& s : summaries) {
-    Log2Sample d;
-    d.name = s.name;
-    const Log2Sample* b = base_summary(s.name);
-    for (const auto& [idx, n] : s.buckets) {
-      uint64_t bn = 0;
-      if (b != nullptr) {
-        auto it = std::lower_bound(
-            b->buckets.begin(), b->buckets.end(), idx,
-            [](const std::pair<uint32_t, uint64_t>& p, uint32_t i) {
-              return p.first < i;
-            });
-        if (it != b->buckets.end() && it->first == idx) bn = it->second;
-      }
-      if (n > bn) {
-        d.buckets.emplace_back(idx, n - bn);
-        d.count += n - bn;
-      }
-    }
-    uint64_t bs = b ? b->sum_ns : 0;
-    d.sum_ns = s.sum_ns >= bs ? s.sum_ns - bs : 0;
-    out.summaries.push_back(std::move(d));
+    d.sum_ns = h.sum_ns >= b.sum_ns ? h.sum_ns - b.sum_ns : 0;
   }
   return out;
 }

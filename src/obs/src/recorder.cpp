@@ -5,7 +5,9 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <string>
 
+#include "synat/obs/export.h"
 #include "synat/obs/obs.h"
 
 namespace synat::obs {
@@ -98,11 +100,28 @@ void Recorder::note_span(uint32_t stage, uint64_t start_ns, uint64_t dur_ns) {
 }
 
 void Recorder::note_event(const char* what, const char* detail) {
-  char buf[kFrameBytes];
-  int n = std::snprintf(buf, sizeof(buf),
-                        "{\"rec\":\"note\",\"what\":\"%s\",\"detail\":\"%s\"}",
-                        what, detail);
-  if (n > 0) note(std::string_view(buf, static_cast<size_t>(n)));
+  std::string line = "{\"rec\":\"note\",\"what\":";
+  append_json_escaped(line, what);
+  line += ",\"detail\":";
+  // Shorten the raw detail until the closed object fits one frame: cutting
+  // before escaping never splits an escape sequence, and a cut never ends
+  // inside a UTF-8 sequence.
+  std::string_view d(detail);
+  std::string esc;
+  for (;;) {
+    esc.clear();
+    append_json_escaped(esc, d);
+    const size_t len = line.size() + esc.size() + 1;
+    if (len < kFrameBytes) break;
+    d.remove_suffix(std::min(d.size(), len - (kFrameBytes - 1)));
+    while (!d.empty() && (static_cast<unsigned char>(d.back()) & 0xC0) == 0x80)
+      d.remove_suffix(1);
+    if (!d.empty() && static_cast<unsigned char>(d.back()) >= 0xC0)
+      d.remove_suffix(1);
+  }
+  line += esc;
+  line += '}';
+  note(line);
 }
 
 void Recorder::set_postmortem_fd(int fd) {

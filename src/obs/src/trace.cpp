@@ -131,9 +131,11 @@ void Tracer::reset() {
 }
 
 SpanScope::~SpanScope() {
-  if (flags_ == 0) return;
+  if (flags_ == 0 && add_ns_ == nullptr) return;
   const uint64_t end = now_ns();
   const uint64_t dur = end > start_ ? end - start_ : 0;
+  if (add_ns_ != nullptr) *add_ns_ += dur;
+  if (flags_ == 0) return;
   if (flags_ & kMetricsFlag)
     registry().stage_histogram(stage_).observe(dur);
   if (flags_ & kTraceFlag)

@@ -55,7 +55,7 @@ struct ServiceOptions {
   size_t max_request_bytes = 8u << 20;
 
   /// Sandboxed execution (--sandbox): each analyze/explain runs in a forked
-  /// one-shot worker (driver/worker.h run_sandboxed) under the per-request
+  /// one-shot worker (driver/worker.h run_workers) under the per-request
   /// budgets below, so a crash/hang/OOM degrades that request — never the
   /// daemon. The worker inherits the hot cache via fork and ships back what
   /// it computed (CacheDelta), so sandboxing keeps the cache warm.

@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "synat/obs/export.h"
+
 namespace synat::serve {
 
 JsonValue JsonValue::make_bool(bool b) {
@@ -343,35 +345,6 @@ JsonParse parse_json(std::string_view text, const JsonLimits& limits) {
 // ---------------------------------------------------------------------------
 // Encoder
 
-namespace {
-
-void encode_string(std::string_view s, std::string& out) {
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
-}  // namespace
-
 void encode_json(const JsonValue& v, std::string& out) {
   switch (v.kind) {
     case JsonValue::Kind::Null: out += "null"; break;
@@ -385,7 +358,7 @@ void encode_json(const JsonValue& v, std::string& out) {
         out += buf;
       }
       break;
-    case JsonValue::Kind::String: encode_string(v.str, out); break;
+    case JsonValue::Kind::String: obs::append_json_escaped(out, v.str); break;
     case JsonValue::Kind::Array: {
       out += '[';
       bool first = true;
@@ -403,7 +376,7 @@ void encode_json(const JsonValue& v, std::string& out) {
       for (const auto& [key, val] : v.members) {
         if (!first) out += ',';
         first = false;
-        encode_string(key, out);
+        obs::append_json_escaped(out, key);
         out += ':';
         encode_json(val, out);
       }

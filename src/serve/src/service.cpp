@@ -419,6 +419,8 @@ std::string Service::do_analyze_sandboxed(const RpcRequest& req, bool explain,
       obs::registry().counter("synat_serve_worker_retries_total", false);
   static obs::Counter& quarantined =
       obs::registry().counter("synat_serve_quarantined_total", false);
+  static obs::Counter& programs_total =
+      obs::registry().counter("synat_programs_total");
 
   // The quarantine key is the same pair a result depends on: the program
   // text and the analysis options. Two requests for the same source with
@@ -443,21 +445,26 @@ std::string Service::do_analyze_sandboxed(const RpcRequest& req, bool explain,
   }
 
   driver::DriverOptions dopts;
-  dopts.jobs = 1;
-  dopts.use_cache = true;
   dopts.deadline_ms = opts_.sandbox_deadline_ms;
   dopts.max_rss_mb = opts_.sandbox_max_rss_mb;
   dopts.retries = opts_.sandbox_retries;
-  driver::SandboxOutcome out;
+  driver::WorkerOutcome out;
   {
     obs::SpanScope sandbox_span(obs::StageId::RpcSandbox);
-    out = driver::run_sandboxed(input, dopts, &cache_, lane);
+    driver::run_workers({&input}, dopts, 1, &cache_,
+                        [&out](size_t, driver::WorkerOutcome o) {
+                          out = std::move(o);
+                        });
   }
   worker_crashes.inc(out.deaths_crash);
   worker_timeouts.inc(out.deaths_timeout);
   worker_ooms.inc(out.deaths_oom);
   worker_retries.inc(out.retries);
   if (out.ok) {
+    // The program count the in-process path's run() takes; workers leave
+    // it to their caller.
+    programs_total.inc();
+    if (!out.spans.empty()) obs::Tracer::instance().inject(lane, out.spans);
     quarantine_.record_success(fp);
   } else {
     // Incident path: note the death (and a trip, if this one tripped the
@@ -534,8 +541,8 @@ std::string Service::do_status(const RpcRequest& req) {
              JsonValue::make_number(static_cast<uint64_t>(quarantine_.size())));
   // RPC latency percentiles (real wall clock; inherently nondeterministic)
   // and the rolling SLO window — `status` is the operator's one-stop probe.
-  const obs::Log2Histogram& lat =
-      obs::registry().log2_histogram("synat_serve_rpc_request_latency_seconds");
+  const obs::Histogram& lat =
+      obs::registry().histogram("synat_serve_rpc_request_latency_seconds");
   JsonValue latency = JsonValue::make_object();
   latency.add("count", JsonValue::make_number(lat.count()));
   latency.add("p50", JsonValue::make_number(lat.quantile_ns(0.5)));
@@ -587,7 +594,7 @@ std::string Service::do_shutdown(const RpcRequest& req) {
 void Service::finish_obs(RequestObs robs, uint64_t start_real_ns) {
   const uint64_t dur = real_now_ns() - start_real_ns;
   robs.ev.dur_ns = dur;
-  static obs::Log2Histogram& latency = obs::registry().log2_histogram(
+  static obs::Histogram& latency = obs::registry().histogram(
       "synat_serve_rpc_request_latency_seconds");
   latency.observe(dur);
   slo_.record(robs.slo_ok, dur, steady_ms());

@@ -17,8 +17,9 @@
 
 namespace synat::support {
 
+/// Worker → supervisor frame types. A worker is forked with its task bound,
+/// so nothing flows the other way; type 1 (a former task request) is unused.
 enum class FrameType : uint32_t {
-  Request = 1,     ///< supervisor → worker: one analysis task
   Result = 2,      ///< worker → supervisor: one encoded ProgramReport
   Heartbeat = 3,   ///< worker → supervisor: liveness while a task runs
   Telemetry = 4,   ///< worker → supervisor: spans + metric deltas (codec.h)

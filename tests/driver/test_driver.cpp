@@ -313,12 +313,18 @@ TEST(BatchDriver, MetricsCountCorpus) {
   EXPECT_EQ(report.metrics.internal_errors, 0u);
 }
 
+// --timings renders the stage histograms of the run's registry delta,
+// which the metrics flag fills (the CLI sets it for --timings).
 TEST(BatchDriver, TimingsRenderOnlyWhenRequested) {
-  DriverOptions opts;
-  opts.collect_timings = true;
-  BatchDriver drv(opts);
+  obs::set_flags(obs::kMetricsFlag);
+  BatchDriver drv(DriverOptions{});
   BatchReport report = drv.run(corpus_inputs());
-  EXPECT_GT(report.metrics.stage[0].samples, 0u);
+  obs::set_flags(0);
+  uint64_t parses = 0;
+  for (const obs::HistogramSample& h : report.metrics.telemetry.histograms)
+    if (h.name == obs::stage_histogram_name(obs::StageId::Parse))
+      parses = h.count();
+  EXPECT_EQ(parses, corpus::all().size());
   std::string plain = to_json(report);
   EXPECT_EQ(plain.find("\"stages\""), std::string::npos);
   RenderOptions ropts;

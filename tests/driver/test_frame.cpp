@@ -45,14 +45,14 @@ FrameReader::Next read_one(FrameReader& reader, int fd, FrameType& type,
 
 TEST(FrameCodec, RoundTripsOneFrame) {
   Pipe p;
-  ASSERT_TRUE(write_frame(p.wr(), FrameType::Request, "hello worker"));
+  ASSERT_TRUE(write_frame(p.wr(), FrameType::Result, "hello supervisor"));
   FrameReader reader;
   FrameType type{};
   std::string payload;
   ASSERT_EQ(read_one(reader, p.rd(), type, payload),
             FrameReader::Next::Frame);
-  EXPECT_EQ(type, FrameType::Request);
-  EXPECT_EQ(payload, "hello worker");
+  EXPECT_EQ(type, FrameType::Result);
+  EXPECT_EQ(payload, "hello supervisor");
   EXPECT_EQ(reader.buffered(), 0u);
 }
 
@@ -251,7 +251,7 @@ TEST(Subprocess, EchoChildRoundTripsAFrame) {
       },
       ChildLimits{});
   ASSERT_TRUE(c.valid());
-  ASSERT_TRUE(write_frame(c.to_child, FrameType::Request, "ping"));
+  ASSERT_TRUE(write_frame(c.to_child, FrameType::Provenance, "ping"));
   FrameReader reader;
   FrameType type{};
   std::string payload;

@@ -8,6 +8,7 @@
 #include "synat/corpus/corpus.h"
 #include "synat/driver/driver.h"
 #include "synat/driver/worker.h"
+#include "synat/obs/obs.h"
 
 namespace synat::driver {
 namespace {
@@ -56,6 +57,41 @@ TEST(Isolate, ParseAndLoadErrorsMatchInProcessRun) {
   iso.isolate = true;
   iso.jobs = 2;
   EXPECT_EQ(run_json(iso, inputs), in_process);
+}
+
+/// The `samples` of stage `stage` in `r` rendered with --timings.
+uint64_t timings_samples(const BatchReport& r, const std::string& stage) {
+  RenderOptions ropts;
+  ropts.timings = true;
+  const std::string doc = to_json(r, ropts);
+  size_t at = doc.find("\"" + stage + "\": {", doc.find("\"stages\""));
+  at = doc.find("\"samples\": ", at);
+  EXPECT_NE(at, std::string::npos) << doc;
+  return at == std::string::npos ? 0 : std::stoull(doc.substr(at + 11));
+}
+
+// --timings covers the workers' stages: their registry deltas merge into
+// the run's, so the samples match an in-process run's.
+TEST(Isolate, TimingsCountTheWorkersStages) {
+  obs::set_flags(obs::kMetricsFlag);
+  BatchReport in_process = BatchDriver(DriverOptions{}).run(corpus_inputs());
+  DriverOptions iso;
+  iso.isolate = true;
+  iso.jobs = 4;
+  BatchReport isolated = BatchDriver(iso).run(corpus_inputs());
+  obs::set_flags(0);
+  for (const char* stage : {"parse", "analyze", "report"}) {
+    const uint64_t samples = timings_samples(in_process, stage);
+    EXPECT_GT(samples, 0u) << stage;
+    EXPECT_EQ(timings_samples(isolated, stage), samples) << stage;
+  }
+}
+
+TEST(Isolate, RetryBackoffDoublesUpToACap) {
+  EXPECT_EQ(retry_backoff_ms(1), 50u);
+  EXPECT_EQ(retry_backoff_ms(2), 100u);
+  EXPECT_EQ(retry_backoff_ms(7), 1600u);
+  EXPECT_EQ(retry_backoff_ms(101), 1600u);
 }
 
 #if defined(SYNAT_FAULT_INJECTION)

@@ -2,8 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include "synat/obs/export.h"
+
 namespace synat::driver {
 namespace {
+
+/// The escaped body of `s`: the one JSON string escape, quotes stripped.
+std::string json_escape(std::string_view s) {
+  std::string out;
+  obs::append_json_escaped(out, s);
+  return out.substr(1, out.size() - 2);
+}
 
 TEST(JsonEscape, PassesPlainText) {
   EXPECT_EQ(json_escape("hello world"), "hello world");

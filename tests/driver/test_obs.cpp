@@ -23,6 +23,7 @@ namespace {
 
 using obs::MetricsSnapshot;
 using obs::SpanRecord;
+using Buckets = std::vector<std::pair<uint32_t, uint64_t>>;
 
 /// Every obs test leaves the process-global flags, tracer, and registry
 /// the way it found them (off and empty); the registry's *values* are
@@ -149,8 +150,7 @@ TEST_F(ObsTest, MergeAddsCountersAndHistogramsButNotGauges) {
   delta.counters.push_back({"synat_test_merge_total", 7, true});
   obs::HistogramSample h;
   h.name = "synat_test_merge_duration_ns";
-  h.buckets[0] = 2;
-  h.buckets[8] = 1;
+  h.buckets = {{0, 2}, {8, 1}};
   h.sum_ns = 123;
   delta.histograms.push_back(h);
   delta.gauges.push_back({"synat_jobs", 99});
@@ -221,7 +221,7 @@ TEST_F(ObsTest, MergeOfDisjointHistogramSetsCreatesWithoutDisturbing) {
   MetricsSnapshot delta;
   obs::HistogramSample h;
   h.name = "synat_test_disjoint_b_duration_seconds";
-  h.buckets[3] = 4;
+  h.buckets = {{3, 4}};
   h.sum_ns = 999;
   delta.histograms.push_back(h);
   obs::registry().merge(delta);
@@ -319,10 +319,14 @@ TEST_F(ObsTest, PrometheusExposesCountersGaugesHistograms) {
   s.gauges.push_back({"synat_jobs", 4});
   obs::HistogramSample h;
   h.name = "synat_pipeline_parse_duration_seconds";
-  h.buckets[0] = 3;  // <= 1µs
-  h.buckets[8] = 1;  // +Inf
+  // Three 3ns samples (exact below 32ns) and one of 1.5s, whose bucket
+  // bound is 1.509949439s (2^30 + 13 * 2^25 - 1 ns).
+  h.buckets = {{3, 3}, {obs::Histogram::bucket_index(1'500'000'000), 1}};
   h.sum_ns = 42;
   s.histograms.push_back(h);
+  obs::HistogramSample empty;
+  empty.name = "synat_serve_rpc_request_latency_seconds";
+  s.histograms.push_back(empty);
 
   std::string prom = obs::to_prometheus(s);
   EXPECT_NE(prom.find("# TYPE synat_cache_hits_total counter"),
@@ -334,19 +338,30 @@ TEST_F(ObsTest, PrometheusExposesCountersGaugesHistograms) {
   size_t help = prom.find("# HELP synat_watchdog_trips_total");
   ASSERT_NE(help, std::string::npos);
   EXPECT_NE(prom.find("(nondeterministic)", help), std::string::npos);
-  // Cumulative buckets with bounds in seconds: le="0.000001" (the 1µs
-  // bucket) sees 3, +Inf sees all 4; the sum is 42ns as exact seconds.
+  // Every histogram family renders one way: cumulative buckets at the
+  // bounds (in seconds) of the occupied buckets only, then +Inf, the sum
+  // as exact seconds, and the count.
   EXPECT_NE(prom.find("synat_pipeline_parse_duration_seconds_bucket"
-                      "{le=\"0.000001\"} 3"),
-            std::string::npos);
-  EXPECT_NE(prom.find("synat_pipeline_parse_duration_seconds_bucket"
-                      "{le=\"+Inf\"} 4"),
-            std::string::npos);
-  EXPECT_NE(prom.find("synat_pipeline_parse_duration_seconds_sum "
-                      "0.000000042"),
-            std::string::npos);
-  EXPECT_NE(prom.find("synat_pipeline_parse_duration_seconds_count 4"),
-            std::string::npos);
+                      "{le=\"0.000000003\"} 3\n"
+                      "synat_pipeline_parse_duration_seconds_bucket"
+                      "{le=\"1.509949439\"} 4\n"
+                      "synat_pipeline_parse_duration_seconds_bucket"
+                      "{le=\"+Inf\"} 4\n"
+                      "synat_pipeline_parse_duration_seconds_sum "
+                      "0.000000042\n"
+                      "synat_pipeline_parse_duration_seconds_count 4\n"),
+            std::string::npos)
+      << prom;
+  EXPECT_NE(prom.find("# TYPE synat_serve_rpc_request_latency_seconds "
+                      "histogram\n"
+                      "synat_serve_rpc_request_latency_seconds_bucket"
+                      "{le=\"+Inf\"} 0\n"
+                      "synat_serve_rpc_request_latency_seconds_sum "
+                      "0.000000000\n"
+                      "synat_serve_rpc_request_latency_seconds_count 0\n"),
+            std::string::npos)
+      << prom;
+  EXPECT_EQ(prom.find("summary"), std::string::npos) << prom;
 }
 
 // ---------------------------------------------------------------------------
@@ -358,7 +373,7 @@ MetricsSnapshot sample_delta() {
   d.counters.push_back({"synat_worker_heartbeats_total", 2, false});
   obs::HistogramSample h;
   h.name = "synat_pipeline_infer_duration_ns";
-  h.buckets[2] = 5;
+  h.buckets = {{2, 5}};
   h.sum_ns = 777;
   d.histograms.push_back(h);
   return d;
@@ -388,7 +403,7 @@ TEST_F(ObsTest, TelemetryRoundTripsSpansAndMetrics) {
   EXPECT_TRUE(delta2.counters[0].deterministic);
   EXPECT_FALSE(delta2.counters[1].deterministic);
   ASSERT_EQ(delta2.histograms.size(), 1u);
-  EXPECT_EQ(delta2.histograms[0].buckets[2], 5u);
+  EXPECT_EQ(delta2.histograms[0].buckets, (Buckets{{2, 5}}));
   EXPECT_EQ(delta2.histograms[0].sum_ns, 777u);
 }
 
@@ -427,13 +442,20 @@ TEST_F(ObsTest, TelemetryRejectsUnknownStageAndBadBucketCount) {
     MetricsSnapshot delta;
     EXPECT_FALSE(driver::codec::get_telemetry(in, spans, delta));
   }
-  wire.clear();
-  driver::codec::put_u64(wire, 0);  // no spans
-  driver::codec::put_u64(wire, 0);  // no counters
-  driver::codec::put_u64(wire, 1);  // one histogram...
-  driver::codec::put_str(wire, "synat_pipeline_parse_duration_ns");
-  driver::codec::put_u32(wire, obs::Histogram::kBuckets + 1);  // ...bad width
-  {
+  // One histogram whose bucket indices are out of range, or not sorted.
+  for (const Buckets& bad :
+       {Buckets{{obs::Histogram::kBuckets, 1}}, Buckets{{9, 1}, {4, 1}}}) {
+    wire.clear();
+    driver::codec::put_u64(wire, 0);  // no spans
+    driver::codec::put_u64(wire, 0);  // no counters
+    driver::codec::put_u64(wire, 1);  // one histogram
+    driver::codec::put_str(wire, "synat_pipeline_parse_duration_seconds");
+    driver::codec::put_u64(wire, 0);  // sum
+    driver::codec::put_u64(wire, bad.size());
+    for (const auto& [idx, n] : bad) {
+      driver::codec::put_u32(wire, idx);
+      driver::codec::put_u64(wire, n);
+    }
     driver::codec::Reader in(wire);
     std::vector<SpanRecord> spans;
     MetricsSnapshot delta;

@@ -20,6 +20,7 @@
 #include <thread>
 #include <vector>
 
+#include "synat/serve/json.h"
 #include "synat/support/crash.h"
 
 namespace synat {
@@ -110,6 +111,42 @@ TEST_F(RecorderTest, OverlongFramesAreTruncatedNotDropped) {
   std::string text = slurp(path);
   EXPECT_NE(text.find("BEGIN"), std::string::npos);
   EXPECT_LE(text.size(), obs::Recorder::kFrameBytes + 256);
+  close(fd);
+  obs::recorder().set_postmortem_fd(-1);
+  std::remove(path.c_str());
+}
+
+// A note's detail can be client text (serve passes the RPC `name`): it is
+// escaped, and an overlong one is cut before the object closes and never
+// inside a UTF-8 sequence, so every dumped line still parses as one JSON
+// object.
+TEST_F(RecorderTest, HostileNoteDetailsStayOneJsonObject) {
+  std::string path = tmp_path("hostile");
+  int fd = open(path.c_str(), O_CREAT | O_WRONLY | O_CLOEXEC, 0644);
+  ASSERT_GE(fd, 0);
+  obs::recorder().set_postmortem_fd(fd);
+  const std::string head = "client \"name\"\\x\nsecond\x01";
+  std::string text;
+  for (int i = 0; i < 300; ++i) text += "\xc3\xa9";  // 600 bytes of "é"
+  const std::string detail = head + text;
+  obs::recorder().note_event("quarantine_trip", detail.c_str());
+  ASSERT_TRUE(obs::recorder().dump_incident("quarantine_trip"));
+  std::istringstream dump(slurp(path));
+  std::vector<serve::JsonValue> objects;
+  for (std::string line; std::getline(dump, line);) {
+    serve::JsonParse p = serve::parse_json(line);
+    EXPECT_TRUE(p.ok && p.value.is_object()) << line;
+    objects.push_back(std::move(p.value));
+  }
+  ASSERT_EQ(objects.size(), 2u);  // the header and the note
+  const serve::JsonValue* got = objects[1].get("detail");
+  ASSERT_NE(got, nullptr);
+  ASSERT_EQ(got->str.compare(0, head.size(), head), 0) << got->str;
+  const std::string rest = got->str.substr(head.size());
+  EXPECT_GT(rest.size(), 0u);
+  EXPECT_LT(rest.size(), text.size());
+  EXPECT_EQ(rest.size() % 2, 0u) << "cut inside a UTF-8 sequence";
+  EXPECT_EQ(rest, text.substr(0, rest.size()));
   close(fd);
   obs::recorder().set_postmortem_fd(-1);
   std::remove(path.c_str());

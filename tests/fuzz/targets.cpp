@@ -79,10 +79,13 @@ int run_telemetry(const uint8_t* data, size_t size) {
   obs::MetricsSnapshot delta2;
   SYNAT_ASSERT(driver::codec::get_telemetry(in2, spans2, delta2),
                "re-encoded telemetry failed to decode");
-  SYNAT_ASSERT(spans2.size() == spans.size() &&
-                   delta2.counters.size() == delta.counters.size() &&
-                   delta2.histograms.size() == delta.histograms.size(),
-               "telemetry re-encode is not a fixpoint");
+  bool same = spans2.size() == spans.size() &&
+              delta2.counters.size() == delta.counters.size() &&
+              delta2.histograms.size() == delta.histograms.size();
+  for (size_t i = 0; same && i < delta.histograms.size(); ++i)
+    same = delta2.histograms[i].buckets == delta.histograms[i].buckets &&
+           delta2.histograms[i].sum_ns == delta.histograms[i].sum_ns;
+  SYNAT_ASSERT(same, "telemetry re-encode is not a fixpoint");
   return 0;
 }
 

@@ -12,6 +12,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <future>
+#include <ostream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -187,19 +188,40 @@ TEST(ServeSandboxFault, CrashDegradesTheRequestNotTheDaemon) {
 }
 
 // The degraded document itself is the batch schema: byte-identical to what
-// `synat batch --isolate --format json` renders for the same death.
-TEST(ServeSandboxFault, DegradedReportMatchesBatchIsolate) {
-  FaultEnv fault("crash:victim");
+// `synat batch --isolate --format json` renders for the same death, for
+// every kind of death, under the same deadline, rss cap and no retries.
+struct Victim {
+  const char* kind;
+  const char* fault;
+  uint64_t deadline_ms;
+  size_t max_rss_mb;
+};
+
+/// Names the parameter in test names by its kind, not by a byte dump that
+/// would carry string addresses.
+void PrintTo(const Victim& v, std::ostream* os) { *os << v.kind; }
+
+class ServeSandboxFaultVictim : public ::testing::TestWithParam<Victim> {};
+
+TEST_P(ServeSandboxFaultVictim, DegradedReportMatchesBatchIsolate) {
+  const Victim& v = GetParam();
+  FaultEnv fault(v.fault);
   driver::DriverOptions iso;
   iso.isolate = true;
   iso.retries = 0;
+  iso.deadline_ms = v.deadline_ms;
+  iso.max_rss_mb = static_cast<unsigned>(v.max_rss_mb);
   driver::ProgramInput input;
   input.name = "victim";
   input.source = kVictimSource;
   driver::BatchDriver direct(iso);
   std::string expected = driver::to_json(direct.run({input}));
+  EXPECT_NE(expected.find("\"kind\": \"crash\""), std::string::npos);
 
-  Service service(sandbox_options());
+  ServiceOptions sopts = sandbox_options();
+  sopts.sandbox_deadline_ms = v.deadline_ms;
+  sopts.sandbox_max_rss_mb = v.max_rss_mb;
+  Service service(sopts);
   JsonValue r =
       result_of(call(service, analyze_request(kVictimSource, "victim")));
   EXPECT_EQ(r.get("report")->str, expected);
@@ -257,6 +279,20 @@ TEST(ServeSandboxFault, OomKilledWorkerIsCountedAsOom) {
   EXPECT_EQ(counter_value("synat_serve_worker_oom_kills_total") - ooms, 1u);
 }
 #endif
+
+INSTANTIATE_TEST_SUITE_P(
+    Victims, ServeSandboxFaultVictim,
+    ::testing::Values(Victim{"crash", "crash:victim", 0, 0},
+                      Victim{"hang", "hang:victim", 200, 0}
+#if !defined(SYNAT_TEST_ASAN_SANDBOX)
+                      // RLIMIT_AS is incompatible with ASan shadow memory.
+                      ,
+                      Victim{"oom", "oom:victim", 0, 256}
+#endif
+                      ),
+    [](const ::testing::TestParamInfo<Victim>& info) {
+      return std::string(info.param.kind);
+    });
 
 // The full circuit-breaker loop against real worker deaths: K consecutive
 // failed executions trip -32004 without forking; the TTL grants a fresh

@@ -385,7 +385,7 @@ def check_http(args, sock):
     if "synat_serve_worker_crashes_total" not in resp:
         raise Failure("GET /metrics missing sandbox counters")
     if "synat_serve_rpc_request_latency_seconds" not in resp:
-        raise Failure("GET /metrics missing RPC latency quantiles")
+        raise Failure("GET /metrics missing the RPC latency histogram")
     resp = http_get(sock, "GET /buildz HTTP/1.1\r\nHost: x\r\n\r\n")
     if not resp.startswith("HTTP/1.1 200"):
         raise Failure(f"GET /buildz: unexpected response {resp[:80]!r}")

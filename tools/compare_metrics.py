@@ -14,6 +14,10 @@ What is deliberately skipped, mirroring tests/driver/test_obs.cpp:
     synat_pipeline_*_duration_seconds_count totals are mode-invariant
     (driver stages like Schedule run once per isolated sub-driver too).
 
+A comparison that covers no synat_pipeline_*_duration_seconds_count series
+fails: an exposition change that hid the stage counts would otherwise pass
+vacuously.
+
 Usage: compare_metrics.py A.prom B.prom
 """
 
@@ -74,6 +78,12 @@ def main():
         va, vb = a_values.get(k), b_values.get(k)
         if va != vb:
             failures.append(f"{k}: {va} != {vb}")
+    stage_counts = [k for k in keys_a | keys_b
+                    if k.startswith("synat_pipeline_")
+                    and k.endswith("_duration_seconds_count")]
+    if not stage_counts:
+        failures.append("no synat_pipeline_*_duration_seconds_count series "
+                        "compared")
     if failures:
         for f in failures:
             print(f"compare_metrics: {f}", file=sys.stderr)
@@ -81,7 +91,7 @@ def main():
               file=sys.stderr)
         return 1
     print(f"compare_metrics: OK ({len(keys_a | keys_b)} deterministic "
-          f"series identical)")
+          f"series identical, {len(stage_counts)} pipeline stage counts)")
     return 0
 
 

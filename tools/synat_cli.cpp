@@ -18,7 +18,9 @@
 // analyze options: --no-variants --no-windows --no-conds --counted <k>
 // batch options: --all (whole corpus) --jobs N (0 = one per hardware
 //                thread) --cache --cache-file FILE --format json|sarif|text
-//                --timings -o FILE --deadline-ms N (per program)
+//                --timings (parse/analyze/report stage histograms in the
+//                JSON metrics block; workers' stages too under --isolate)
+//                -o FILE --deadline-ms N (per program)
 //                --max-variants N --strict
 //                --isolate (run each program in a sandboxed worker process;
 //                a worker crash degrades that one program, exit 1)
@@ -295,7 +297,6 @@ int cmd_batch(int argc, char** argv) {
         return kExitUsage;
       }
     } else if (a == "--timings") {
-      dopts.collect_timings = true;
       ropts.timings = true;
     } else if (a == "--trace-out" && i + 1 < argc) {
       trace_out = argv[++i];
@@ -383,7 +384,9 @@ int cmd_batch(int argc, char** argv) {
   // of the address space) is inherited at fork time.
   uint32_t obs_flags = 0;
   if (!trace_out.empty()) obs_flags |= obs::kTraceFlag;
-  if (!metrics_out.empty()) obs_flags |= obs::kMetricsFlag;
+  // --timings renders the run's stage histograms, which the metrics flag
+  // records.
+  if (!metrics_out.empty() || ropts.timings) obs_flags |= obs::kMetricsFlag;
   obs::set_flags(obs_flags);
   if (!trace_out.empty())
     obs::Tracer::instance().set_lane_name(0,
