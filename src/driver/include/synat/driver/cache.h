@@ -36,7 +36,7 @@
 namespace synat::driver {
 
 /// Version of the cache snapshot format (magic "SYNATCC<v>"); a snapshot
-/// with any other version rejects whole. Surfaced by `serve`'s /buildz.
+/// with any other version rejects whole.
 inline constexpr uint64_t kCacheSchemaVersion = 5;
 
 class ResultCache {
@@ -63,7 +63,7 @@ class ResultCache {
   std::vector<std::pair<uint64_t, std::shared_ptr<const ProcReport>>>
   take_capture();
 
-  /// Persistence for warm starts across processes (`synat batch
+  /// Persistence for warm starts across processes (`synat serve
   /// --cache-file`). The format is a versioned binary snapshot with a
   /// CRC32 checksum per entry. Corruption is never an error — the cache is
   /// an accelerator, not a source of truth:

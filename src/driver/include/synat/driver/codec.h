@@ -1,8 +1,8 @@
-// Binary encoding of report structures, shared by the cache snapshot, the
-// write-ahead journal, and the supervisor/worker result frames. One codec
-// means one definition of "what a report is on the wire": every consumer
-// frames the payload itself (length prefix + CRC32) and treats a decode
-// failure as corruption of that one payload, never of the whole stream.
+// Binary encoding of report structures, shared by the cache snapshot and
+// the supervisor/worker result frames. One codec means one definition of
+// "what a report is on the wire": every consumer frames the payload itself
+// (length prefix + CRC32) and treats a decode failure as corruption of that
+// one payload, never of the whole stream.
 //
 // All integers are little-endian; strings are u64-length-prefixed.
 // Collection counts are sanity-capped so a corrupt length cannot drive a
@@ -47,12 +47,12 @@ class Reader {
 };
 
 /// ProcReport payload (cache entry unit). Includes the degradation fields:
-/// the cache never stores degraded reports, but the worker and journal
-/// encodings must carry them losslessly.
+/// the cache never stores degraded reports, but the worker encoding must
+/// carry them losslessly.
 void put_proc_report(std::string& out, const ProcReport& r);
 bool get_proc_report(Reader& in, ProcReport& r);
 
-/// Whole-program payload (journal record / worker Result frame unit).
+/// Whole-program payload (worker Result frame unit).
 void put_program_report(std::string& out, const ProgramReport& r);
 bool get_program_report(Reader& in, ProgramReport& r);
 
@@ -74,7 +74,7 @@ bool get_telemetry(Reader& in, std::vector<obs::SpanRecord>& spans,
 /// Provenance section: derivation records for an already-encoded report,
 /// keyed by procedure and variant index. Kept out of put_proc_report /
 /// put_program_report so the v3 shapes stay byte-stable; consumers that
-/// carry provenance (journal v2, cache v4, the worker Provenance frame)
+/// carry provenance (cache v4, the worker Provenance frame)
 /// append this section after the report payload and re-attach on decode.
 /// Counts are sanity-capped (kMaxProvRecords per vector).
 inline constexpr uint64_t kMaxProvRecords = uint64_t{1} << 20;

@@ -82,13 +82,6 @@ struct DriverOptions {
   /// Re-dispatches of a program whose worker died before retrying turns
   /// into a Degraded verdict (backoff doubling from 50 ms, capped at 1.6 s).
   unsigned retries = 1;
-  /// Write-ahead journal file for crash-resumable batches; empty disables
-  /// journaling. Works with and without `isolate`.
-  std::string journal_path;
-  /// Replay finished programs from `journal_path` before analyzing. A
-  /// journal from a different input/option set is rejected whole (counted
-  /// in Metrics::journal_rejected); the run proceeds cold.
-  bool resume = false;
   /// Wide-event sink (DESIGN.md §3i): when set, run() appends one event
   /// per program, in input order, after the report is assembled. Not owned.
   /// Enabling events also enables per-program stage wall times. (Stage

@@ -11,7 +11,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -119,11 +118,6 @@ struct Metrics {
   size_t cache_hits = 0;      ///< this run's own cache lookups that hit
   size_t cache_misses = 0;    ///< ... and missed (procedures re-analyzed)
   size_t cache_rejected = 0;  ///< corrupt/stale snapshot entries skipped
-  /// Journal counters are surfaced here (and on the CLI's stderr) but
-  /// deliberately kept out of every rendered document: a `--resume` run
-  /// must be byte-identical to the uninterrupted run it completes.
-  size_t journal_replayed = 0;  ///< programs served from the journal
-  size_t journal_rejected = 0;  ///< journals/records rejected as corrupt/stale
   size_t jobs = 0;
   /// Registry delta for this run (obs counters/gauges/histograms), filled
   /// by BatchDriver::run. The deterministic counters feed the report's
@@ -158,9 +152,6 @@ struct RenderOptions {
   /// byte-deterministic across runs.
   bool timings = false;
   /// Include the deterministic obs counters (schema v4 "counters" section).
-  /// Off by default for the same reason --timings is: a --resume run must
-  /// stay byte-identical to the uninterrupted run, and journal counters
-  /// necessarily differ between the two.
   bool counters = false;
   /// Include the "provenance" section (schema v5): structured derivation
   /// records per procedure and variant. Requires the run to have collected
@@ -192,21 +183,14 @@ class ReportSink {
  public:
   explicit ReportSink(size_t num_programs);
 
-  /// Called once, under the sink lock, when program `i` is published or
-  /// fails. The journal hooks in here; set_program never notifies.
-  using CompletionFn = std::function<void(size_t, const ProgramReport&)>;
-  void set_on_complete(CompletionFn fn);
-
-  /// Publishes program `i` once its analysis task is done: every procedure
-  /// filled in, or a status saying why not (an escalated budget trip).
+  /// Publishes program `i` once its analysis is done, in process or as a
+  /// decoded worker result: every procedure filled in, or a status saying
+  /// why not (an escalated budget trip).
   void publish_program(size_t i, ProgramReport report);
   /// Publishes a failed program (parse, load, internal error, or a crashed
   /// isolated worker — ProgramStatus::Degraded).
   void fail_program(size_t i, std::string name, ProgramStatus status,
                     std::vector<DiagReport> diags);
-  /// Publishes a program that was already journaled: a journal replay or a
-  /// decoded worker result. Does not fire the completion callback.
-  void set_program(size_t i, ProgramReport report);
   /// Accumulates `ns` against program `i`'s own tally of stage `s` (the
   /// wide event's parse/analyze/report fields): wall time on the
   /// program's thread, not a histogram sample.
@@ -219,14 +203,10 @@ class ReportSink {
   BatchReport finish(const Metrics& counters, size_t jobs);
 
  private:
-  void mark_complete_locked(size_t i);
-
   mutable std::mutex mu_;
   std::vector<ProgramReport> programs_;
-  std::vector<bool> completed_;        ///< completion callback already fired
   std::vector<std::array<uint64_t, obs::kNumStages>>
       stage_ns_;                       ///< per-program stage tallies
-  CompletionFn on_complete_;
   Metrics metrics_;
 };
 

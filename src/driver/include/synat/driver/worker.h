@@ -2,8 +2,8 @@
 // sandboxed, one-shot worker processes, at most N at a time, from one poll
 // loop on the calling thread. `batch --isolate` hands it every pending
 // input; `serve --sandbox` hands it one input from a pool thread. What an
-// outcome means — report slots, journal records, counters, quarantine —
-// stays with the caller.
+// outcome means — report slots, counters, quarantine — stays with the
+// caller.
 //
 // A worker is forked with its input and attempt already bound, and talks
 // back over one pipe (frames per support/frame.h):
@@ -50,8 +50,8 @@ struct WorkerOutcome {
 /// Runs every input in forked one-shot workers, at most `jobs` at a time,
 /// under opts.deadline_ms / opts.max_rss_mb / opts.retries, and calls
 /// `done(k, outcome)` on this thread as input k finishes. Each worker
-/// analyzes its input with an in-process sub-driver (jobs 1, no journal, no
-/// isolation), so a report is byte-identical to the in-process path's.
+/// analyzes its input with an in-process sub-driver (jobs 1, no isolation),
+/// so a report is byte-identical to the in-process path's.
 ///
 /// When `cache` is non-null the worker analyzes against its copy-on-write
 /// image of it and ships back the entries it added (CacheDelta), which are

@@ -18,10 +18,10 @@ namespace {
 // Snapshot format v4: magic, format version, entry count, then per entry
 // [key][payload length][payload bytes][CRC32 of payload], where the payload
 // is one codec-encoded ProcReport plus its provenance section (shared with
-// the journal and the worker result frames — see codec.h). The explicit
-// framing plus per-entry checksum
-// lets load() skip a corrupted entry (bit flips) and salvage the intact
-// prefix of a truncated file, instead of dropping the whole snapshot.
+// the worker result frames — see codec.h). The explicit framing plus
+// per-entry checksum lets load() skip a corrupted entry (bit flips) and
+// salvage the intact prefix of a truncated file, instead of dropping the
+// whole snapshot.
 // Entries are written in key order so snapshots of equal caches are
 // byte-identical. v4 bumped v3 because every entry payload now appends the
 // provenance section (codec.h) after the ProcReport. v5 bumps v4 because
@@ -144,27 +144,24 @@ bool ResultCache::save(const std::string& path) const {
   // timer, so a crash mid-write must leave the previous snapshot intact
   // (crash-only design — the snapshot on disk is always a complete one).
   const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return false;
-    out.write(kMagic, sizeof kMagic);
-    put_u64(out, kFormatVersion);
-    put_u64(out, sorted.size());
-    for (const auto& [key, report] : sorted) {
-      std::string bytes;
-      codec::put_proc_report(bytes, *report);
-      codec::put_proc_provenance(bytes, *report);
-      put_u64(out, key);
-      put_u64(out, bytes.size());
-      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-      put_u32(out, crc32(bytes));
-    }
-    if (!out) {
-      std::remove(tmp.c_str());
-      return false;
-    }
+  std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+  if (!out) return false;
+  out.write(kMagic, sizeof kMagic);
+  put_u64(out, kFormatVersion);
+  put_u64(out, sorted.size());
+  for (const auto& [key, report] : sorted) {
+    std::string bytes;
+    codec::put_proc_report(bytes, *report);
+    codec::put_proc_provenance(bytes, *report);
+    put_u64(out, key);
+    put_u64(out, bytes.size());
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    put_u32(out, crc32(bytes));
   }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+  // close() writes the last buffered bytes; a write that fails there must
+  // not rename a short file over the previous snapshot.
+  out.close();
+  if (!out || std::rename(tmp.c_str(), path.c_str()) != 0) {
     std::remove(tmp.c_str());
     return false;
   }

@@ -6,7 +6,6 @@
 
 #include "synat/atomicity/blocks.h"
 #include "synat/atomicity/infer.h"
-#include "synat/driver/journal.h"
 #include "synat/driver/worker.h"
 #include "synat/obs/events.h"
 #include "synat/obs/metrics.h"
@@ -155,8 +154,8 @@ uint64_t options_fingerprint(const atomicity::InferOptions& opts) {
   h.mix(static_cast<uint64_t>(opts.variant_opts.max_variants));
   h.mix(static_cast<uint64_t>(opts.use_window_rule));
   h.mix(static_cast<uint64_t>(opts.use_local_conditions));
-  // Provenance changes what a cached/journaled report carries (derivation
-  // records), so runs with and without it must not share entries.
+  // Provenance changes what a cached report carries (derivation records),
+  // so runs with and without it must not share entries.
   h.mix(static_cast<uint64_t>(opts.provenance));
   std::vector<std::string> counted = opts.counted_cas;
   std::sort(counted.begin(), counted.end());
@@ -367,74 +366,17 @@ BatchReport BatchDriver::run(const std::vector<ProgramInput>& inputs) {
       obs::registry().counter("synat_programs_total");
   programs_total.inc(inputs.size());
 
-  // Per-program journal keys and the whole-batch fingerprint. The key is
-  // content-addressed (name, source, options), so a journal can only ever
-  // replay a verdict for the exact program text it was computed from.
-  std::vector<uint64_t> keys(inputs.size());
-  JournalWriter journal;
-  std::vector<bool> done(inputs.size(), false);
-  {
-    obs::SpanScope schedule_span(obs::StageId::Schedule);
-    Hasher batch_hash;
-    batch_hash.mix(static_cast<uint64_t>(inputs.size()));
-    for (size_t i = 0; i < inputs.size(); ++i) {
-      keys[i] = Hasher()
-                    .mix(inputs[i].name)
-                    .mix(inputs[i].source)
-                    .mix(options_fingerprint(inputs[i].opts))
-                    .value();
-      batch_hash.mix(keys[i]);
-    }
-    uint64_t batch_fp = batch_hash.value();
-
-    // Journal replay and (re)open. The writer outlives the pool/supervisor
-    // below: completion callbacks append to it from worker threads.
-    if (!opts_.journal_path.empty()) {
-      static obs::Counter& journal_replayed =
-          obs::registry().counter("synat_journal_replayed_total");
-      static obs::Counter& journal_rejected =
-          obs::registry().counter("synat_journal_rejected_total");
-      std::vector<JournalRecord> keep;
-      if (opts_.resume) {
-        JournalReplay replay = read_journal(opts_.journal_path, batch_fp);
-        if (replay.rejected_whole) ++counters.journal_rejected;
-        counters.journal_rejected += replay.rejected_records;
-        for (JournalRecord& rec : replay.records) {
-          size_t target = inputs.size();
-          for (size_t i = 0; i < inputs.size(); ++i) {
-            if (keys[i] == rec.key && !done[i]) {
-              target = i;
-              break;
-            }
-          }
-          if (target == inputs.size() || !journal_worthy(rec.report)) {
-            ++counters.journal_rejected;  // stale or unworthy record
-            continue;
-          }
-          sink.set_program(target, rec.report);
-          done[target] = true;
-          ++counters.journal_replayed;
-          keep.push_back(std::move(rec));
-        }
-      }
-      journal_replayed.inc(counters.journal_replayed);
-      journal_rejected.inc(counters.journal_rejected);
-      journal.open(opts_.journal_path, batch_fp, keep);
-    }
-
-    for (size_t i = 0; i < inputs.size(); ++i) {
-      if (done[i] || inputs[i].load_error.empty()) continue;
-      sink.fail_program(i, inputs[i].name, ProgramStatus::LoadError,
-                        {{"error", 0, 0, inputs[i].load_error}});
-      done[i] = true;
-    }
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    if (inputs[i].load_error.empty()) continue;
+    sink.fail_program(i, inputs[i].name, ProgramStatus::LoadError,
+                      {{"error", 0, 0, inputs[i].load_error}});
   }
 
   CacheTally tally;
   if (opts_.isolate) {
     // Sandboxed one-shot workers (DESIGN.md §3d), forked before any thread
     // of this run exists: no Watchdog/ThreadPool here (workers build their
-    // own). Each outcome lands in the sink and the journal as it arrives.
+    // own). Each outcome lands in the sink as it arrives.
     static obs::Counter& dispatches =
         obs::registry().counter("synat_worker_dispatches_total");
     static obs::Counter& results =
@@ -446,7 +388,7 @@ BatchReport BatchDriver::run(const std::vector<ProgramInput>& inputs) {
     std::vector<const ProgramInput*> pending;
     std::vector<size_t> index_of;
     for (size_t i = 0; i < inputs.size(); ++i) {
-      if (done[i]) continue;
+      if (!inputs[i].load_error.empty()) continue;
       pending.push_back(&inputs[i]);
       index_of.push_back(i);
     }
@@ -468,23 +410,15 @@ BatchReport BatchDriver::run(const std::vector<ProgramInput>& inputs) {
         obs::Tracer::instance().inject(lane, out.spans);
         obs::Tracer::instance().set_lane_name(lane, "worker " + inputs[i].name);
       }
-      if (journal.active() && journal_worthy(out.report))
-        journal.append(keys[i], out.report);
-      sink.set_program(i, std::move(out.report));
+      sink.publish_program(i, std::move(out.report));
     };
     run_workers(pending, opts_, jobs, nullptr, deliver);
   } else {
     if (opts_.deadline_ms > 0 && watchdog_ == nullptr)
       watchdog_ = std::make_unique<Watchdog>();
-    if (journal.active()) {
-      sink.set_on_complete([&journal, &keys](size_t i,
-                                             const ProgramReport& report) {
-        if (journal_worthy(report)) journal.append(keys[i], report);
-      });
-    }
     ThreadPool pool(jobs <= 1 ? 0 : jobs);
     for (size_t i = 0; i < inputs.size(); ++i) {
-      if (done[i]) continue;
+      if (!inputs[i].load_error.empty()) continue;
       pool.submit([this, &inputs, i, &sink, &tally, &pool] {
         try {
           run_program_task(inputs[i], i, sink, tally, pool);
@@ -496,7 +430,6 @@ BatchReport BatchDriver::run(const std::vector<ProgramInput>& inputs) {
     }
     pool.wait_idle();
   }
-  journal.close();
   counters.cache_hits = tally.hits;
   counters.cache_misses = tally.misses;
   // rejected() is a lifetime counter and load() runs before run(), so the

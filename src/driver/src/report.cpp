@@ -90,25 +90,12 @@ obs::Event program_event(const ProgramReport& pr) {
 
 ReportSink::ReportSink(size_t num_programs) {
   programs_.resize(num_programs);
-  completed_.resize(num_programs, false);
   stage_ns_.resize(num_programs);
-}
-
-void ReportSink::set_on_complete(CompletionFn fn) {
-  std::lock_guard<std::mutex> lock(mu_);
-  on_complete_ = std::move(fn);
-}
-
-void ReportSink::mark_complete_locked(size_t i) {
-  if (completed_.at(i)) return;
-  completed_[i] = true;
-  if (on_complete_) on_complete_(i, programs_[i]);
 }
 
 void ReportSink::publish_program(size_t i, ProgramReport report) {
   std::lock_guard<std::mutex> lock(mu_);
   programs_.at(i) = std::move(report);
-  mark_complete_locked(i);
 }
 
 void ReportSink::fail_program(size_t i, std::string name, ProgramStatus status,
@@ -121,15 +108,6 @@ void ReportSink::fail_program(size_t i, std::string name, ProgramStatus status,
   if (static_cast<uint8_t>(status) > static_cast<uint8_t>(pr.status))
     pr.status = status;
   for (DiagReport& d : diags) pr.diagnostics.push_back(std::move(d));
-  mark_complete_locked(i);
-}
-
-void ReportSink::set_program(size_t i, ProgramReport report) {
-  std::lock_guard<std::mutex> lock(mu_);
-  programs_.at(i) = std::move(report);
-  // Replayed and worker-delivered programs were journaled at their original
-  // completion; firing the callback again would duplicate the record.
-  completed_.at(i) = true;
 }
 
 void ReportSink::add_program_time(size_t i, obs::StageId s, uint64_t ns) {
@@ -150,8 +128,6 @@ BatchReport ReportSink::finish(const Metrics& counters, size_t jobs) {
   metrics_.cache_hits = counters.cache_hits;
   metrics_.cache_misses = counters.cache_misses;
   metrics_.cache_rejected = counters.cache_rejected;
-  metrics_.journal_replayed = counters.journal_replayed;
-  metrics_.journal_rejected = counters.journal_rejected;
   metrics_.jobs = jobs;
   metrics_.telemetry = counters.telemetry;
   for (ProgramReport& pr : programs_) {
@@ -179,7 +155,6 @@ BatchReport ReportSink::finish(const Metrics& counters, size_t jobs) {
   out.programs = std::move(programs_);
   out.metrics = metrics_;
   programs_.clear();
-  completed_.clear();
   return out;
 }
 
@@ -234,8 +209,6 @@ void emit_metrics(JsonWriter& w, const BatchReport& r,
   w.key("cache_rejected").value(r.metrics.cache_rejected);
   if (opts.counters) {
     // Schema v4: the run's deterministic registry counters, name-sorted.
-    // Gated because journal counters legitimately differ between a
-    // --resume run and the uninterrupted run it must otherwise match.
     w.key("counters").begin_object();
     for (const obs::CounterSample& c : r.metrics.telemetry.counters)
       if (c.deterministic) w.key(c.name).value(c.value);

@@ -95,15 +95,13 @@ int worker_body(int out_fd, const ProgramInput& input, unsigned attempt,
   });
 
   // The sub-driver mirrors the non-isolated per-program execution exactly:
-  // report content never depends on jobs/cache/journal, so one inline run
+  // report content never depends on jobs or the cache, so one inline run
   // with everything else off is byte-identical to the in-process path. The
   // caller writes the wide events from the outcome.
   DriverOptions sub = opts;
   sub.jobs = 1;
   sub.isolate = false;
   sub.use_cache = cache != nullptr;
-  sub.journal_path.clear();
-  sub.resume = false;
   sub.events = nullptr;
   if (cache != nullptr) cache->start_capture();
   int rc = 0;

@@ -65,8 +65,6 @@ struct EventLogOptions {
   /// renamed to `path + ".1"` (replacing any previous rotation) and a
   /// fresh file is started. 0 disables rotation.
   uint64_t max_bytes = 64ull << 20;
-  /// Mirror every rendered line into the flight recorder ring.
-  bool mirror_recorder = true;
 };
 
 /// Append-only wide-event sink. Thread-safe; one instance per batch run or

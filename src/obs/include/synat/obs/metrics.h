@@ -8,7 +8,7 @@
 // sites cache a reference in a function-local static. Every metric is
 // tagged deterministic or not: deterministic values are pure functions of
 // the inputs and options for a given execution mode (procedure counts,
-// cache hits, journal replays), nondeterministic ones depend on wall-clock
+// cache hits, worker dispatches), nondeterministic ones depend on wall-clock
 // scheduling (heartbeats, watchdog trips, ring-buffer drops). Only the
 // deterministic set is rendered into the JSON report, which keeps the
 // byte-determinism contract of `synat batch --jobs N` intact.

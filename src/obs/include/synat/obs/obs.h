@@ -36,10 +36,7 @@ enum class StageId : uint8_t {
   Report,         ///< report assembly from analysis results
   CacheLookup,
   CacheStore,
-  Schedule,       ///< batch setup: keys, fingerprints, journal open
   Dispatch,       ///< supervisor: fork of one worker
-  JournalAppend,
-  JournalReplay,
   // Serve stages (category "serve"): the `synat serve` daemon.
   RpcDecode,      ///< request line parse + JSON-RPC validation
   RpcExecute,     ///< method execution (analysis runs inside)

@@ -132,10 +132,8 @@ void EventLog::append(Event e) {
     }
     ++lines_;
   }
-  if (opts_.mirror_recorder) {
-    // Mirror without the newline; the ring stores one frame per line.
-    recorder().note(std::string_view(line.data(), line.size() - 1));
-  }
+  // Mirror without the newline; the ring stores one frame per line.
+  recorder().note(std::string_view(line.data(), line.size() - 1));
 }
 
 uint64_t EventLog::lines() const {

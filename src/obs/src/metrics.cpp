@@ -32,9 +32,6 @@ Registry::Registry() {
       {"synat_cache_misses_total", true},
       {"synat_cache_rejected_total", true},
       {"synat_cache_inserts_total", true},
-      {"synat_journal_appended_total", true},
-      {"synat_journal_replayed_total", true},
-      {"synat_journal_rejected_total", true},
       {"synat_worker_dispatches_total", true},
       {"synat_worker_results_total", true},
       {"synat_worker_retries_total", true},

@@ -32,10 +32,7 @@ std::string_view stage_name(StageId s) {
     case StageId::Report: return "report";
     case StageId::CacheLookup: return "cache_lookup";
     case StageId::CacheStore: return "cache_store";
-    case StageId::Schedule: return "schedule";
     case StageId::Dispatch: return "dispatch";
-    case StageId::JournalAppend: return "journal_append";
-    case StageId::JournalReplay: return "journal_replay";
     case StageId::RpcDecode: return "rpc_decode";
     case StageId::RpcExecute: return "rpc_execute";
     case StageId::RpcRequest: return "rpc_request";

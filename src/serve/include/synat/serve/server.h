@@ -1,9 +1,7 @@
 // The `synat serve` transport: a long-lived daemon accepting many
 // concurrent clients over a unix-domain socket or TCP, speaking
 // newline-delimited JSON-RPC 2.0 (rpc.h) and dispatching to a shared
-// Service (service.h). Connections whose first line is an HTTP GET/HEAD
-// are answered by the HTTP shim (http.h: /metrics, /slo, /buildz,
-// /healthz, /readyz) and closed.
+// Service (service.h).
 //
 // Lifecycle: serve() binds, accepts, and blocks until a shutdown RPC or
 // SIGTERM/SIGINT, then drains gracefully — stop accepting, let in-flight

@@ -13,7 +13,7 @@
 //   explain    analyze params + {proc?} → {explanation, exit_code}
 //   status     {} → {version, schema_version, uptime_ms, cache_entries,
 //                    options_fingerprint, in_flight, jobs, sandbox,
-//                    quarantine_entries, latency_ns{p50,p95,p99}, slo{...}}
+//                    quarantine_entries, latency_ns{count,p50,p95,p99}}
 //   metrics    {} → {content_type, prometheus}  (Prometheus 0.0.4 text)
 //   invalidate {} → {invalidated}               (drops the result cache)
 //   shutdown   {} → {ok}; marks the service draining and fires the
@@ -35,16 +35,13 @@
 #include <string>
 
 #include "synat/driver/cache.h"
-#include "synat/obs/slo.h"
+#include "synat/obs/events.h"
 #include "synat/serve/quarantine.h"
 #include "synat/serve/rpc.h"
 #include "synat/support/thread_pool.h"
 
 namespace synat::driver {
 struct ProgramInput;  // driver.h; only named in a private declaration here
-}
-namespace synat::obs {
-class EventLog;  // events.h; the sink is owned by the server/CLI
 }
 
 namespace synat::serve {
@@ -69,13 +66,6 @@ struct ServiceOptions {
   /// Wide-event sink (obs/events.h): one line per analyze/explain RPC,
   /// appended after the reply is produced. Not owned; may be null.
   obs::EventLog* events = nullptr;
-
-  /// SLO objectives (DESIGN.md §3i), tracked over rolling real-time
-  /// windows regardless of the virtual clock.
-  uint64_t slo_window_ms = 60'000;
-  double slo_availability = 0.99;       ///< fraction that must produce verdicts
-  uint64_t slo_latency_ms = 1'000;      ///< "fast enough" threshold
-  double slo_latency_objective = 0.99;  ///< fraction that must be fast
 };
 
 class Service {
@@ -112,40 +102,23 @@ class Service {
   uint64_t uptime_ms() const;
   unsigned jobs() const { return jobs_; }
   size_t in_flight() const { return in_flight_.load(std::memory_order_relaxed); }
-
-  /// True while the admission queue is at its cap — the /readyz signal.
-  bool overloaded() const { return in_flight() >= opts_.max_queue; }
-  bool sandboxed() const { return opts_.sandbox; }
   Quarantine& quarantine() { return quarantine_; }
 
-  /// Rolling SLO status (availability + latency burn) rendered as the /slo
-  /// JSON document; also embedded in the status RPC.
-  std::string slo_json() const;
-  /// True while the availability error budget is spent — flips /readyz.
-  bool slo_exhausted() const;
-  obs::SloTracker& slo() { return slo_; }
-
  private:
-  /// Per-request observability: the wide event under construction and the
-  /// request's SLO disposition, filled by the analyze paths and flushed by
-  /// finish_obs() once the reply is handed to the transport.
-  struct RequestObs {
-    obs::Event ev;
-    bool slo_ok = true;
-  };
-
-  std::string dispatch(const RpcRequest& req, uint32_t lane,
-                       RequestObs* robs);
+  // The analyze paths fill the request's wide event (`ev`, null for the
+  // cheap methods); finish_obs() flushes it once the reply is handed to the
+  // transport.
+  std::string dispatch(const RpcRequest& req, uint32_t lane, obs::Event* ev);
   std::string do_analyze(const RpcRequest& req, bool explain, uint32_t lane,
-                         RequestObs* robs);
+                         obs::Event* ev);
   std::string do_analyze_sandboxed(const RpcRequest& req, bool explain,
                                    driver::ProgramInput input, bool provenance,
                                    const std::string& proc_filter,
-                                   uint32_t lane, RequestObs* robs);
-  /// Stamps the request's real-clock duration, records the SLO sample and
-  /// the latency percentile source, and appends the wide event (if a sink
-  /// is configured).
-  void finish_obs(RequestObs robs, uint64_t start_real_ns);
+                                   uint32_t lane, obs::Event* ev);
+  /// Stamps the request's real-clock duration, records the latency
+  /// percentile source, and appends the wide event (if a sink is
+  /// configured).
+  void finish_obs(obs::Event ev, uint64_t start_real_ns);
   std::string do_status(const RpcRequest& req);
   std::string do_metrics(const RpcRequest& req);
   std::string do_invalidate(const RpcRequest& req);
@@ -155,7 +128,6 @@ class Service {
   unsigned jobs_ = 1;
   driver::ResultCache cache_;
   Quarantine quarantine_;
-  obs::SloTracker slo_;
   std::unique_ptr<ThreadPool> pool_;
   std::atomic<size_t> in_flight_{0};
   std::atomic<bool> draining_{false};

@@ -20,7 +20,6 @@
 #include "synat/obs/metrics.h"
 #include "synat/obs/recorder.h"
 #include "synat/obs/trace.h"
-#include "synat/serve/http.h"
 #include "synat/serve/rpc.h"
 #include "synat/support/crash.h"
 
@@ -150,7 +149,6 @@ void Server::reader_loop(std::shared_ptr<Conn> conn) {
   const size_t max_line = opts_.service.max_request_bytes + 4096;
   std::string buf;
   char chunk[64 * 1024];
-  bool first_line = true;
   for (;;) {
     ssize_t n = recv(conn->fd, chunk, sizeof chunk, 0);
     if (n < 0 && errno == EINTR) continue;
@@ -162,28 +160,6 @@ void Server::reader_loop(std::shared_ptr<Conn> conn) {
       std::string line = buf.substr(start, nl - start);
       if (!line.empty() && line.back() == '\r') line.pop_back();
       if (line.empty()) continue;
-      if (first_line && is_http_request(line)) {
-        // HTTP shim (http.h): a scraper or probe, not a JSON-RPC client.
-        // Answer the request line, ignore the header block that follows,
-        // and close — the shim is strictly one exchange per connection.
-        HttpHandlers handlers;
-        handlers.metrics = [] {
-          return obs::to_prometheus(obs::registry().snapshot());
-        };
-        handlers.slo = [this] { return service_.slo_json(); };
-        handlers.buildz = [] { return build_info_json(); };
-        std::string body = handle_http_request(
-            line, handlers,
-            {service_.draining(), service_.overloaded(),
-             service_.slo_exhausted()});
-        {
-          std::lock_guard<std::mutex> lock(conn->write_mu);
-          send_all(conn->fd, body.data(), body.size());
-        }
-        shutdown(conn->fd, SHUT_RDWR);
-        return;
-      }
-      first_line = false;
       service_.handle(std::move(line), [conn](std::string body) {
         body += '\n';
         std::lock_guard<std::mutex> lock(conn->write_mu);

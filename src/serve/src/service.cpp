@@ -1,7 +1,6 @@
 #include "synat/serve/service.h"
 
 #include <chrono>
-#include <cstdio>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -19,9 +18,8 @@ namespace synat::serve {
 
 namespace {
 
-/// Wall-adjacent monotonic milliseconds for the quarantine TTL and SLO
-/// windows. Not the obs clock: a virtual-clock test run must still see
-/// real TTL decay and real SLO time.
+/// Wall-adjacent monotonic milliseconds for the quarantine TTL. Not the obs
+/// clock: a virtual-clock test run must still see real TTL decay.
 uint64_t steady_ms() {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -29,7 +27,7 @@ uint64_t steady_ms() {
           .count());
 }
 
-/// Real steady-clock nanoseconds for SLO latency samples — never the
+/// Real steady-clock nanoseconds for request latency samples — never the
 /// virtual clock (quantiles of a virtual clock would be fiction).
 uint64_t real_now_ns() {
   return static_cast<uint64_t>(
@@ -123,16 +121,57 @@ RpcError parse_analyze_params(const JsonValue& params,
   return {};
 }
 
+/// The analyze/explain reply of both execution paths, built from the
+/// assembled one-program report and the request's cache traffic. The live
+/// hit and miss counts go to the envelope and the wide event; the document
+/// renders with zeroed cache metrics, because it must be byte-identical to
+/// `synat batch --format json`, which runs with a cold per-invocation cache
+/// (ServerDeterminism).
+std::string analyze_reply(const RpcRequest& req, bool explain, bool provenance,
+                          const std::string& proc_filter,
+                          driver::BatchReport report, uint64_t hits,
+                          uint64_t misses, obs::Event* ev) {
+  static obs::Counter& serve_hits =
+      obs::registry().counter("synat_serve_cache_hits_total", false);
+  static obs::Counter& serve_misses =
+      obs::registry().counter("synat_serve_cache_misses_total", false);
+  static obs::Counter& reanalyzed =
+      obs::registry().counter("synat_serve_procedures_reanalyzed_total", false);
+  serve_hits.inc(hits);
+  serve_misses.inc(misses);
+  reanalyzed.inc(misses);
+  if (ev != nullptr && !report.programs.empty()) {
+    *ev = driver::program_event(report.programs[0]);
+    ev->cache_hits = hits;
+    ev->cache_misses = misses;
+  }
+  report.metrics.cache_hits = 0;
+  report.metrics.cache_misses = 0;
+  report.metrics.cache_rejected = 0;
+
+  JsonValue result = JsonValue::make_object();
+  if (explain) {
+    result.add("explanation",
+               JsonValue::make_string(driver::to_explain(report, proc_filter)));
+  } else {
+    driver::RenderOptions ropts;
+    ropts.provenance = provenance;
+    result.add("report", JsonValue::make_string(driver::to_json(report, ropts)));
+    result.add("cache_hits", JsonValue::make_number(hits));
+    result.add("procedures_reanalyzed", JsonValue::make_number(misses));
+  }
+  result.add("exit_code",
+             JsonValue::make_number(static_cast<int64_t>(report.exit_code())));
+  return encode_result(req.id, std::move(result));
+}
+
 }  // namespace
 
 Service::Service(ServiceOptions opts)
     : opts_(opts),
       quarantine_(Quarantine::Options{opts.quarantine_threshold,
                                       opts.quarantine_ttl_ms,
-                                      /*max_entries=*/4096}),
-      slo_(obs::SloTracker::Options{
-          opts.slo_window_ms, opts.slo_availability,
-          opts.slo_latency_ms * 1'000'000, opts.slo_latency_objective}) {
+                                      /*max_entries=*/4096}) {
   jobs_ = opts_.jobs == 0
               ? std::max(1u, std::thread::hardware_concurrency())
               : opts_.jobs;
@@ -222,17 +261,16 @@ void Service::handle(std::string line, Reply reply) {
   };
 
   if (req.method == "analyze" || req.method == "explain") {
-    // A refused request still gets a wide event and an SLO sample: load
-    // shedding is exactly the kind of incident the event log must narrate.
+    // A refused request still gets a wide event: load shedding is exactly
+    // the kind of incident the event log must narrate.
     auto refuse = [this, start_real](const JsonValue& params, int code,
                                      const char* kind) {
-      RequestObs robs;
-      robs.ev.name = request_name(params);
-      robs.ev.status = "error";
-      robs.ev.error_code = code;
-      robs.ev.error_kind = kind;
-      robs.slo_ok = false;
-      finish_obs(std::move(robs), start_real);
+      obs::Event ev;
+      ev.name = request_name(params);
+      ev.status = "error";
+      ev.error_code = code;
+      ev.error_kind = kind;
+      finish_obs(std::move(ev), start_real);
     };
     if (draining()) {
       respond(encode_error(&req.id, kErrShuttingDown,
@@ -259,12 +297,12 @@ void Service::handle(std::string line, Reply reply) {
     in_flight_gauge.set(admitted + 1);
     pool_->submit([this, seq, start_real, req = std::move(req),
                    respond = std::move(respond), finish_request]() mutable {
-      RequestObs robs;
-      robs.ev.name = request_name(req.params);
+      obs::Event ev;
+      ev.name = request_name(req.params);
       std::string body;
       {
         obs::SpanScope exec_span(obs::StageId::RpcExecute);
-        body = dispatch(req, static_cast<uint32_t>(1 + seq), &robs);
+        body = dispatch(req, static_cast<uint32_t>(1 + seq), &ev);
       }
       // Release the admission slot before the reply leaves: a client that
       // observes its response must also observe the slot free (status right
@@ -273,7 +311,7 @@ void Service::handle(std::string line, Reply reply) {
       obs::registry().gauge("synat_serve_in_flight").set(now);
       respond(std::move(body));
       finish_request();
-      finish_obs(std::move(robs), start_real);
+      finish_obs(std::move(ev), start_real);
     });
     return;
   }
@@ -303,11 +341,11 @@ void Service::handle(std::string line, Reply reply) {
 }
 
 std::string Service::dispatch(const RpcRequest& req, uint32_t lane,
-                              RequestObs* robs) {
+                              obs::Event* ev) {
   if (req.method == "analyze")
-    return do_analyze(req, /*explain=*/false, lane, robs);
+    return do_analyze(req, /*explain=*/false, lane, ev);
   if (req.method == "explain")
-    return do_analyze(req, /*explain=*/true, lane, robs);
+    return do_analyze(req, /*explain=*/true, lane, ev);
   if (req.method == "status") return do_status(req);
   if (req.method == "metrics") return do_metrics(req);
   if (req.method == "invalidate") return do_invalidate(req);
@@ -316,26 +354,17 @@ std::string Service::dispatch(const RpcRequest& req, uint32_t lane,
 }
 
 std::string Service::do_analyze(const RpcRequest& req, bool explain,
-                                uint32_t lane, RequestObs* robs) {
-  static obs::Counter& serve_hits =
-      obs::registry().counter("synat_serve_cache_hits_total", false);
-  static obs::Counter& serve_misses =
-      obs::registry().counter("synat_serve_cache_misses_total", false);
-  static obs::Counter& reanalyzed =
-      obs::registry().counter("synat_serve_procedures_reanalyzed_total", false);
-
+                                uint32_t lane, obs::Event* ev) {
   driver::ProgramInput input;
   bool provenance = explain;  // explain needs the derivation records
   std::string proc_filter;
   if (RpcError err =
           parse_analyze_params(req.params, input, provenance, proc_filter);
       err.code != 0) {
-    // Invalid params are the client's fault: the event records the refusal
-    // but the request still counts as served for the availability SLO.
-    if (robs != nullptr) {
-      robs->ev.status = "error";
-      robs->ev.error_code = err.code;
-      robs->ev.error_kind = "invalid_params";
+    if (ev != nullptr) {
+      ev->status = "error";
+      ev->error_code = err.code;
+      ev->error_kind = "invalid_params";
     }
     return encode_error(&req.id, err.code, err.message);
   }
@@ -343,7 +372,7 @@ std::string Service::do_analyze(const RpcRequest& req, bool explain,
 
   if (opts_.sandbox)
     return do_analyze_sandboxed(req, explain, std::move(input), provenance,
-                                proc_filter, lane, robs);
+                                proc_filter, lane, ev);
 
   driver::DriverOptions dopts;
   dopts.jobs = 1;  // index-addressed assembly makes jobs irrelevant to bytes
@@ -353,62 +382,24 @@ std::string Service::do_analyze(const RpcRequest& req, bool explain,
   try {
     report = drv.run({std::move(input)});
   } catch (const std::exception& e) {
-    if (robs != nullptr) {
-      robs->ev.status = "internal_error";
-      robs->ev.error_code = kErrInternal;
-      robs->ev.error_kind = "exception";
-      robs->slo_ok = false;
+    if (ev != nullptr) {
+      ev->status = "internal_error";
+      ev->error_code = kErrInternal;
+      ev->error_kind = "exception";
     }
     return encode_error(&req.id, kErrInternal, e.what());
   }
-  serve_hits.inc(report.metrics.cache_hits);
-  serve_misses.inc(report.metrics.cache_misses);
-  reanalyzed.inc(report.metrics.cache_misses);
-  if (robs != nullptr && !report.programs.empty()) {
-    robs->ev = driver::program_event(report.programs[0]);
-    robs->ev.cache_hits = report.metrics.cache_hits;
-    robs->ev.cache_misses = report.metrics.cache_misses;
-    robs->slo_ok =
-        report.metrics.crashed == 0 && report.metrics.internal_errors == 0;
-  }
-
-  JsonValue result = JsonValue::make_object();
-  if (explain) {
-    result.add("explanation",
-               JsonValue::make_string(driver::to_explain(report, proc_filter)));
-  } else {
-    // ServerDeterminism: the rendered document must be byte-identical to
-    // `synat batch --format json` on the same input, which runs with a
-    // cold per-invocation cache. The daemon's whole point is a hot cache,
-    // so its live hit/miss/rejected numbers are moved to the RPC envelope
-    // and zeroed in the document before rendering.
-    uint64_t hits = report.metrics.cache_hits;
-    uint64_t misses = report.metrics.cache_misses;
-    report.metrics.cache_hits = 0;
-    report.metrics.cache_misses = 0;
-    report.metrics.cache_rejected = 0;
-    driver::RenderOptions ropts;
-    ropts.provenance = provenance;
-    result.add("report", JsonValue::make_string(driver::to_json(report, ropts)));
-    result.add("cache_hits", JsonValue::make_number(hits));
-    result.add("procedures_reanalyzed", JsonValue::make_number(misses));
-  }
-  result.add("exit_code",
-             JsonValue::make_number(static_cast<int64_t>(report.exit_code())));
-  return encode_result(req.id, std::move(result));
+  const uint64_t hits = report.metrics.cache_hits;
+  const uint64_t misses = report.metrics.cache_misses;
+  return analyze_reply(req, explain, provenance, proc_filter,
+                       std::move(report), hits, misses, ev);
 }
 
 std::string Service::do_analyze_sandboxed(const RpcRequest& req, bool explain,
                                           driver::ProgramInput input,
                                           bool provenance,
                                           const std::string& proc_filter,
-                                          uint32_t lane, RequestObs* robs) {
-  static obs::Counter& serve_hits =
-      obs::registry().counter("synat_serve_cache_hits_total", false);
-  static obs::Counter& serve_misses =
-      obs::registry().counter("synat_serve_cache_misses_total", false);
-  static obs::Counter& reanalyzed =
-      obs::registry().counter("synat_serve_procedures_reanalyzed_total", false);
+                                          uint32_t lane, obs::Event* ev) {
   static obs::Counter& worker_crashes =
       obs::registry().counter("synat_serve_worker_crashes_total", false);
   static obs::Counter& worker_timeouts =
@@ -431,12 +422,11 @@ std::string Service::do_analyze_sandboxed(const RpcRequest& req, bool explain,
                           .value();
   if (quarantine_.check(fp, steady_ms())) {
     quarantined.inc();
-    if (robs != nullptr) {
-      robs->ev.status = "error";
-      robs->ev.quarantined = true;
-      robs->ev.error_code = kErrQuarantined;
-      robs->ev.error_kind = "quarantined";
-      robs->slo_ok = false;
+    if (ev != nullptr) {
+      ev->status = "error";
+      ev->quarantined = true;
+      ev->error_code = kErrQuarantined;
+      ev->error_kind = "quarantined";
     }
     obs::recorder().note_event("quarantine_refusal", input.name.c_str());
     return encode_error(&req.id, kErrQuarantined,
@@ -483,42 +473,22 @@ std::string Service::do_analyze_sandboxed(const RpcRequest& req, bool explain,
   // healthy one stays byte-identical to `synat batch --format json`.
   driver::ReportSink sink(1);
   if (out.ok) {
-    sink.set_program(0, std::move(out.report));
+    sink.publish_program(0, std::move(out.report));
   } else {
     sink.fail_program(0, input.name, driver::ProgramStatus::Degraded,
                       {{"error", 0, 0, out.reason}});
   }
-  driver::BatchReport report = sink.finish(driver::Metrics{}, 1);
-
-  serve_hits.inc(out.cache_hits);
-  serve_misses.inc(out.cache_misses);
-  reanalyzed.inc(out.cache_misses);
-  if (robs != nullptr && !report.programs.empty()) {
-    robs->ev = driver::program_event(report.programs[0]);
-    robs->ev.cache_hits = out.cache_hits;
-    robs->ev.cache_misses = out.cache_misses;
-    robs->ev.retries = out.retries;
-    robs->ev.deaths_crash = out.deaths_crash;
-    robs->ev.deaths_timeout = out.deaths_timeout;
-    robs->ev.deaths_oom = out.deaths_oom;
-    if (!out.ok) robs->slo_ok = false;
+  std::string reply =
+      analyze_reply(req, explain, provenance, proc_filter,
+                    sink.finish(driver::Metrics{}, 1), out.cache_hits,
+                    out.cache_misses, ev);
+  if (ev != nullptr) {
+    ev->retries = out.retries;
+    ev->deaths_crash = out.deaths_crash;
+    ev->deaths_timeout = out.deaths_timeout;
+    ev->deaths_oom = out.deaths_oom;
   }
-
-  JsonValue result = JsonValue::make_object();
-  if (explain) {
-    result.add("explanation",
-               JsonValue::make_string(driver::to_explain(report, proc_filter)));
-  } else {
-    driver::RenderOptions ropts;
-    ropts.provenance = provenance;
-    result.add("report", JsonValue::make_string(driver::to_json(report, ropts)));
-    result.add("cache_hits", JsonValue::make_number(out.cache_hits));
-    result.add("procedures_reanalyzed",
-               JsonValue::make_number(out.cache_misses));
-  }
-  result.add("exit_code",
-             JsonValue::make_number(static_cast<int64_t>(report.exit_code())));
-  return encode_result(req.id, std::move(result));
+  return reply;
 }
 
 std::string Service::do_status(const RpcRequest& req) {
@@ -540,7 +510,7 @@ std::string Service::do_status(const RpcRequest& req) {
   result.add("quarantine_entries",
              JsonValue::make_number(static_cast<uint64_t>(quarantine_.size())));
   // RPC latency percentiles (real wall clock; inherently nondeterministic)
-  // and the rolling SLO window — `status` is the operator's one-stop probe.
+  // — `status` is the operator's one-stop probe.
   const obs::Histogram& lat =
       obs::registry().histogram("synat_serve_rpc_request_latency_seconds");
   JsonValue latency = JsonValue::make_object();
@@ -549,20 +519,6 @@ std::string Service::do_status(const RpcRequest& req) {
   latency.add("p95", JsonValue::make_number(lat.quantile_ns(0.95)));
   latency.add("p99", JsonValue::make_number(lat.quantile_ns(0.99)));
   result.add("latency_ns", std::move(latency));
-  const obs::SloTracker::Status s = slo_.status(steady_ms());
-  JsonValue slo = JsonValue::make_object();
-  slo.add("window_ms", JsonValue::make_number(s.window_ms));
-  slo.add("total", JsonValue::make_number(s.total));
-  slo.add("errors", JsonValue::make_number(s.errors));
-  slo.add("slow", JsonValue::make_number(s.slow));
-  slo.add("availability", JsonValue::make_number(s.availability));
-  slo.add("availability_burn", JsonValue::make_number(s.availability_burn));
-  slo.add("availability_exhausted",
-          JsonValue::make_bool(s.availability_exhausted));
-  slo.add("latency_ok", JsonValue::make_number(s.latency_ok));
-  slo.add("latency_burn", JsonValue::make_number(s.latency_burn));
-  slo.add("latency_exhausted", JsonValue::make_bool(s.latency_exhausted));
-  result.add("slo", std::move(slo));
   return encode_result(req.id, std::move(result));
 }
 
@@ -591,43 +547,13 @@ std::string Service::do_shutdown(const RpcRequest& req) {
   return encode_result(req.id, std::move(result));
 }
 
-void Service::finish_obs(RequestObs robs, uint64_t start_real_ns) {
+void Service::finish_obs(obs::Event ev, uint64_t start_real_ns) {
   const uint64_t dur = real_now_ns() - start_real_ns;
-  robs.ev.dur_ns = dur;
+  ev.dur_ns = dur;
   static obs::Histogram& latency = obs::registry().histogram(
       "synat_serve_rpc_request_latency_seconds");
   latency.observe(dur);
-  slo_.record(robs.slo_ok, dur, steady_ms());
-  if (opts_.events != nullptr) opts_.events->append(std::move(robs.ev));
+  if (opts_.events != nullptr) opts_.events->append(std::move(ev));
 }
-
-std::string Service::slo_json() const {
-  const obs::SloTracker::Status s = slo_.status(steady_ms());
-  auto frac = [](double v) {
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), "%.6f", v);
-    return std::string(buf);
-  };
-  std::string out = "{\"schema\":\"synat-slo\",\"v\":1,\"window_ms\":";
-  out += std::to_string(s.window_ms);
-  out += ",\"total\":" + std::to_string(s.total);
-  out += ",\"errors\":" + std::to_string(s.errors);
-  out += ",\"slow\":" + std::to_string(s.slow);
-  out += ",\"availability\":{\"objective\":" + frac(s.availability_objective);
-  out += ",\"value\":" + frac(s.availability);
-  out += ",\"burn\":" + frac(s.availability_burn);
-  out += ",\"exhausted\":";
-  out += s.availability_exhausted ? "true" : "false";
-  out += "},\"latency\":{\"objective\":" + frac(s.latency_objective);
-  out += ",\"threshold_ns\":" + std::to_string(s.latency_threshold_ns);
-  out += ",\"value\":" + frac(s.latency_ok);
-  out += ",\"burn\":" + frac(s.latency_burn);
-  out += ",\"exhausted\":";
-  out += s.latency_exhausted ? "true" : "false";
-  out += "}}";
-  return out;
-}
-
-bool Service::slo_exhausted() const { return slo_.exhausted(steady_ms()); }
 
 }  // namespace synat::serve

@@ -1,7 +1,11 @@
 #include "synat/driver/cache.h"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
+#include <csignal>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -194,6 +198,39 @@ TEST(ResultCache, ResavedSnapshotIsByteIdentical) {
   EXPECT_EQ(loaded.rejected(), 0u);
   ASSERT_TRUE(loaded.save(path));
   EXPECT_EQ(slurp(path), original);
+  std::remove(path.c_str());
+}
+
+// A snapshot that fits the stream's buffer reaches the file only when the
+// stream closes. A forked child saves 28 entries (about 6 KB) under a
+// 2 KiB file-size limit over a 4-entry snapshot: the write fails in that
+// final flush, so save() must report failure and leave the previous
+// snapshot byte-identical. The limit is set in the child only.
+TEST(ResultCache, FailedFinalFlushKeepsThePreviousSnapshot) {
+  const std::string path = testing::TempDir() + "synat_cache_short.synatcache";
+  ResultCache small, big;
+  for (uint64_t k = 1; k <= 28; ++k) {
+    if (k <= 4) small.insert(k, make_report("P" + std::to_string(k), k));
+    big.insert(k, make_report("P" + std::to_string(k), k));
+  }
+  ASSERT_TRUE(small.save(path));
+  const std::string before = slurp(path);
+  ASSERT_LT(before.size(), 2048u);
+
+  const pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    std::signal(SIGXFSZ, SIG_IGN);
+    const rlimit limit{2048, 2048};
+    if (setrlimit(RLIMIT_FSIZE, &limit) != 0) _exit(2);
+    _exit(big.save(path) ? 1 : 0);
+  }
+  int status = 0;
+  ASSERT_EQ(waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0) << "save() reported a short write as saved";
+  EXPECT_TRUE(slurp(path) == before) << "the previous snapshot was clobbered";
+  EXPECT_FALSE(std::ifstream(path + ".tmp").good()) << "tmp file left behind";
   std::remove(path.c_str());
 }
 

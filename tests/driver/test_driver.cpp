@@ -213,7 +213,6 @@ TEST(BatchDriver, ProgramLatencyIsWallTimeWithHelpers) {
   {
     obs::EventLogOptions eopts;
     eopts.path = path;
-    eopts.mirror_recorder = false;
     obs::EventLog events(eopts);
     DriverOptions opts;
     opts.jobs = 4;

@@ -85,7 +85,6 @@ TEST(Events, AppendAssignsSequenceAndStampsCompletionTime) {
   {
     obs::EventLogOptions opts;
     opts.path = path;
-    opts.mirror_recorder = false;
     obs::EventLog log(opts);
     obs::Event a;
     a.name = "first";
@@ -112,7 +111,6 @@ TEST(Events, SizeBasedRotationKeepsTheLastTwoFiles) {
     obs::EventLogOptions opts;
     opts.path = path;
     opts.max_bytes = 600;  // ~2 rendered lines per file
-    opts.mirror_recorder = false;
     obs::EventLog log(opts);
     for (int i = 0; i < 6; ++i) {
       obs::Event e;

@@ -220,33 +220,6 @@ TEST(IsolateFault, OomKilledWorkerIsContained) {
 }
 #endif
 
-TEST(IsolateFault, JournaledCrashIsReanalyzedOnResume) {
-  std::string path = testing::TempDir() + "isolate_fault_resume.synatj";
-  std::remove(path.c_str());
-  {
-    FaultEnv fault("crash:victim");
-    DriverOptions iso;
-    iso.isolate = true;
-    iso.retries = 0;
-    iso.journal_path = path;
-    BatchDriver drv(iso);
-    BatchReport r = drv.run(victim_and_bystander());
-    EXPECT_EQ(r.programs[0].status, ProgramStatus::Degraded);
-  }
-  // Fault cleared: --resume replays the healthy bystander and gives the
-  // crashed program its fresh (now successful) analysis.
-  DriverOptions iso;
-  iso.isolate = true;
-  iso.journal_path = path;
-  iso.resume = true;
-  BatchDriver drv(iso);
-  BatchReport r = drv.run(victim_and_bystander());
-  EXPECT_EQ(r.metrics.journal_replayed, 1u);
-  EXPECT_EQ(r.programs[0].status, ProgramStatus::Ok);
-  EXPECT_EQ(r.programs[1].status, ProgramStatus::Ok);
-  std::remove(path.c_str());
-}
-
 #endif  // SYNAT_FAULT_INJECTION
 
 }  // namespace

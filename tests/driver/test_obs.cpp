@@ -529,8 +529,8 @@ TEST_F(ObsTest, PipelineStageCountsAgreeBetweenInProcessAndIsolate) {
   MetricsSnapshot isolated = run_mode(2, true);
   obs::set_flags(0);
 
-  // Only pipeline-category histograms are mode-invariant (each isolated
-  // sub-driver runs its own Schedule/Report driver stages).
+  // Only pipeline-category histograms are mode-invariant (the isolated run
+  // adds its supervisor's driver stages, such as dispatch).
   for (const obs::HistogramSample& h : serial.histograms) {
     if (h.name.rfind("synat_pipeline_", 0) != 0) continue;
     const obs::HistogramSample* other = find_hist(isolated, h.name);

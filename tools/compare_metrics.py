@@ -12,7 +12,7 @@ What is deliberately skipped, mirroring tests/driver/test_obs.cpp:
   * gauges (synat_jobs is the mode under test, not an invariant);
   * histogram _bucket and _sum series — wall-clock-dependent; only the
     synat_pipeline_*_duration_seconds_count totals are mode-invariant
-    (driver stages like Schedule run once per isolated sub-driver too).
+    (driver stages like dispatch run only under --isolate).
 
 A comparison that covers no synat_pipeline_*_duration_seconds_count series
 fails: an exposition change that hid the stage counts would otherwise pass

@@ -17,7 +17,7 @@
 // standard input (analyze/batch/explain).
 // analyze options: --no-variants --no-windows --no-conds --counted <k>
 // batch options: --all (whole corpus) --jobs N (0 = one per hardware
-//                thread) --cache --cache-file FILE --format json|sarif|text
+//                thread) --cache --format json|sarif|text
 //                --timings (parse/analyze/report stage histograms in the
 //                JSON metrics block; workers' stages too under --isolate)
 //                -o FILE --deadline-ms N (per program)
@@ -26,8 +26,6 @@
 //                a worker crash degrades that one program, exit 1)
 //                --max-rss-mb N (per-worker address-space cap)
 //                --retries N (re-dispatches of a crashed worker; default 1)
-//                --journal FILE (write-ahead journal of finished programs)
-//                --resume (replay FILE, re-analyzing only what is missing)
 //                --trace-out FILE (Chrome trace-event JSON of every
 //                pipeline/driver stage; per-worker lanes under --isolate)
 //                --metrics-out FILE (Prometheus text exposition of the
@@ -66,17 +64,10 @@
 //                --postmortem FILE (flight-recorder incident dump: rewritten
 //                with the last 256 events on worker deaths, quarantine
 //                trips, and fatal signals; render with `synat postmortem`)
-//                --slo-window-s N (rolling SLO window, default 60)
-//                --slo-availability F (fraction of requests that must
-//                produce verdicts, default 0.99) --slo-latency-ms N ("fast
-//                enough" threshold, default 1000); when the availability
-//                error budget is exhausted /readyz turns 503
 //                The wire protocol is newline-delimited JSON-RPC 2.0:
 //                methods analyze, explain, status, metrics, invalidate,
 //                shutdown (see src/serve/include/synat/serve/service.h and
-//                tools/synat_client.py); connections opening with an HTTP
-//                GET/HEAD hit the shim instead (/metrics /slo /buildz
-//                /healthz /readyz).
+//                tools/synat_client.py).
 // explain options: --jobs N --isolate plus the analyze ablation flags
 //                (--no-variants --no-windows --no-conds --counted <k>);
 //                output is byte-identical across --jobs/--isolate modes
@@ -87,7 +78,8 @@
 // non-atomic procedure, a degraded (budget/deadline/recovered-parse)
 // result, a crashed --isolate worker, or mc found an error; 2 usage error;
 // 3 an input failed to load or parse (batch still analyzes the other
-// inputs); 4 internal analyzer error. When several apply the highest-
+// inputs); 4 internal analyzer error, or a report that could not be
+// written whole. When several apply the highest-
 // severity code wins — the precedence order (0 < 1 < 2 < 3 < 4) is
 // implemented once, in driver::combine_exit_codes.
 #include <cstdlib>
@@ -203,6 +195,23 @@ int cmd_corpus() {
   return 0;
 }
 
+/// Writes a finished document to `path`, or to stdout when `path` is empty.
+/// A document that cannot be written whole is reported, naming the output,
+/// and the caller exits 4: a truncated report must never pass for a verdict.
+bool write_output(const std::string& path, const std::string& doc) {
+  std::string err;
+  if (!path.empty()) {
+    if (obs::write_file(path, doc, &err)) return true;
+  } else if (std::fwrite(doc.data(), 1, doc.size(), stdout) == doc.size() &&
+             std::fflush(stdout) == 0) {
+    return true;
+  } else {
+    err = "short write to standard output";
+  }
+  std::fprintf(stderr, "%s\n", err.c_str());
+  return false;
+}
+
 /// Default analysis options for a spec: corpus annotations for counted CAS.
 atomicity::InferOptions spec_options(const std::string& spec) {
   atomicity::InferOptions opts;
@@ -215,7 +224,6 @@ int cmd_batch(int argc, char** argv) {
   driver::RenderOptions ropts;
   std::string format = "json";
   std::string out_path;
-  std::string cache_file;
   std::string trace_out;
   std::string metrics_out;
   std::string events_out;
@@ -279,15 +287,8 @@ int cmd_batch(int argc, char** argv) {
         return kExitUsage;
       }
       dopts.retries = static_cast<unsigned>(n);
-    } else if (a == "--journal" && i + 1 < argc) {
-      dopts.journal_path = argv[++i];
-    } else if (a == "--resume") {
-      dopts.resume = true;
     } else if (a == "--cache") {
       dopts.use_cache = true;
-    } else if (a == "--cache-file" && i + 1 < argc) {
-      dopts.use_cache = true;
-      cache_file = argv[++i];
     } else if (a == "--cache-stats") {
       cache_stats = true;
     } else if (a == "--format" && i + 1 < argc) {
@@ -365,19 +366,13 @@ int cmd_batch(int argc, char** argv) {
     if (no_windows) in.opts.use_window_rule = false;
     if (no_conds) in.opts.use_local_conditions = false;
   }
-  if (dopts.resume && dopts.journal_path.empty()) {
-    std::fprintf(stderr, "--resume needs --journal FILE\n");
-    return kExitUsage;
-  }
   if (dopts.isolate && dopts.use_cache) {
     // Workers are separate address spaces; a shared in-memory cache cannot
-    // exist, and saving the supervisor's (empty) cache would clobber a warm
-    // snapshot on disk.
+    // exist.
     std::fprintf(stderr,
                  "note: --isolate workers do not share the result cache; "
-                 "ignoring --cache/--cache-file\n");
+                 "ignoring --cache\n");
     dopts.use_cache = false;
-    cache_file.clear();
   }
   // Observability flags must be set before the driver runs: --isolate
   // forks its workers from this process, and the flag word (like the rest
@@ -402,22 +397,7 @@ int cmd_batch(int argc, char** argv) {
     dopts.events = events.get();
   }
   driver::BatchDriver drv(dopts);
-  if (!cache_file.empty()) {
-    drv.cache().load(cache_file);
-    if (size_t n = drv.cache().rejected(); n > 0) {
-      std::fprintf(stderr,
-                   "warning: rejected %zu corrupt or stale cache snapshot "
-                   "entr%s in %s; recomputing cold\n",
-                   n, n == 1 ? "y" : "ies", cache_file.c_str());
-      if (dopts.strict) {
-        std::fprintf(stderr, "--strict: treating the corrupt cache snapshot "
-                             "as an error\n");
-        return kExitInternalError;
-      }
-    }
-  }
   driver::BatchReport report = drv.run(inputs);
-  if (!cache_file.empty()) drv.cache().save(cache_file);
   if (cache_stats) {
     // The same fields the serve `status` RPC reports, so a batch run and a
     // daemon are comparable; stderr keeps the stdout document deterministic.
@@ -430,16 +410,6 @@ int cmd_batch(int argc, char** argv) {
                      .c_str(),
                  drv.cache().hits(), drv.cache().misses());
   }
-  // Journal traffic goes to stderr only: rendered documents must stay
-  // byte-identical between a resumed run and an uninterrupted one.
-  if (report.metrics.journal_replayed > 0)
-    std::fprintf(stderr, "journal: replayed %zu finished program(s)\n",
-                 report.metrics.journal_replayed);
-  if (report.metrics.journal_rejected > 0)
-    std::fprintf(stderr,
-                 "warning: rejected %zu corrupt or stale journal record(s) "
-                 "in %s; re-analyzing\n",
-                 report.metrics.journal_rejected, dopts.journal_path.c_str());
   if (!trace_out.empty()) {
     std::vector<obs::SpanRecord> spans = obs::Tracer::instance().drain();
     std::string trace =
@@ -464,23 +434,8 @@ int cmd_batch(int argc, char** argv) {
   std::string doc = format == "json"    ? driver::to_json(report, ropts)
                     : format == "sarif" ? driver::to_sarif(report)
                                         : driver::to_text(report);
-  if (out_path.empty()) {
-    std::fwrite(doc.data(), 1, doc.size(), stdout);
-  } else {
-    std::ofstream out(out_path, std::ios::binary);
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-      return kExitInternalError;
-    }
-    out << doc;
-  }
-  int code = report.exit_code();
-  // --strict escalates a rejected journal (like a rejected cache snapshot)
-  // to an internal error; combine keeps whatever the report found if that
-  // is already worse.
-  if (dopts.strict && report.metrics.journal_rejected > 0)
-    code = driver::combine_exit_codes(code, kExitInternalError);
-  return code;
+  if (!write_output(out_path, doc)) return kExitInternalError;
+  return report.exit_code();
 }
 
 /// `synat explain <prog> [proc]` — run the batch driver with provenance
@@ -531,8 +486,8 @@ int cmd_explain(const std::string& spec, int argc, char** argv) {
   in.opts.provenance = true;
   driver::BatchDriver drv(dopts);
   driver::BatchReport report = drv.run({in});
-  std::string doc = driver::to_explain(report, proc_filter);
-  std::fwrite(doc.data(), 1, doc.size(), stdout);
+  if (!write_output({}, driver::to_explain(report, proc_filter)))
+    return kExitInternalError;
   return report.exit_code();
 }
 
@@ -780,38 +735,6 @@ int cmd_serve(int argc, char** argv) {
       events_max_bytes = n;
     } else if (a == "--postmortem" && i + 1 < argc) {
       sopts.postmortem_path = argv[++i];
-    } else if (a == "--slo-window-s" && i + 1 < argc) {
-      char* end = nullptr;
-      unsigned long n = std::strtoul(argv[++i], &end, 10);
-      if (end == argv[i] || *end != '\0' || n == 0) {
-        std::fprintf(stderr,
-                     "--slo-window-s expects positive seconds, got '%s'\n",
-                     argv[i]);
-        return kExitUsage;
-      }
-      sopts.service.slo_window_ms = uint64_t{n} * 1000;
-    } else if (a == "--slo-availability" && i + 1 < argc) {
-      char* end = nullptr;
-      double f = std::strtod(argv[++i], &end);
-      if (end == argv[i] || *end != '\0' || f <= 0.0 || f > 1.0) {
-        std::fprintf(stderr,
-                     "--slo-availability expects a fraction in (0,1], "
-                     "got '%s'\n",
-                     argv[i]);
-        return kExitUsage;
-      }
-      sopts.service.slo_availability = f;
-    } else if (a == "--slo-latency-ms" && i + 1 < argc) {
-      char* end = nullptr;
-      unsigned long n = std::strtoul(argv[++i], &end, 10);
-      if (end == argv[i] || *end != '\0' || n == 0) {
-        std::fprintf(stderr,
-                     "--slo-latency-ms expects positive milliseconds, "
-                     "got '%s'\n",
-                     argv[i]);
-        return kExitUsage;
-      }
-      sopts.service.slo_latency_ms = n;
     } else {
       std::fprintf(stderr, "unknown serve option %s\n", a.c_str());
       return kExitUsage;
