@@ -1,5 +1,7 @@
 #include "synat/analysis/purity.h"
 
+#include <algorithm>
+
 #include "synat/cfg/liveness.h"
 #include "synat/obs/trace.h"
 #include "synat/synl/printer.h"
@@ -106,7 +108,12 @@ void PurityAnalysis::analyze_loop(const cfg::LoopInfo& info) {
     result.reasons.push_back(std::move(r));
   };
 
-  for (EventId n : result.normal_events) {
+  // Reasons in ascending EventId order, which is evaluation order, so the
+  // provenance records do not depend on a hash table's iteration order.
+  std::vector<EventId> ordered(result.normal_events.begin(),
+                               result.normal_events.end());
+  std::sort(ordered.begin(), ordered.end());
+  for (EventId n : ordered) {
     const Event& ev = cfg_.node(n);
     switch (ev.kind) {
       case EventKind::Read:

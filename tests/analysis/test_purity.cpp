@@ -113,6 +113,36 @@ TEST(Purity, LocalUpdateLiveAcrossIterationsIsImpure) {
   EXPECT_FALSE(s.loop_pure());
 }
 
+TEST(Purity, ReasonsFollowEvaluationOrder) {
+  // One loop breaks condition (i) twice and (ii) once; its reasons come in
+  // the order the events are evaluated. The reads of A make the normal set
+  // large enough that a hash set's iteration order differs from it.
+  Fixture s(R"(
+    global int X;
+    global int Y;
+    global int A;
+    proc F() {
+      local n := 0 in {
+        loop {
+          X := A + A + A + A + A + A + A + A;
+          n := n + 1;
+          Y := A + A + A + A + A + A + A + A;
+          if (n > 3) { return; }
+        }
+      }
+    }
+  )", "F");
+  ASSERT_NE(s.loop_result(), nullptr);
+  const std::vector<ImpureReason>& reasons = s.loop_result()->reasons;
+  ASSERT_EQ(reasons.size(), 3u);
+  EXPECT_EQ(reasons[0].condition, "i");
+  EXPECT_EQ(reasons[0].line, 8u);
+  EXPECT_EQ(reasons[1].condition, "ii");
+  EXPECT_EQ(reasons[1].line, 9u);
+  EXPECT_EQ(reasons[2].condition, "i");
+  EXPECT_EQ(reasons[2].line, 10u);
+}
+
 TEST(Purity, ScAsIfConditionTreatedAsRead) {
   Fixture s(R"(
     global int X;
