@@ -26,7 +26,6 @@
 
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "synat/analysis/escape.h"
@@ -52,7 +51,7 @@ struct LoopPurity {
   StmtId loop;
   bool pure = false;
   /// Action events that can occur in a normally terminating iteration.
-  std::unordered_set<EventId> normal_events;
+  cfg::NodeSet normal_events;
   /// Broken purity premises (empty when pure).
   std::vector<ImpureReason> reasons;
 };
@@ -74,7 +73,7 @@ class PurityAnalysis {
 
   /// True if the SC/CAS at `e` counts as a read under normal termination of
   /// its innermost loop (success branch unreachable from normal paths).
-  bool treated_as_read(EventId e) const { return sc_as_read_.count(e) != 0; }
+  bool treated_as_read(EventId e) const { return sc_as_read_.contains(e); }
 
  private:
   void analyze_loop(const cfg::LoopInfo& info);
@@ -85,7 +84,7 @@ class PurityAnalysis {
   const EscapeAnalysis& escape_;
   const UniqueAnalysis& unique_;
   std::unordered_map<StmtId, LoopPurity> results_;
-  std::unordered_set<EventId> sc_as_read_;
+  cfg::NodeSet sc_as_read_;
 };
 
 }  // namespace synat::analysis

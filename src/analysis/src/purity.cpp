@@ -1,7 +1,5 @@
 #include "synat/analysis/purity.h"
 
-#include <algorithm>
-
 #include "synat/cfg/liveness.h"
 #include "synat/obs/trace.h"
 #include "synat/synl/printer.h"
@@ -20,7 +18,7 @@ PurityAnalysis::PurityAnalysis(const Program& prog, const Cfg& cfg,
                                const EscapeAnalysis& escape,
                                const UniqueAnalysis& unique)
     : prog_(prog), cfg_(cfg), matching_(matching), escape_(escape),
-      unique_(unique) {
+      unique_(unique), sc_as_read_(cfg.num_nodes()) {
   obs::SpanScope span(obs::StageId::Purity);
   for (const cfg::LoopInfo& info : cfg.loops()) analyze_loop(info);
 }
@@ -63,20 +61,16 @@ void PurityAnalysis::analyze_loop(const cfg::LoopInfo& info) {
   auto within = [&](EventId n) { return member[n.idx]; };
 
   // S1: reachable from the loop head staying inside the loop.
-  auto s1 = cfg_.reachable(info.head, within);
+  const cfg::NodeSet s1 = cfg_.reachable(info.head, within);
   // S2: can reach a normal-termination point (a back-edge source of this
   // loop) staying inside the loop.
-  std::unordered_set<EventId> s2;
-  for (EventId src : info.back_sources) {
-    auto part = cfg_.reachable_back(src, within);
-    s2.insert(part.begin(), part.end());
-  }
+  cfg::NodeSet s2(cfg_.num_nodes());
+  for (EventId src : info.back_sources) s2 |= cfg_.reachable_back(src, within);
 
+  result.normal_events = cfg::NodeSet(cfg_.num_nodes());
   for (EventId n : s1) {
-    if (!s2.count(n)) continue;
-    const Event& ev = cfg_.node(n);
-    if (!ev.is_action()) continue;
-    result.normal_events.insert(n);
+    if (s2.contains(n) && cfg_.node(n).is_action())
+      result.normal_events.insert(n);
   }
 
   // Pre-compute SC/CAS-as-read for primitives in the normal set.
@@ -90,7 +84,7 @@ void PurityAnalysis::analyze_loop(const cfg::LoopInfo& info) {
     bool success_in_normal = false;
     for (const Edge& e : cfg_.succs(branch)) {
       if (e.kind != success) continue;
-      if (s2.count(e.to)) success_in_normal = true;
+      if (s2.contains(e.to)) success_in_normal = true;
     }
     if (!success_in_normal) sc_as_read_.insert(n);
   }
@@ -108,12 +102,8 @@ void PurityAnalysis::analyze_loop(const cfg::LoopInfo& info) {
     result.reasons.push_back(std::move(r));
   };
 
-  // Reasons in ascending EventId order, which is evaluation order, so the
-  // provenance records do not depend on a hash table's iteration order.
-  std::vector<EventId> ordered(result.normal_events.begin(),
-                               result.normal_events.end());
-  std::sort(ordered.begin(), ordered.end());
-  for (EventId n : ordered) {
+  // Reasons in ascending EventId order, which is evaluation order.
+  for (EventId n : result.normal_events) {
     const Event& ev = cfg_.node(n);
     switch (ev.kind) {
       case EventKind::Read:
@@ -171,7 +161,7 @@ void PurityAnalysis::analyze_loop(const cfg::LoopInfo& info) {
       }
       case EventKind::SC:
       case EventKind::CAS: {
-        if (sc_as_read_.count(n)) break;  // success branch never normal
+        if (sc_as_read_.contains(n)) break;  // success branch never normal
         if (is_local_action(prog_, cfg_, escape_, unique_, n)) {
           // SC/CAS on an unshared location behaves like a conditional local
           // write; require deadness like any other local update.

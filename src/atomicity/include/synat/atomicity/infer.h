@@ -33,8 +33,8 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "synat/analysis/proc_analysis.h"
@@ -70,11 +70,34 @@ struct InferOptions {
   bool provenance = false;
 };
 
+/// Step 6's types for the statements of one variant body: one entry per
+/// statement in a flat table sorted by StmtId, found by binary search.
+class StmtAtoms {
+ public:
+  struct Entry {
+    StmtId stmt;
+    Atomicity whole = Atomicity::B;  ///< the statement with all it contains
+    /// seq of the statement's own events in evaluation order: an if's
+    /// test, a local's initializer, a lock's acquire and release; for a
+    /// statement without children, the same as `whole`.
+    Atomicity own = Atomicity::B;
+  };
+
+  /// The entry of `id`, or nullptr when `id` is not in the body.
+  const Entry* find(StmtId id) const;
+
+ private:
+  friend class InferEngine;
+  std::vector<Entry> entries_;
+};
+
 struct VariantResult {
   synl::ProcId variant;
   Atomicity atomicity = Atomicity::N;  ///< of the variant body
-  std::unordered_map<uint32_t, Atomicity> event_atom;  ///< EventId.idx -> type
-  std::unordered_map<uint32_t, Atomicity> stmt_atom;   ///< StmtId.idx -> type
+  /// Type of every CFG node of the variant, indexed by EventId.idx;
+  /// nullopt for a node that is not an action.
+  std::vector<std::optional<Atomicity>> event_atom;
+  StmtAtoms stmt_atom;
   std::shared_ptr<analysis::ProcAnalysis> pa;
   /// Per-event and per-variant derivation records, in deterministic
   /// (event-index, then emission) order. Empty unless

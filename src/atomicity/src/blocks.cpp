@@ -11,21 +11,14 @@ using synl::StmtKind;
 namespace {
 
 Atomicity stmt_atom_of(const VariantResult& v, StmtId id) {
-  auto it = v.stmt_atom.find(id.idx);
-  return it == v.stmt_atom.end() ? Atomicity::B : it->second;
+  const StmtAtoms::Entry* e = v.stmt_atom.find(id);
+  return e == nullptr ? Atomicity::B : e->whole;
 }
 
 /// Atomicity of the statement's own events (the Local initializer).
 Atomicity head_atom_of(const VariantResult& v, StmtId id) {
-  Atomicity acc = Atomicity::B;
-  const cfg::Cfg& cfg = v.pa->cfg();
-  for (uint32_t i = 0; i < cfg.num_nodes(); ++i) {
-    const cfg::Event& ev = cfg.node(cfg::EventId(i));
-    if (ev.stmt != id || !ev.is_action()) continue;
-    auto it = v.event_atom.find(i);
-    if (it != v.event_atom.end()) acc = seq(acc, it->second);
-  }
-  return acc;
+  const StmtAtoms::Entry* e = v.stmt_atom.find(id);
+  return e == nullptr ? Atomicity::B : e->own;
 }
 
 void flatten(const synl::Program& prog, const VariantResult& v, StmtId id,

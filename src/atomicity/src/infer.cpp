@@ -274,11 +274,17 @@ class InferEngine {
 
   void mix_variant_signature(Hasher& h, const VariantCtx& ctx) const;
 
+  /// Each action of a variant as (StmtId.idx, EventId.idx), sorted: one
+  /// statement's events are one run, in ascending EventId order.
+  using StmtEvents = std::vector<std::pair<uint32_t, uint32_t>>;
+
   void propagate(const VariantCtx& ctx, VariantResult& out, Work& work) const;
-  Atomicity stmt_atom(const VariantCtx& ctx, const VariantResult& res,
+  /// Step 6 for statement `id`: returns its type and appends the entries
+  /// of `id` and everything it contains to `out`.
+  Atomicity stmt_atom(const StmtEvents& events, const VariantResult& res,
                       synl::StmtId id,
-                      std::unordered_map<uint32_t, Atomicity>& memo) const;
-  Atomicity seq_events_of(const VariantCtx& ctx, const VariantResult& res,
+                      std::vector<StmtAtoms::Entry>& out) const;
+  Atomicity seq_events_of(const StmtEvents& events, const VariantResult& res,
                           synl::StmtId id, bool pre_release_only,
                           bool release_only) const;
 
@@ -336,7 +342,7 @@ void InferEngine::build_regions(VariantCtx& ctx) const {
     for (EventId anchor : mi->matches) {
       auto fwd = cfg.reachable(anchor, all);
       for (EventId m : fwd) {
-        if (!back.count(m)) continue;
+        if (!back.contains(m)) continue;
         r.members[m.idx] = true;
         r.in_s[m.idx] = true;
         if (m != anchor) r.prot[m.idx] = true;
@@ -918,31 +924,30 @@ Atomicity InferEngine::classify_event(
 // ---------------------------------------------------------------------------
 // Step 6: AST propagation
 
-Atomicity InferEngine::seq_events_of(const VariantCtx& ctx,
+Atomicity InferEngine::seq_events_of(const StmtEvents& events,
                                      const VariantResult& res, synl::StmtId id,
                                      bool pre_release_only,
                                      bool release_only) const {
-  const cfg::Cfg& cfg = ctx.pa->cfg();
+  const cfg::Cfg& cfg = res.pa->cfg();
   Atomicity acc = Atomicity::B;
-  for (uint32_t i = 0; i < cfg.num_nodes(); ++i) {
-    const Event& ev = cfg.node(EventId(i));
-    if (ev.stmt != id || !ev.is_action()) continue;
-    bool is_release = ev.kind == EventKind::Release;
+  for (auto it = std::lower_bound(events.begin(), events.end(),
+                                  std::pair<uint32_t, uint32_t>(id.idx, 0));
+       it != events.end() && it->first == id.idx; ++it) {
+    bool is_release = cfg.node(EventId(it->second)).kind == EventKind::Release;
     if (pre_release_only && is_release) continue;
     if (release_only && !is_release) continue;
-    auto it = res.event_atom.find(i);
-    if (it == res.event_atom.end()) continue;
-    acc = seq(acc, it->second);
+    if (const std::optional<Atomicity>& a = res.event_atom[it->second])
+      acc = seq(acc, *a);
   }
   return acc;
 }
 
-Atomicity InferEngine::stmt_atom(
-    const VariantCtx& ctx, const VariantResult& res, synl::StmtId id,
-    std::unordered_map<uint32_t, Atomicity>& memo) const {
+Atomicity InferEngine::stmt_atom(const StmtEvents& events,
+                                 const VariantResult& res, synl::StmtId id,
+                                 std::vector<StmtAtoms::Entry>& out) const {
   if (!id.valid()) return Atomicity::B;
-  if (auto it = memo.find(id.idx); it != memo.end()) return it->second;
   const Stmt& s = prog_.stmt(id);
+  const Atomicity own = seq_events_of(events, res, id, false, false);
   Atomicity a = Atomicity::B;
   switch (s.kind) {
     case StmtKind::Assign:
@@ -953,36 +958,34 @@ Atomicity InferEngine::stmt_atom(
     case StmtKind::Break:
     case StmtKind::Continue:
     case StmtKind::Skip:
-      a = seq_events_of(ctx, res, id, false, false);
+      a = own;
       break;
     case StmtKind::Block:
       for (synl::StmtId child : s.stmts)
-        a = seq(a, stmt_atom(ctx, res, child, memo));
+        a = seq(a, stmt_atom(events, res, child, out));
       break;
     case StmtKind::If: {
-      Atomicity cond = seq_events_of(ctx, res, id, false, false);
-      Atomicity branches = join(stmt_atom(ctx, res, s.s1, memo),
-                                stmt_atom(ctx, res, s.s2, memo));
-      a = seq(cond, branches);
+      Atomicity branches = join(stmt_atom(events, res, s.s1, out),
+                                stmt_atom(events, res, s.s2, out));
+      a = seq(own, branches);
       break;
     }
     case StmtKind::Local:
-      a = seq(seq_events_of(ctx, res, id, false, false),
-              stmt_atom(ctx, res, s.s1, memo));
+      a = seq(own, stmt_atom(events, res, s.s1, out));
       break;
     case StmtKind::Loop:
-      a = iter(stmt_atom(ctx, res, s.s1, memo));
+      a = iter(stmt_atom(events, res, s.s1, out));
       break;
     case StmtKind::Synchronized: {
-      Atomicity pre = seq_events_of(ctx, res, id, /*pre_release_only=*/true,
+      Atomicity pre = seq_events_of(events, res, id, /*pre_release_only=*/true,
                                     /*release_only=*/false);
-      Atomicity post = seq_events_of(ctx, res, id, false,
+      Atomicity post = seq_events_of(events, res, id, false,
                                      /*release_only=*/true);
-      a = seq(seq(pre, stmt_atom(ctx, res, s.s1, memo)), post);
+      a = seq(seq(pre, stmt_atom(events, res, s.s1, out)), post);
       break;
     }
   }
-  memo[id.idx] = a;
+  out.push_back({id, a, own});
   return a;
 }
 
@@ -992,17 +995,24 @@ void InferEngine::propagate(const VariantCtx& ctx, VariantResult& out,
   const cfg::Cfg& cfg = ctx.pa->cfg();
   std::vector<obs::ProvenanceRecord>* prov =
       opts_.provenance ? &out.prov : nullptr;
+  out.event_atom.assign(cfg.num_nodes(), std::nullopt);
+  StmtEvents events;
   for (uint32_t i = 0; i < cfg.num_nodes(); ++i) {
     if (opts_.variant_opts.budget != nullptr)
       opts_.variant_opts.budget->check("mover classification");
     EventId e(i);
-    if (!cfg.node(e).is_action()) continue;
+    const Event& ev = cfg.node(e);
+    if (!ev.is_action()) continue;
     out.event_atom[i] = classify_event(ctx, e, prov, work);
+    events.emplace_back(ev.stmt.idx, i);
   }
-  std::unordered_map<uint32_t, Atomicity> memo;
-  out.atomicity =
-      stmt_atom(ctx, out, prog_.proc(ctx.id).body, memo);
-  for (auto [idx, a] : memo) out.stmt_atom[idx] = a;
+  std::sort(events.begin(), events.end());
+  std::vector<StmtAtoms::Entry>& table = out.stmt_atom.entries_;
+  out.atomicity = stmt_atom(events, out, prog_.proc(ctx.id).body, table);
+  std::sort(table.begin(), table.end(),
+            [](const StmtAtoms::Entry& a, const StmtAtoms::Entry& b) {
+              return a.stmt < b.stmt;
+            });
 
   if (prov != nullptr) {
     // Step 6: the variant body's composition, and — when it breaks — the
@@ -1018,8 +1028,7 @@ void InferEngine::propagate(const VariantCtx& ctx, VariantResult& out,
     prov->push_back(std::move(r));
     if (!leq(out.atomicity, Atomicity::A)) {
       for (uint32_t i = 0; i < cfg.num_nodes(); ++i) {
-        auto it = out.event_atom.find(i);
-        if (it == out.event_atom.end() || it->second != Atomicity::A) continue;
+        if (out.event_atom[i] != Atomicity::A) continue;
         const Event& ev = cfg.node(EventId(i));
         obs::ProvenanceRecord b;
         b.step = 6;
@@ -1218,6 +1227,13 @@ ProcResult InferEngine::classify(ProcId proc) const {
   return pr;
 }
 
+const StmtAtoms::Entry* StmtAtoms::find(StmtId id) const {
+  auto it = std::lower_bound(
+      entries_.begin(), entries_.end(), id,
+      [](const Entry& e, StmtId key) { return e.stmt < key; });
+  return it != entries_.end() && it->stmt == id ? &*it : nullptr;
+}
+
 // ---------------------------------------------------------------------------
 // Listings (Figure 3 style)
 
@@ -1232,26 +1248,9 @@ struct Lister {
 
   Atomicity head_atom(synl::StmtId id) const {
     // The atomicity of the statement's own actions (for structured
-    // statements) or of the whole statement (for leaves).
-    const Stmt& s = prog.stmt(id);
-    bool structured = s.kind == StmtKind::Local || s.kind == StmtKind::If ||
-                      s.kind == StmtKind::Loop ||
-                      s.kind == StmtKind::Synchronized ||
-                      s.kind == StmtKind::Block;
-    if (!structured) {
-      auto it = v.stmt_atom.find(id.idx);
-      return it == v.stmt_atom.end() ? Atomicity::B : it->second;
-    }
-    // Fold this statement's own events.
-    Atomicity acc = Atomicity::B;
-    const cfg::Cfg& cfg = v.pa->cfg();
-    for (uint32_t i = 0; i < cfg.num_nodes(); ++i) {
-      const Event& ev = cfg.node(EventId(i));
-      if (ev.stmt != id || !ev.is_action()) continue;
-      auto it = v.event_atom.find(i);
-      if (it != v.event_atom.end()) acc = seq(acc, it->second);
-    }
-    return acc;
+    // statements), which for leaves is the whole statement.
+    const StmtAtoms::Entry* e = v.stmt_atom.find(id);
+    return e == nullptr ? Atomicity::B : e->own;
   }
 
   void emit(synl::StmtId id, int indent) {

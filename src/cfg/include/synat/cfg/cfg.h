@@ -7,15 +7,102 @@
 // synchronized blocks get the intervening Release events inserted on the
 // jump path, preserving the matched-pair property the paper's Theorem 4.1
 // relies on.
+//
+// The graph is laid out flat once construction finishes: each direction's
+// edges sit in one array, grouped by node (compressed sparse rows), and
+// each node keeps its edges in the order they were added. Reachability
+// answers with a NodeSet, one bit per node.
 #pragma once
 
+#include <bit>
+#include <cstdint>
+#include <span>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "synat/cfg/event.h"
 
 namespace synat::cfg {
+
+/// A set of nodes of one CFG: one bit per node, iterated in ascending
+/// EventId order.
+class NodeSet {
+ public:
+  NodeSet() = default;
+  explicit NodeSet(size_t num_nodes) : words_((num_nodes + 63) / 64, 0) {}
+
+  bool contains(EventId e) const {
+    return e.idx / 64 < words_.size() && (words_[e.idx / 64] >> (e.idx % 64)) & 1;
+  }
+  size_t count(EventId e) const { return contains(e) ? 1 : 0; }
+  /// Adds `e`, which must be a node of the set's graph; false if present.
+  bool insert(EventId e) {
+    uint64_t& w = words_[e.idx / 64];
+    const uint64_t bit = uint64_t{1} << (e.idx % 64);
+    if (w & bit) return false;
+    w |= bit;
+    return true;
+  }
+  /// Adds every node of `other`, a set over the same graph.
+  NodeSet& operator|=(const NodeSet& other) {
+    for (size_t i = 0; i < words_.size(); ++i) words_[i] |= other.words_[i];
+    return *this;
+  }
+  /// Keeps only the nodes also in `other`, a set over the same graph.
+  NodeSet& operator&=(const NodeSet& other) {
+    for (size_t i = 0; i < words_.size(); ++i) words_[i] &= other.words_[i];
+    return *this;
+  }
+
+  class iterator {
+   public:
+    using value_type = EventId;
+    using difference_type = std::ptrdiff_t;
+    iterator() = default;
+    iterator(const std::vector<uint64_t>* words, size_t word)
+        : words_(words), word_(word) {
+      settle();
+    }
+    EventId operator*() const {
+      return EventId(static_cast<uint32_t>(
+          word_ * 64 + static_cast<size_t>(std::countr_zero(bits_))));
+    }
+    iterator& operator++() {
+      bits_ &= bits_ - 1;
+      if (bits_ == 0) {
+        ++word_;
+        settle();
+      }
+      return *this;
+    }
+    iterator operator++(int) {
+      iterator old = *this;
+      ++*this;
+      return old;
+    }
+    friend bool operator==(const iterator& a, const iterator& b) {
+      return a.word_ == b.word_ && a.bits_ == b.bits_;
+    }
+
+   private:
+    /// Moves to the first set bit at or after word_.
+    void settle() {
+      for (; word_ < words_->size(); ++word_) {
+        bits_ = (*words_)[word_];
+        if (bits_ != 0) return;
+      }
+      bits_ = 0;
+    }
+    const std::vector<uint64_t>* words_ = nullptr;
+    size_t word_ = 0;
+    uint64_t bits_ = 0;
+  };
+  iterator begin() const { return iterator(&words_, 0); }
+  iterator end() const { return iterator(&words_, words_.size()); }
+
+ private:
+  std::vector<uint64_t> words_;
+};
 
 struct LoopInfo {
   StmtId stmt;           ///< the Loop statement
@@ -35,8 +122,17 @@ class Cfg {
   Event& node(EventId id) { return nodes_[id.idx]; }
   size_t num_nodes() const { return nodes_.size(); }
 
-  const std::vector<Edge>& succs(EventId id) const { return succs_[id.idx]; }
-  const std::vector<Edge>& preds(EventId id) const { return preds_[id.idx]; }
+  /// Out-edges of `id` in the order they were added.
+  std::span<const Edge> succs(EventId id) const {
+    return {succs_.data() + succ_begin_[id.idx],
+            succs_.data() + succ_begin_[id.idx + 1]};
+  }
+  /// In-edges of `id` in the order they were added; `Edge::to` is the
+  /// source.
+  std::span<const Edge> preds(EventId id) const {
+    return {preds_.data() + pred_begin_[id.idx],
+            preds_.data() + pred_begin_[id.idx + 1]};
+  }
 
   const std::vector<LoopInfo>& loops() const { return loops_; }
   const LoopInfo* loop_info(StmtId loop) const {
@@ -54,62 +150,50 @@ class Cfg {
   /// Forward reachability from `from`, optionally restricted to nodes for
   /// which `within` returns true (edges to outside nodes are not followed).
   template <class Pred>
-  std::unordered_set<EventId> reachable(EventId from, Pred within) const {
-    std::unordered_set<EventId> seen;
-    std::vector<EventId> work{from};
-    if (!within(from)) return seen;
-    seen.insert(from);
-    while (!work.empty()) {
-      EventId n = work.back();
-      work.pop_back();
-      for (const Edge& e : succs(n)) {
-        if (!within(e.to) || seen.count(e.to)) continue;
-        seen.insert(e.to);
-        work.push_back(e.to);
-      }
-    }
-    return seen;
+  NodeSet reachable(EventId from, Pred within) const {
+    return search(from, within, succ_begin_, succs_);
   }
 
   /// Backward reachability (same contract as `reachable`).
   template <class Pred>
-  std::unordered_set<EventId> reachable_back(EventId from, Pred within) const {
-    std::unordered_set<EventId> seen;
-    std::vector<EventId> work{from};
-    if (!within(from)) return seen;
-    seen.insert(from);
-    while (!work.empty()) {
-      EventId n = work.back();
-      work.pop_back();
-      for (const Edge& e : preds(n)) {
-        if (!within(e.to) || seen.count(e.to)) continue;
-        seen.insert(e.to);
-        work.push_back(e.to);
-      }
-    }
-    return seen;
+  NodeSet reachable_back(EventId from, Pred within) const {
+    return search(from, within, pred_begin_, preds_);
   }
 
   std::string dump(const Program& prog) const;
 
  private:
   friend class CfgBuilder;
-  EventId add_node(Event ev) {
-    nodes_.push_back(std::move(ev));
-    succs_.emplace_back();
-    preds_.emplace_back();
-    return EventId(static_cast<uint32_t>(nodes_.size() - 1));
+
+  template <class Pred>
+  NodeSet search(EventId from, Pred within, const std::vector<uint32_t>& begin,
+                 const std::vector<Edge>& edges) const {
+    NodeSet seen(nodes_.size());
+    if (!within(from)) return seen;
+    seen.insert(from);
+    std::vector<EventId> work{from};
+    while (!work.empty()) {
+      EventId n = work.back();
+      work.pop_back();
+      for (uint32_t i = begin[n.idx]; i < begin[n.idx + 1]; ++i) {
+        EventId to = edges[i].to;
+        if (within(to) && seen.insert(to)) work.push_back(to);
+      }
+    }
+    return seen;
   }
-  void add_edge(EventId from, EventId to, EdgeKind kind) {
-    succs_[from.idx].push_back({to, kind});
-    preds_[to.idx].push_back({from, kind});
-  }
+
+  /// Lays out `edges`, (source, edge) pairs in the order they were added,
+  /// as the two adjacency arrays.
+  void lay_out(const std::vector<std::pair<EventId, Edge>>& edges);
 
   ProcId proc_;
   EventId entry_, exit_;
   std::vector<Event> nodes_;
-  std::vector<std::vector<Edge>> succs_;
-  std::vector<std::vector<Edge>> preds_;
+  /// Node i's out-edges are succs_[succ_begin_[i] .. succ_begin_[i+1]);
+  /// likewise for in-edges.
+  std::vector<uint32_t> succ_begin_, pred_begin_;
+  std::vector<Edge> succs_, preds_;
   std::vector<LoopInfo> loops_;
   std::unordered_map<StmtId, size_t> loop_index_;
 };

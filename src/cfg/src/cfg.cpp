@@ -1,5 +1,6 @@
 #include "synat/cfg/cfg.h"
 
+#include <algorithm>
 #include <string>
 
 #include "synat/obs/trace.h"
@@ -65,7 +66,7 @@ std::string Cfg::dump(const Program& prog) const {
     if (ev.path.root.valid()) out += ' ' + ev.path.str(prog);
     if (ev.must_succeed) out += " [must-succeed]";
     out += " ->";
-    for (const Edge& e : succs_[i]) {
+    for (const Edge& e : succs(EventId(i))) {
       out += " n" + std::to_string(e.to.idx);
       switch (e.kind) {
         case EdgeKind::True: out += "(T)"; break;
@@ -77,6 +78,35 @@ std::string Cfg::dump(const Program& prog) const {
     out += '\n';
   }
   return out;
+}
+
+void Cfg::lay_out(const std::vector<std::pair<EventId, Edge>>& edges) {
+  // Counting sort by source (and by target), stable, so each node's edges
+  // keep the order they were added in.
+  const size_t n = nodes_.size();
+  succ_begin_.assign(n + 1, 0);
+  pred_begin_.assign(n + 1, 0);
+  for (const auto& [from, e] : edges) {
+    ++succ_begin_[from.idx + 1];
+    ++pred_begin_[e.to.idx + 1];
+  }
+  for (size_t i = 0; i < n; ++i) {
+    succ_begin_[i + 1] += succ_begin_[i];
+    pred_begin_[i + 1] += pred_begin_[i];
+  }
+  // Place each edge at its node's cursor, begin_[i] advancing to the end of
+  // node i; shifting the array one slot right then restores the begins.
+  succs_.resize(edges.size());
+  preds_.resize(edges.size());
+  for (const auto& [from, e] : edges) {
+    succs_[succ_begin_[from.idx]++] = e;
+    preds_[pred_begin_[e.to.idx]++] = {from, e.kind};
+  }
+  for (size_t i = n; i > 0; --i) {
+    succ_begin_[i] = succ_begin_[i - 1];
+    pred_begin_[i] = pred_begin_[i - 1];
+  }
+  succ_begin_[0] = pred_begin_[0] = 0;
 }
 
 // ---------------------------------------------------------------------------
@@ -94,11 +124,12 @@ class CfgBuilder {
 
   Cfg build() {
     cfg_.proc_ = proc_;
-    cfg_.entry_ = cfg_.add_node(make_event(EventKind::Entry, StmtId(), ExprId()));
-    cfg_.exit_ = cfg_.add_node(make_event(EventKind::Exit, StmtId(), ExprId()));
+    cfg_.entry_ = add_node(make_event(EventKind::Entry, StmtId(), ExprId()));
+    cfg_.exit_ = add_node(make_event(EventKind::Exit, StmtId(), ExprId()));
     Frontier end = build_stmt(prog_.proc(proc_).body,
                               {{cfg_.entry_, EdgeKind::Fall}});
     connect_all(end, cfg_.exit_, EdgeKind::Fall);
+    cfg_.lay_out(edges_);
     return std::move(cfg_);
   }
 
@@ -115,7 +146,16 @@ class CfgBuilder {
     EventId head;
     size_t sync_depth;      ///< sync_stack_ size at loop entry
     Frontier breaks;        ///< edges that exit the loop via break
+    size_t info;            ///< index of its LoopInfo in cfg_.loops_
   };
+
+  EventId add_node(Event ev) {
+    cfg_.nodes_.push_back(std::move(ev));
+    return EventId(static_cast<uint32_t>(cfg_.nodes_.size() - 1));
+  }
+  void add_edge(EventId from, EventId to, EdgeKind kind) {
+    edges_.push_back({from, {to, kind}});
+  }
 
   Event make_event(EventKind kind, StmtId stmt, ExprId expr) {
     Event ev;
@@ -129,23 +169,23 @@ class CfgBuilder {
   void connect_all(const Frontier& f, EventId to, EdgeKind override_kind) {
     for (auto [from, kind] : f) {
       EdgeKind k = override_kind == EdgeKind::Back ? EdgeKind::Back : kind;
-      cfg_.add_edge(from, to, k);
+      add_edge(from, to, k);
     }
   }
 
-  /// Appends a node, wiring the frontier into it; returns the new frontier.
-  Frontier chain(const Frontier& f, Event ev) {
-    EventId id = cfg_.add_node(std::move(ev));
-    for (auto [from, kind] : f) cfg_.add_edge(from, id, kind);
+  /// Appends a node, wiring the frontier into it; returns the new
+  /// frontier, in `f`'s buffer.
+  Frontier chain(Frontier f, Event ev) {
+    EventId id = add_node(std::move(ev));
+    for (auto [from, kind] : f) add_edge(from, id, kind);
     note_loop_member(id);
-    return {{id, EdgeKind::Fall}};
+    f.assign(1, {id, EdgeKind::Fall});
+    return f;
   }
 
   void note_loop_member(EventId id) {
     // Record membership in every enclosing loop.
-    for (LoopCtx& ctx : loop_stack_) {
-      cfg_.loops_[cfg_.loop_index_.at(ctx.stmt)].members.push_back(id);
-    }
+    for (LoopCtx& ctx : loop_stack_) cfg_.loops_[ctx.info].members.push_back(id);
   }
 
   /// AccessPath for a Location expression (x | x.fd | x[e], possibly
@@ -153,7 +193,6 @@ class CfgBuilder {
   /// variable (parse-error recovery).
   AccessPath path_of(ExprId id) const {
     AccessPath path;
-    std::vector<Selector> rev;
     ExprId cur = id;
     while (cur.valid()) {
       const Expr& e = prog_.expr(cur);
@@ -162,16 +201,16 @@ class CfgBuilder {
         break;
       }
       if (e.kind == ExprKind::Field) {
-        rev.push_back({Selector::Field, e.name});
+        path.sels.push_back({Selector::Field, e.name});
         cur = e.a;
       } else if (e.kind == ExprKind::Index) {
-        rev.push_back({Selector::Index, {}});
+        path.sels.push_back({Selector::Index, {}});
         cur = e.a;
       } else {
         break;  // not a location
       }
     }
-    path.sels.assign(rev.rbegin(), rev.rend());
+    std::reverse(path.sels.begin(), path.sels.end());  // collected outermost first
     return path;
   }
 
@@ -345,18 +384,18 @@ class CfgBuilder {
         info.head = head;
         info.parent = loop_stack_.empty() ? StmtId() : loop_stack_.back().stmt;
         info.members.push_back(head);
-        cfg_.loop_index_[id] = cfg_.loops_.size();
+        const size_t li = cfg_.loops_.size();
+        cfg_.loop_index_[id] = li;
         cfg_.loops_.push_back(std::move(info));
 
-        loop_stack_.push_back({id, head, sync_stack_.size(), {}});
+        loop_stack_.push_back({id, head, sync_stack_.size(), {}, li});
         Frontier body_end = build_stmt(s.s1, {{head, EdgeKind::Fall}});
         // Normal termination: fall back to the head. The dangling edge's
         // branch kind is preserved (analyses need to know whether the back
         // edge was the True or False leg of an if); back edges are
         // identified through LoopInfo::back_sources, not the edge kind.
-        size_t li = cfg_.loop_index_.at(id);
         for (auto [from, kind] : body_end) {
-          cfg_.add_edge(from, head, kind);
+          add_edge(from, head, kind);
           cfg_.loops_[li].back_sources.push_back(from);
         }
         Frontier after = std::move(loop_stack_.back().breaks);
@@ -380,10 +419,9 @@ class CfgBuilder {
         LoopCtx* ctx = find_loop(s.jump_target);
         if (!ctx) return {};
         f = emit_releases(std::move(f), ctx->sync_depth, id);
-        size_t li = cfg_.loop_index_.at(ctx->stmt);
         for (auto [from, kind] : f) {
-          cfg_.add_edge(from, ctx->head, kind);
-          cfg_.loops_[li].back_sources.push_back(from);
+          add_edge(from, ctx->head, kind);
+          cfg_.loops_[ctx->info].back_sources.push_back(from);
         }
         return {};
       }
@@ -420,6 +458,9 @@ class CfgBuilder {
   const Program& prog_;
   ProcId proc_;
   Cfg cfg_;
+  /// Every edge as (source, edge), in the order added; laid out when the
+  /// build finishes.
+  std::vector<std::pair<EventId, Edge>> edges_;
   std::vector<SyncCtx> sync_stack_;
   std::vector<LoopCtx> loop_stack_;
 };

@@ -47,10 +47,8 @@ void collect_lines(const synl::Program& prog,
   }
   LineReport line;
   line.line = st.loc.line;
-  auto it = v.stmt_atom.find(s.idx);
-  line.atom = it == v.stmt_atom.end()
-                  ? std::string("-")
-                  : std::string(to_string(it->second));
+  const atomicity::StmtAtoms::Entry* e = v.stmt_atom.find(s);
+  line.atom = e == nullptr ? std::string("-") : std::string(to_string(e->whole));
   line.text = synl::stmt_head(prog, s);
   out.push_back(std::move(line));
   switch (st.kind) {

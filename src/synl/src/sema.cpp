@@ -29,23 +29,29 @@ class Resolver {
     Symbol label;
   };
 
-  void push_scope() { scopes_.emplace_back(); }
-  void pop_scope() { scopes_.pop_back(); }
+  void push_scope() { scope_starts_.push_back(decls_.size()); }
+  void pop_scope() {
+    decls_.resize(scope_starts_.back());
+    scope_starts_.pop_back();
+  }
 
   void declare(VarId v) {
     Symbol name = prog_.var(v).name;
-    auto& top = scopes_.back();
-    if (top.contains(name)) {
+    for (size_t i = scope_starts_.back(); i < decls_.size(); ++i) {
+      if (decls_[i].first != name) continue;
       diags_.error(prog_.var(v).loc,
                    "redeclaration of '" + std::string(prog_.syms().name(name)) +
                        "' in the same scope");
+      decls_[i].second = v;  // the later declaration wins
+      return;
     }
-    top[name] = v;
+    decls_.emplace_back(name, v);
   }
 
   VarId lookup(Symbol name) const {
-    for (auto it = scopes_.rbegin(); it != scopes_.rend(); ++it) {
-      if (auto f = it->find(name); f != it->end()) return f->second;
+    // Innermost first: later declarations shadow earlier ones.
+    for (auto it = decls_.rbegin(); it != decls_.rend(); ++it) {
+      if (it->first == name) return it->second;
     }
     return prog_.find_global(name);
   }
@@ -249,10 +255,10 @@ class Resolver {
         break;
       case StmtKind::Block: {
         push_scope();
-        // Copy the child list: resolving children may grow the arena and
-        // invalidate `s`.
-        std::vector<StmtId> children = s.stmts;
-        for (StmtId child : children) resolve_stmt(child);
+        // Re-fetch the statement for each child: resolving one may grow the
+        // arena and invalidate `s`.
+        for (size_t i = 0; i < prog_.stmt(id).stmts.size(); ++i)
+          resolve_stmt(prog_.stmt(id).stmts[i]);
         pop_scope();
         break;
       }
@@ -336,7 +342,10 @@ class Resolver {
   Program& prog_;
   ProcId proc_;
   DiagEngine& diags_;
-  std::vector<std::unordered_map<Symbol, VarId>> scopes_;
+  /// Every declaration in scope, innermost last; scope_starts_ holds where
+  /// each open scope's declarations begin.
+  std::vector<std::pair<Symbol, VarId>> decls_;
+  std::vector<size_t> scope_starts_;
   std::vector<LoopCtx> loops_;
 };
 
