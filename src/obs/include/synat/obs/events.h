@@ -69,7 +69,10 @@ struct EventLogOptions {
 
 /// Append-only wide-event sink. Thread-safe; one instance per batch run or
 /// daemon. append() assigns the sequence number, applies virtual-clock
-/// canonicalization, renders, writes, and mirrors into the Recorder.
+/// canonicalization, renders, writes, and mirrors into the Recorder. With a
+/// path, every line is either written whole and flushed (lines()) or
+/// dropped (dropped(), and the synat_events_dropped_total counter): a
+/// failed or short write or flush, or a file that could not be opened.
 class EventLog {
  public:
   explicit EventLog(EventLogOptions opts);
@@ -81,7 +84,10 @@ class EventLog {
   /// Canonicalizes (under the virtual clock), renders, and writes `e`.
   void append(Event e);
 
+  /// Lines logged: written whole to the file, or, without a path, appended.
   uint64_t lines() const;
+  /// Lines the file did not take whole.
+  uint64_t dropped() const;
   const std::string& path() const { return opts_.path; }
 
  private:
@@ -93,6 +99,7 @@ class EventLog {
   uint64_t bytes_ = 0;
   uint64_t next_seq_ = 0;
   uint64_t lines_ = 0;
+  uint64_t dropped_ = 0;
 };
 
 }  // namespace synat::obs

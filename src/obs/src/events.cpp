@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "synat/obs/export.h"
+#include "synat/obs/metrics.h"
 #include "synat/obs/obs.h"
 #include "synat/obs/recorder.h"
 
@@ -105,6 +106,7 @@ void EventLog::rotate_locked() {
 
 void EventLog::append(Event e) {
   std::string line;
+  bool lost = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
     e.seq = next_seq_++;
@@ -120,17 +122,32 @@ void EventLog::append(Event e) {
     }
     line = render_event(e);
     line += '\n';
-    if (f_ != nullptr) {
-      if (opts_.max_bytes > 0 && bytes_ > 0 &&
+    if (opts_.path.empty()) {
+      ++lines_;
+    } else {
+      if (f_ != nullptr && opts_.max_bytes > 0 && bytes_ > 0 &&
           bytes_ + line.size() > opts_.max_bytes)
         rotate_locked();
+      size_t written = 0;
+      bool flushed = false;
       if (f_ != nullptr) {
-        std::fwrite(line.data(), 1, line.size(), f_);
-        std::fflush(f_);  // the log must survive a crash one line later
-        bytes_ += line.size();
+        written = std::fwrite(line.data(), 1, line.size(), f_);
+        // The log must survive a crash one line later.
+        flushed = std::fflush(f_) == 0;
+      }
+      bytes_ += written;
+      if (written == line.size() && flushed) {
+        ++lines_;
+      } else {
+        ++dropped_;
+        lost = true;
       }
     }
-    ++lines_;
+  }
+  if (lost) {
+    static Counter& drops =
+        registry().counter("synat_events_dropped_total", false);
+    drops.inc();
   }
   // Mirror without the newline; the ring stores one frame per line.
   recorder().note(std::string_view(line.data(), line.size() - 1));
@@ -139,6 +156,11 @@ void EventLog::append(Event e) {
 uint64_t EventLog::lines() const {
   std::lock_guard<std::mutex> lock(mu_);
   return lines_;
+}
+
+uint64_t EventLog::dropped() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return dropped_;
 }
 
 }  // namespace synat::obs

@@ -40,6 +40,7 @@ Registry::Registry() {
       {"synat_watchdog_trips_total", false},
       {"synat_worker_heartbeats_total", false},
       {"synat_trace_spans_dropped_total", false},
+      {"synat_events_dropped_total", false},
       // Serve counters are non-deterministic by design: their values depend
       // on client arrival order, so they are exported live (Prometheus /
       // status RPC) but never enter the report's deterministic counters

@@ -1,6 +1,7 @@
 #include "synat/serve/service.h"
 
 #include <chrono>
+#include <cstdio>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -553,7 +554,14 @@ void Service::finish_obs(obs::Event ev, uint64_t start_real_ns) {
   static obs::Histogram& latency = obs::registry().histogram(
       "synat_serve_rpc_request_latency_seconds");
   latency.observe(dur);
-  if (opts_.events != nullptr) opts_.events->append(std::move(ev));
+  if (opts_.events == nullptr) return;
+  opts_.events->append(std::move(ev));
+  // The log counts the lines it could not write; say so once.
+  if (opts_.events->dropped() != 0 && !events_warned_.exchange(true))
+    std::fprintf(stderr,
+                 "synat serve: warning: short write to %s; dropping event "
+                 "lines\n",
+                 opts_.events->path().c_str());
 }
 
 }  // namespace synat::serve

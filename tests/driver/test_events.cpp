@@ -1,6 +1,6 @@
 // Wide-event log tests (DESIGN.md §3i): the renderer's fixed key order,
-// EventLog sequencing, recorder mirroring, size-based rotation, and the
-// completion-time stamp. The cross-mode byte-identity contract (identical
+// EventLog sequencing, recorder mirroring, size-based rotation, dropped
+// lines, and the completion-time stamp. The cross-mode byte-identity contract (identical
 // logs under --jobs 1 / --jobs N / --isolate with the virtual clock) is
 // pinned at the CLI level by the cli_events_identity ctest and the CI
 // events job, because the virtual clock is a process-wide, checked-once
@@ -129,6 +129,16 @@ TEST(Events, SizeBasedRotationKeepsTheLastTwoFiles) {
   EXPECT_EQ(current.find("program_0"), std::string::npos);
   std::remove(path.c_str());
   std::remove(rotated.c_str());
+}
+
+TEST(Events, LinesTheFileCannotTakeAreDroppedNotLogged) {
+  obs::EventLogOptions opts;
+  opts.path = tmp_path("missing_dir") + "/events.jsonl";  // cannot be opened
+  obs::EventLog log(opts);
+  log.append(obs::Event{});
+  log.append(obs::Event{});
+  EXPECT_EQ(log.lines(), 0u);
+  EXPECT_EQ(log.dropped(), 2u);
 }
 
 TEST(Events, RingOnlyLogMirrorsIntoTheRecorder) {

@@ -78,10 +78,11 @@
 // non-atomic procedure, a degraded (budget/deadline/recovered-parse)
 // result, a crashed --isolate worker, or mc found an error; 2 usage error;
 // 3 an input failed to load or parse (batch still analyzes the other
-// inputs); 4 internal analyzer error, or a report that could not be
-// written whole. When several apply the highest-
+// inputs); 4 internal analyzer error, or output (a report, a listing, an
+// event log) that could not be written whole. When several apply the highest-
 // severity code wins — the precedence order (0 < 1 < 2 < 3 < 4) is
 // implemented once, in driver::combine_exit_codes.
+#include <cstdarg>
 #include <cstdlib>
 #include <cstdio>
 #include <cstring>
@@ -187,14 +188,6 @@ void default_counted(const std::string& spec,
   }
 }
 
-int cmd_corpus() {
-  for (const corpus::Entry& e : corpus::all()) {
-    std::printf("%-18s %s\n", std::string(e.name).c_str(),
-                std::string(e.description).c_str());
-  }
-  return 0;
-}
-
 /// Writes a finished document to `path`, or to stdout when `path` is empty.
 /// A document that cannot be written whole is reported, naming the output,
 /// and the caller exits 4: a truncated report must never pass for a verdict.
@@ -210,6 +203,34 @@ bool write_output(const std::string& path, const std::string& doc) {
   }
   std::fprintf(stderr, "%s\n", err.c_str());
   return false;
+}
+
+/// printf into `out`: listings are built whole, then written through
+/// write_output.
+[[gnu::format(printf, 2, 3)]] void appendf(std::string& out, const char* fmt,
+                                           ...) {
+  va_list ap;
+  va_start(ap, fmt);
+  va_list again;
+  va_copy(again, ap);
+  const int n = std::vsnprintf(nullptr, 0, fmt, ap);
+  va_end(ap);
+  if (n > 0) {
+    const size_t at = out.size();
+    out.resize(at + static_cast<size_t>(n) + 1);
+    std::vsnprintf(out.data() + at, static_cast<size_t>(n) + 1, fmt, again);
+    out.resize(at + static_cast<size_t>(n));
+  }
+  va_end(again);
+}
+
+int cmd_corpus() {
+  std::string out;
+  for (const corpus::Entry& e : corpus::all()) {
+    appendf(out, "%-18s %s\n", std::string(e.name).c_str(),
+            std::string(e.description).c_str());
+  }
+  return write_output({}, out) ? kExitOk : kExitInternalError;
 }
 
 /// Default analysis options for a spec: corpus annotations for counted CAS.
@@ -410,6 +431,10 @@ int cmd_batch(int argc, char** argv) {
                      .c_str(),
                  drv.cache().hits(), drv.cache().misses());
   }
+  if (events != nullptr && events->dropped() != 0) {
+    std::fprintf(stderr, "short write to %s\n", events_out.c_str());
+    return kExitInternalError;
+  }
   if (!trace_out.empty()) {
     std::vector<obs::SpanRecord> spans = obs::Tracer::instance().drain();
     std::string trace =
@@ -505,7 +530,7 @@ int cmd_analyze(const std::string& spec, int argc, char** argv) {
     else { std::fprintf(stderr, "unknown option %s\n", a.c_str()); return kExitUsage; }
   }
   auto result = atomicity::infer_atomicity(p.prog, p.diags, opts);
-  std::printf("%s", result.full_listing(p.prog).c_str());
+  if (!write_output({}, result.full_listing(p.prog))) return kExitInternalError;
   return result.all_atomic() ? kExitOk : kExitNotAtomic;
 }
 
@@ -515,15 +540,16 @@ int cmd_variants(const std::string& spec, int argc, char** argv) {
   atomicity::InferOptions opts;
   default_counted(spec, opts);
   auto result = atomicity::infer_atomicity(p.prog, p.diags, opts);
+  std::string out;
   for (const atomicity::ProcResult& pr : result.procs()) {
     std::string name(p.prog.syms().name(p.prog.proc(pr.proc).name));
     if (argc > 0 && name != argv[0]) continue;
     for (const atomicity::VariantResult& v : pr.variants) {
-      std::printf("%s", synl::print_proc(p.prog, v.variant).c_str());
-      std::printf("\n");
+      out += synl::print_proc(p.prog, v.variant);
+      out += '\n';
     }
   }
-  return 0;
+  return write_output({}, out) ? kExitOk : kExitInternalError;
 }
 
 int cmd_blocks(const std::string& spec) {
@@ -533,15 +559,15 @@ int cmd_blocks(const std::string& spec) {
   default_counted(spec, opts);
   auto result = atomicity::infer_atomicity(p.prog, p.diags, opts);
   atomicity::BlockSummary sum = atomicity::summarize_blocks(p.prog, result);
+  std::string out;
   for (auto [pid, blocks] : sum.per_proc) {
-    std::printf("%-20s %zu block(s)%s\n",
-                std::string(p.prog.syms().name(p.prog.proc(pid).name)).c_str(),
-                blocks,
-                result.result_for(pid)->atomic ? " [atomic]" : "");
+    appendf(out, "%-20s %zu block(s)%s\n",
+            std::string(p.prog.syms().name(p.prog.proc(pid).name)).c_str(),
+            blocks, result.result_for(pid)->atomic ? " [atomic]" : "");
   }
-  std::printf("total: %zu procedures, %zu blocks\n", sum.total_procs,
-              sum.total_blocks);
-  return 0;
+  appendf(out, "total: %zu procedures, %zu blocks\n", sum.total_procs,
+          sum.total_blocks);
+  return write_output({}, out) ? kExitOk : kExitInternalError;
 }
 
 int cmd_cfg(const std::string& spec, const char* proc_name, bool dot) {
@@ -553,36 +579,37 @@ int cmd_cfg(const std::string& spec, const char* proc_name, bool dot) {
     return kExitUsage;
   }
   cfg::Cfg g = cfg::build_cfg(p.prog, pid);
-  if (!dot) {
-    std::printf("%s", g.dump(p.prog).c_str());
-    return 0;
-  }
-  std::printf("digraph \"%s\" {\n  node [shape=box,fontname=monospace];\n",
-              proc_name);
+  if (!dot) return write_output({}, g.dump(p.prog)) ? kExitOk : kExitInternalError;
+  std::string out;
+  appendf(out, "digraph \"%s\" {\n  node [shape=box,fontname=monospace];\n",
+          proc_name);
   for (uint32_t i = 0; i < g.num_nodes(); ++i) {
     const cfg::Event& ev = g.node(cfg::EventId(i));
     std::string label(to_string(ev.kind));
     if (ev.path.root.valid()) label += " " + ev.path.str(p.prog);
     if (ev.must_succeed) label += "!";
-    std::printf("  n%u [label=\"%s\"];\n", i, label.c_str());
+    appendf(out, "  n%u [label=\"%s\"];\n", i, label.c_str());
     for (const cfg::Edge& e : g.succs(cfg::EventId(i))) {
       const char* style = "";
       if (e.kind == cfg::EdgeKind::True) style = " [label=T,color=darkgreen]";
       if (e.kind == cfg::EdgeKind::False) style = " [label=F,color=red]";
-      std::printf("  n%u -> n%u%s;\n", i, e.to.idx, style);
+      appendf(out, "  n%u -> n%u%s;\n", i, e.to.idx, style);
     }
   }
-  std::printf("}\n");
-  return 0;
+  out += "}\n";
+  return write_output({}, out) ? kExitOk : kExitInternalError;
 }
 
 int cmd_disasm(const std::string& spec) {
   Parsed p;
   if (!parse(spec, p)) return kExitParseError;
   interp::CompiledProgram cp = interp::compile_program(p.prog, p.diags);
-  for (const interp::CompiledProc& proc : cp.procs)
-    std::printf("%s\n", interp::disassemble(proc).c_str());
-  return 0;
+  std::string out;
+  for (const interp::CompiledProc& proc : cp.procs) {
+    out += interp::disassemble(proc);
+    out += '\n';
+  }
+  return write_output({}, out) ? kExitOk : kExitInternalError;
 }
 
 int cmd_mc(const std::string& spec, int argc, char** argv) {
@@ -629,7 +656,7 @@ int cmd_mc(const std::string& spec, int argc, char** argv) {
   interp::CompiledProgram cp = interp::compile_program(p.prog, p.diags);
   mc::ModelChecker checker(cp, opts);
   mc::Result r = checker.run(run);
-  std::printf("%s\n", r.summary().c_str());
+  if (!write_output({}, r.summary() + '\n')) return kExitInternalError;
   return r.error_found ? kExitNotAtomic : kExitOk;
 }
 
@@ -785,50 +812,51 @@ int cmd_postmortem(const std::string& path) {
                ? static_cast<long long>(m->number)
                : 0;
   };
+  std::string out;
   std::string line;
   size_t events_n = 0, notes_n = 0, spans_n = 0, raw_n = 0;
   while (std::getline(in, line)) {
     if (line.empty()) continue;
     serve::JsonParse p = serve::parse_json(line);
     if (!p.ok || !p.value.is_object()) {
-      std::printf("  ?      %s\n", line.c_str());
+      appendf(out, "  ?      %s\n", line.c_str());
       ++raw_n;
       continue;
     }
     const serve::JsonValue& v = p.value;
     std::string rec = str_of(v, "rec");
     if (rec == "postmortem") {
-      std::printf("postmortem: reason=%s signal=%lld frames=%lld\n",
-                  str_of(v, "reason").c_str(), num_of(v, "signal"),
-                  num_of(v, "frames"));
+      appendf(out, "postmortem: reason=%s signal=%lld frames=%lld\n",
+              str_of(v, "reason").c_str(), num_of(v, "signal"),
+              num_of(v, "frames"));
     } else if (rec == "note") {
-      std::printf("  note   %s: %s\n", str_of(v, "what").c_str(),
-                  str_of(v, "detail").c_str());
+      appendf(out, "  note   %s: %s\n", str_of(v, "what").c_str(),
+              str_of(v, "detail").c_str());
       ++notes_n;
     } else if (rec == "span") {
-      std::printf("  span   %-10s start_ns=%lld dur_ns=%lld\n",
-                  str_of(v, "stage").c_str(), num_of(v, "start_ns"),
-                  num_of(v, "dur_ns"));
+      appendf(out, "  span   %-10s start_ns=%lld dur_ns=%lld\n",
+              str_of(v, "stage").c_str(), num_of(v, "start_ns"),
+              num_of(v, "dur_ns"));
       ++spans_n;
     } else if (str_of(v, "schema") == "synat-event") {
-      std::printf("  event  seq=%-4lld %-28s status=%s%s exit=%lld "
-                  "dur_ns=%lld\n",
-                  num_of(v, "seq"), str_of(v, "name").c_str(),
-                  str_of(v, "status").c_str(),
-                  v.get("quarantined") != nullptr &&
-                          v.get("quarantined")->boolean
-                      ? " quarantined"
-                      : "",
-                  num_of(v, "exit_code"), num_of(v, "dur_ns"));
+      appendf(out, "  event  seq=%-4lld %-28s status=%s%s exit=%lld "
+                   "dur_ns=%lld\n",
+              num_of(v, "seq"), str_of(v, "name").c_str(),
+              str_of(v, "status").c_str(),
+              v.get("quarantined") != nullptr &&
+                      v.get("quarantined")->boolean
+                  ? " quarantined"
+                  : "",
+              num_of(v, "exit_code"), num_of(v, "dur_ns"));
       ++events_n;
     } else {
-      std::printf("  ?      %s\n", line.c_str());
+      appendf(out, "  ?      %s\n", line.c_str());
       ++raw_n;
     }
   }
-  std::printf("-- %zu event(s), %zu note(s), %zu span(s), %zu raw frame(s)\n",
-              events_n, notes_n, spans_n, raw_n);
-  return kExitOk;
+  appendf(out, "-- %zu event(s), %zu note(s), %zu span(s), %zu raw frame(s)\n",
+          events_n, notes_n, spans_n, raw_n);
+  return write_output({}, out) ? kExitOk : kExitInternalError;
 }
 
 }  // namespace
