@@ -997,6 +997,7 @@ void InferEngine::propagate(const VariantCtx& ctx, VariantResult& out,
       opts_.provenance ? &out.prov : nullptr;
   out.event_atom.assign(cfg.num_nodes(), std::nullopt);
   StmtEvents events;
+  events.reserve(cfg.num_nodes());
   for (uint32_t i = 0; i < cfg.num_nodes(); ++i) {
     if (opts_.variant_opts.budget != nullptr)
       opts_.variant_opts.budget->check("mover classification");
@@ -1007,8 +1008,12 @@ void InferEngine::propagate(const VariantCtx& ctx, VariantResult& out,
     events.emplace_back(ev.stmt.idx, i);
   }
   std::sort(events.begin(), events.end());
+  const synl::StmtId body = prog_.proc(ctx.id).body;
   std::vector<StmtAtoms::Entry>& table = out.stmt_atom.entries_;
-  out.atomicity = stmt_atom(events, out, prog_.proc(ctx.id).body, table);
+  size_t num_stmts = 0;
+  synl::for_each_stmt(prog_, body, [&](synl::StmtId) { ++num_stmts; });
+  table.reserve(num_stmts);
+  out.atomicity = stmt_atom(events, out, body, table);
   std::sort(table.begin(), table.end(),
             [](const StmtAtoms::Entry& a, const StmtAtoms::Entry& b) {
               return a.stmt < b.stmt;

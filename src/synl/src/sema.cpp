@@ -29,20 +29,20 @@ class Resolver {
     Symbol label;
   };
 
-  void push_scope() { scope_starts_.push_back(decls_.size()); }
+  void push_scope() { decls_.emplace_back(Symbol(), VarId()); }
   void pop_scope() {
-    decls_.resize(scope_starts_.back());
-    scope_starts_.pop_back();
+    while (decls_.back().first.valid()) decls_.pop_back();
+    decls_.pop_back();  // the scope's mark
   }
 
   void declare(VarId v) {
     Symbol name = prog_.var(v).name;
-    for (size_t i = scope_starts_.back(); i < decls_.size(); ++i) {
-      if (decls_[i].first != name) continue;
+    for (auto it = decls_.rbegin(); it->first.valid(); ++it) {
+      if (it->first != name) continue;
       diags_.error(prog_.var(v).loc,
                    "redeclaration of '" + std::string(prog_.syms().name(name)) +
                        "' in the same scope");
-      decls_[i].second = v;  // the later declaration wins
+      it->second = v;  // the later declaration wins
       return;
     }
     decls_.emplace_back(name, v);
@@ -51,7 +51,7 @@ class Resolver {
   VarId lookup(Symbol name) const {
     // Innermost first: later declarations shadow earlier ones.
     for (auto it = decls_.rbegin(); it != decls_.rend(); ++it) {
-      if (it->first == name) return it->second;
+      if (it->first.valid() && it->first == name) return it->second;
     }
     return prog_.find_global(name);
   }
@@ -342,10 +342,9 @@ class Resolver {
   Program& prog_;
   ProcId proc_;
   DiagEngine& diags_;
-  /// Every declaration in scope, innermost last; scope_starts_ holds where
-  /// each open scope's declarations begin.
+  /// Every declaration in scope, innermost last. An entry with an invalid
+  /// symbol marks where a scope opens.
   std::vector<std::pair<Symbol, VarId>> decls_;
-  std::vector<size_t> scope_starts_;
   std::vector<LoopCtx> loops_;
 };
 
