@@ -706,20 +706,21 @@ Atomicity InferEngine::classify_event(
     const VariantCtx& ctx, EventId e,
     std::vector<obs::ProvenanceRecord>* prov, Work& work) const {
   const Event& ev = ctx.pa->cfg().node(e);
-  auto emit = [&](uint32_t step, std::string theorem, const char* rule,
+  // Views, so a run without provenance builds no strings.
+  auto emit = [&](uint32_t step, std::string_view theorem, const char* rule,
                   Atomicity atom,
-                  std::string detail) -> obs::ProvenanceRecord* {
+                  std::string_view detail) -> obs::ProvenanceRecord* {
     if (prov == nullptr) return nullptr;
     obs::ProvenanceRecord r;
     r.step = step;
-    r.theorem = std::move(theorem);
+    r.theorem = theorem;
     r.rule = rule;
     r.subject = event_text(prog_, ev);
     SourceLoc loc = event_loc(prog_, ev);
     r.line = loc.line;
     r.column = loc.column;
     r.atom = std::string(to_string(atom));
-    r.detail = std::move(detail);
+    r.detail = detail;
     prov->push_back(std::move(r));
     return &prov->back();
   };

@@ -17,6 +17,7 @@ class Resolver {
   void run() {
     ProcInfo& p = prog_.proc(proc_);
     p.locals.clear();
+    decls_.reserve(16);  // deep enough for most procedures: one allocation
     push_scope();
     for (VarId v : p.params) declare(v);
     resolve_stmt(p.body);
