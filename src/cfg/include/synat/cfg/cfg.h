@@ -32,7 +32,8 @@ class NodeSet {
   explicit NodeSet(size_t num_nodes) : words_((num_nodes + 63) / 64, 0) {}
 
   bool contains(EventId e) const {
-    return e.idx / 64 < words_.size() && (words_[e.idx / 64] >> (e.idx % 64)) & 1;
+    return e.idx / 64 < words_.size() &&
+           ((words_[e.idx / 64] >> (e.idx % 64)) & 1) != 0;
   }
   size_t count(EventId e) const { return contains(e) ? 1 : 0; }
   /// Adds `e`, which must be a node of the set's graph; false if present.
@@ -48,17 +49,9 @@ class NodeSet {
     for (size_t i = 0; i < words_.size(); ++i) words_[i] |= other.words_[i];
     return *this;
   }
-  /// Keeps only the nodes also in `other`, a set over the same graph.
-  NodeSet& operator&=(const NodeSet& other) {
-    for (size_t i = 0; i < words_.size(); ++i) words_[i] &= other.words_[i];
-    return *this;
-  }
 
   class iterator {
    public:
-    using value_type = EventId;
-    using difference_type = std::ptrdiff_t;
-    iterator() = default;
     iterator(const std::vector<uint64_t>* words, size_t word)
         : words_(words), word_(word) {
       settle();
@@ -74,11 +67,6 @@ class NodeSet {
         settle();
       }
       return *this;
-    }
-    iterator operator++(int) {
-      iterator old = *this;
-      ++*this;
-      return old;
     }
     friend bool operator==(const iterator& a, const iterator& b) {
       return a.word_ == b.word_ && a.bits_ == b.bits_;

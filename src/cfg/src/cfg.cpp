@@ -185,7 +185,8 @@ class CfgBuilder {
 
   void note_loop_member(EventId id) {
     // Record membership in every enclosing loop.
-    for (LoopCtx& ctx : loop_stack_) cfg_.loops_[ctx.info].members.push_back(id);
+    for (LoopCtx& ctx : loop_stack_)
+      cfg_.loops_[ctx.info].members.push_back(id);
   }
 
   /// AccessPath for a Location expression (x | x.fd | x[e], possibly
@@ -210,7 +211,8 @@ class CfgBuilder {
         break;  // not a location
       }
     }
-    std::reverse(path.sels.begin(), path.sels.end());  // collected outermost first
+    // Collected from the outermost selector inward.
+    std::reverse(path.sels.begin(), path.sels.end());
     return path;
   }
 

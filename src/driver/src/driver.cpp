@@ -48,7 +48,8 @@ void collect_lines(const synl::Program& prog,
   LineReport line;
   line.line = st.loc.line;
   const atomicity::StmtAtoms::Entry* e = v.stmt_atom.find(s);
-  line.atom = e == nullptr ? std::string("-") : std::string(to_string(e->whole));
+  line.atom =
+      e == nullptr ? std::string("-") : std::string(to_string(e->whole));
   line.text = synl::stmt_head(prog, s);
   out.push_back(std::move(line));
   switch (st.kind) {

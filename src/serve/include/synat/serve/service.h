@@ -134,7 +134,8 @@ class Service {
   std::atomic<uint64_t> next_request_{0};
   std::function<void()> shutdown_hook_;
   std::atomic<bool> hook_fired_{false};
-  std::atomic<bool> events_warned_{false};  ///< a dropped event line was reported
+  /// Set once a dropped event line has been reported.
+  std::atomic<bool> events_warned_{false};
   uint64_t start_ns_ = 0;
 };
 

@@ -1,10 +1,10 @@
 // Wide-event log tests (DESIGN.md §3i): the renderer's fixed key order,
 // EventLog sequencing, recorder mirroring, size-based rotation, dropped
-// lines, and the completion-time stamp. The cross-mode byte-identity contract (identical
-// logs under --jobs 1 / --jobs N / --isolate with the virtual clock) is
-// pinned at the CLI level by the cli_events_identity ctest and the CI
-// events job, because the virtual clock is a process-wide, checked-once
-// environment switch.
+// lines, and the completion-time stamp. The cross-mode byte-identity
+// contract (identical logs under --jobs 1 / --jobs N / --isolate with the
+// virtual clock) is pinned at the CLI level by the cli_events_identity
+// ctest and the CI events job, because the virtual clock is a
+// process-wide, checked-once environment switch.
 #include "synat/obs/events.h"
 
 #include <gtest/gtest.h>

@@ -579,7 +579,8 @@ int cmd_cfg(const std::string& spec, const char* proc_name, bool dot) {
     return kExitUsage;
   }
   cfg::Cfg g = cfg::build_cfg(p.prog, pid);
-  if (!dot) return write_output({}, g.dump(p.prog)) ? kExitOk : kExitInternalError;
+  if (!dot)
+    return write_output({}, g.dump(p.prog)) ? kExitOk : kExitInternalError;
   std::string out;
   appendf(out, "digraph \"%s\" {\n  node [shape=box,fontname=monospace];\n",
           proc_name);
