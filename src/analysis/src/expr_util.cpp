@@ -51,7 +51,7 @@ bool mentions(const Program& prog, ExprId id, VarId v, bool as_value) {
              mentions(prog, e.c, v, true);
     case ExprKind::Call:
       // Conservative: a call could do anything with its arguments.
-      for (ExprId arg : e.args) {
+      for (ExprId arg : prog.args(e)) {
         if (mentions(prog, arg, v, true)) return true;
       }
       return false;

@@ -92,7 +92,7 @@ void LocalCondAnalysis::walk(
   if (block != kNoBlock) owner.emplace_back(sid.idx, block);
   walk(s.s1, block, owner);
   walk(s.s2, block, owner);
-  for (StmtId child : s.stmts) walk(child, block, owner);
+  for (StmtId child : prog_.children(s)) walk(child, block, owner);
 }
 
 void LocalCondAnalysis::analyze_block(StmtId local_stmt) {

@@ -27,7 +27,7 @@ void flatten(const synl::Program& prog, const VariantResult& v, StmtId id,
   const Stmt& s = prog.stmt(id);
   switch (s.kind) {
     case StmtKind::Block:
-      for (StmtId child : s.stmts) flatten(prog, v, child, out);
+      for (StmtId child : prog.children(s)) flatten(prog, v, child, out);
       break;
     case StmtKind::Local:
       out.push_back({id, head_atom_of(v, id)});

@@ -962,7 +962,7 @@ Atomicity InferEngine::stmt_atom(const StmtEvents& events,
       a = own;
       break;
     case StmtKind::Block:
-      for (synl::StmtId child : s.stmts)
+      for (synl::StmtId child : prog_.children(s))
         a = seq(a, stmt_atom(events, res, child, out));
       break;
     case StmtKind::If: {
@@ -1262,7 +1262,7 @@ struct Lister {
   void emit(synl::StmtId id, int indent) {
     const Stmt& s = prog.stmt(id);
     if (s.kind == StmtKind::Block) {
-      for (synl::StmtId c : s.stmts) emit(c, indent);
+      for (synl::StmtId c : prog.children(s)) emit(c, indent);
       return;
     }
     if (s.kind == StmtKind::Skip) return;
@@ -1426,7 +1426,7 @@ void mix_stmt_locs(Hasher& h, const Program& prog, synl::StmtId id) {
   h.mix(static_cast<uint64_t>(s.loc.column));
   if (s.s1.valid()) mix_stmt_locs(h, prog, s.s1);
   if (s.s2.valid()) mix_stmt_locs(h, prog, s.s2);
-  for (synl::StmtId c : s.stmts) mix_stmt_locs(h, prog, c);
+  for (synl::StmtId c : prog.children(s)) mix_stmt_locs(h, prog, c);
 }
 
 }  // namespace

@@ -50,32 +50,10 @@ class VariantGen {
   }
 
   /// Unspecialized whole-procedure clone, for budget fallbacks.
-  StmtId clone_whole(StmtId body) { return clone_stmt(body); }
+  StmtId clone_whole(StmtId body) { return cloner_.clone(body); }
 
  private:
-  // -- cloning -------------------------------------------------------------
-
-  ExprId clone_expr(ExprId id) {
-    if (!id.valid()) return id;
-    Expr e = prog_.expr(id);  // copy
-    e.a = clone_expr(e.a);
-    e.b = clone_expr(e.b);
-    e.c = clone_expr(e.c);
-    for (ExprId& arg : e.args) arg = clone_expr(arg);
-    return prog_.add_expr(std::move(e));
-  }
-
-  StmtId clone_stmt(StmtId id) {
-    if (!id.valid()) return id;
-    Stmt s = prog_.stmt(id);  // copy
-    s.e1 = clone_expr(s.e1);
-    s.e2 = clone_expr(s.e2);
-    s.s1 = clone_stmt(s.s1);
-    s.s2 = clone_stmt(s.s2);
-    for (StmtId& child : s.stmts) child = clone_stmt(child);
-    // jump_target / var are stale after cloning; re-sema fixes them.
-    return prog_.add_stmt(std::move(s));
-  }
+  // -- node construction ---------------------------------------------------
 
   StmtId make_skip() {
     Stmt s;
@@ -94,7 +72,7 @@ class VariantGen {
       src = prog_.expr(src).a;
       negated = false;
     }
-    ExprId e = clone_expr(src);
+    ExprId e = cloner_.clone(src);
     if (negated && prog_.expr(e).kind == ExprKind::Binary) {
       Expr& b = prog_.expr(e);
       if (b.bin_op == synl::BinOp::Eq) {
@@ -125,7 +103,7 @@ class VariantGen {
   /// replace them with the dead-end statement TRUE(false).
   void kill_jumps_to(StmtId id, StmtId loop) {
     if (!id.valid()) return;
-    Stmt& s = prog_.stmt(id);
+    const Stmt s = prog_.stmt(id);  // copy: the arena may grow below
     if ((s.kind == StmtKind::Break || s.kind == StmtKind::Continue) &&
         s.jump_target == loop) {
       Expr f;
@@ -139,19 +117,10 @@ class VariantGen {
       s2.label = synat::Symbol();
       return;
     }
-    StmtId s1 = s.s1, s2 = s.s2;
-    std::vector<StmtId> children = s.stmts;
-    kill_jumps_to(s1, loop);
-    kill_jumps_to(s2, loop);
-    for (StmtId c : children) kill_jumps_to(c, loop);
-  }
-
-  StmtId make_block(std::vector<StmtId> stmts, SourceLoc loc) {
-    Stmt s;
-    s.kind = StmtKind::Block;
-    s.loc = loc;
-    s.stmts = std::move(stmts);
-    return prog_.add_stmt(std::move(s));
+    kill_jumps_to(s.s1, loop);
+    kill_jumps_to(s.s2, loop);
+    for (uint32_t i = 0; i < s.stmts.count; ++i)
+      kill_jumps_to(prog_.children(s)[i], loop);
   }
 
   StmtId ensure_stmt(StmtId maybe) { return maybe.valid() ? maybe : make_skip(); }
@@ -160,7 +129,12 @@ class VariantGen {
   StmtId seq2(StmtId a, StmtId b, SourceLoc loc) {
     if (!a.valid()) return b;
     if (!b.valid()) return a;
-    return make_block({a, b}, loc);
+    const StmtId stmts[] = {a, b};
+    Stmt s;
+    s.kind = StmtKind::Block;
+    s.loc = loc;
+    s.stmts = prog_.add_children(stmts);
+    return prog_.add_stmt(s);
   }
 
   // -- path enumeration -----------------------------------------------------
@@ -225,18 +199,18 @@ class VariantGen {
           Stmt assume;
           assume.kind = StmtKind::Assume;
           assume.loc = s.loc;
-          assume.e1 = clone_expr(s.e1);
+          assume.e1 = cloner_.clone(s.e1);
           return {{prog_.add_stmt(std::move(assume)), {Exit::Normal, {}}}};
         }
-        return {{clone_stmt(id), {Exit::Normal, {}}}};
+        return {{cloner_.clone(id), {Exit::Normal, {}}}};
       }
       case StmtKind::Assign:
       case StmtKind::Skip:
       case StmtKind::Assume:
       case StmtKind::Assert:
-        return {{clone_stmt(id), {Exit::Normal, {}}}};
+        return {{cloner_.clone(id), {Exit::Normal, {}}}};
       case StmtKind::Return:
-        return {{clone_stmt(id), {Exit::Return, {}}}};
+        return {{cloner_.clone(id), {Exit::Return, {}}}};
       // Jump statements perform no action; the exit annotation carries all
       // the information, so the slice omits the statement itself.
       case StmtKind::Break:
@@ -245,7 +219,8 @@ class VariantGen {
         return {{StmtId(), {Exit::Continue, s.jump_target}}};
       case StmtKind::Block: {
         std::vector<Path> acc{{StmtId(), {Exit::Normal, {}}}};
-        for (StmtId child : s.stmts) {
+        for (uint32_t i = 0; i < s.stmts.count; ++i) {
+          const StmtId child = prog_.children(s)[i];  // re-read: clones append
           std::vector<Path> next;
           for (const Path& prefix : acc) {
             if (prefix.exit.kind != Exit::Normal) {
@@ -260,7 +235,7 @@ class VariantGen {
               // shared between two of them.
               StmtId prefix_stmt = first_extension
                                        ? prefix.stmt
-                                       : clone_stmt(prefix.stmt);
+                                       : cloner_.clone(prefix.stmt);
               first_extension = false;
               next.push_back({seq2(prefix_stmt, cp.stmt, s.loc), cp.exit});
             }
@@ -268,7 +243,7 @@ class VariantGen {
           if (next.size() >= opts_.max_paths) {
             note_explosion();
             std::vector<Path> bail;
-            StmtId whole = clone_stmt(id);
+            StmtId whole = cloner_.clone(id);
             bail.push_back({whole, {Exit::Normal, {}}});
             return bail;
           }
@@ -300,7 +275,7 @@ class VariantGen {
           local.loc = s.loc;
           local.name = s.name;
           local.declared_type = s.declared_type;
-          local.e1 = clone_expr(s.e1);
+          local.e1 = cloner_.clone(s.e1);
           local.s1 = ensure_stmt(p.stmt);
           out.push_back({prog_.add_stmt(std::move(local)), p.exit});
         }
@@ -312,7 +287,7 @@ class VariantGen {
           Stmt sync;
           sync.kind = StmtKind::Synchronized;
           sync.loc = s.loc;
-          sync.e1 = clone_expr(s.e1);
+          sync.e1 = cloner_.clone(s.e1);
           sync.s1 = ensure_stmt(p.stmt);
           out.push_back({prog_.add_stmt(std::move(sync)), p.exit});
         }
@@ -325,7 +300,7 @@ class VariantGen {
           // continue after a break or stop at a return.
           std::vector<Path> out;
           for (const Exit& e : kept_exits(id, id)) {
-            out.push_back({clone_stmt(id), e});
+            out.push_back({cloner_.clone(id), e});
           }
           return out;
         }
@@ -371,6 +346,7 @@ class VariantGen {
   DiagEngine& diags_;
   const VariantOptions& opts_;
   bool bailed_ = false;
+  synl::TreeCloner cloner_{prog_};
 };
 
 }  // namespace

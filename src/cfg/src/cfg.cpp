@@ -351,7 +351,8 @@ class CfgBuilder {
       case StmtKind::ExprStmt:
         return emit_expr(s.e1, id, std::move(f), 0);
       case StmtKind::Block: {
-        for (StmtId child : s.stmts) f = build_stmt(child, std::move(f));
+        for (StmtId child : prog_.children(s))
+          f = build_stmt(child, std::move(f));
         return f;
       }
       case StmtKind::If: {

@@ -40,9 +40,6 @@ class JsonWriter {
   JsonWriter& value(uint64_t v);
   JsonWriter& value(int v) { return value(static_cast<int64_t>(v)); }
   JsonWriter& value(unsigned v) { return value(static_cast<uint64_t>(v)); }
-  /// Emits a pre-rendered JSON fragment verbatim (caller guarantees
-  /// validity); used to splice sub-documents built in worker threads.
-  JsonWriter& raw(std::string_view fragment);
 
   std::string str() && { return std::move(out_); }
   const std::string& str() const& { return out_; }

@@ -42,7 +42,7 @@ void collect_lines(const synl::Program& prog,
   if (!s.valid()) return;
   const synl::Stmt& st = prog.stmt(s);
   if (st.kind == synl::StmtKind::Block) {
-    for (synl::StmtId c : st.stmts) collect_lines(prog, v, c, out);
+    for (synl::StmtId c : prog.children(st)) collect_lines(prog, v, c, out);
     return;
   }
   LineReport line;

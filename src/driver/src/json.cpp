@@ -91,16 +91,4 @@ JsonWriter& JsonWriter::value(uint64_t v) {
   return *this;
 }
 
-JsonWriter& JsonWriter::raw(std::string_view fragment) {
-  comma_and_newline();
-  // Re-indent the fragment's continuation lines so a sub-document rendered
-  // at depth 0 in a worker nests correctly at the splice point.
-  std::string pad(static_cast<size_t>(depth_ * indent_width_), ' ');
-  for (char c : fragment) {
-    out_ += c;
-    if (c == '\n') out_ += pad;
-  }
-  return *this;
-}
-
 }  // namespace synat::driver

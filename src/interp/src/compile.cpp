@@ -326,7 +326,7 @@ class ProcCompiler {
         emit({Op::Pop, 0, 0, id});
         break;
       case StmtKind::Block:
-        for (StmtId c : st.stmts) compile_stmt(c);
+        for (StmtId c : prog_.children(st)) compile_stmt(c);
         break;
       case StmtKind::If: {
         compile_expr(st.e1);

@@ -9,7 +9,13 @@ namespace synat::obs {
 
 void append_json_escaped(std::string& out, std::string_view s) {
   out += '"';
-  for (char ch : s) {
+  size_t plain = 0;  // start of the run of bytes that need no escape
+  for (size_t i = 0; i < s.size(); ++i) {
+    const char ch = s[i];
+    if (static_cast<unsigned char>(ch) >= 0x20 && ch != '"' && ch != '\\')
+      continue;
+    out.append(s.data() + plain, i - plain);
+    plain = i + 1;
     switch (ch) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -18,17 +24,15 @@ void append_json_escaped(std::string& out, std::string_view s) {
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(ch)));
-          out += buf;
-        } else {
-          out += ch;
-        }
+      default: {
+        char buf[8];
+        std::snprintf(buf, sizeof(buf), "\\u%04x",
+                      static_cast<unsigned>(static_cast<unsigned char>(ch)));
+        out += buf;
+      }
     }
   }
+  out.append(s.data() + plain, s.size() - plain);
   out += '"';
 }
 

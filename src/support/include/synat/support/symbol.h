@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 namespace synat {
@@ -31,7 +30,10 @@ class Symbol {
   uint32_t id_ = 0;
 };
 
-/// Interns strings; owned by a Program.
+/// Interns strings; owned by a Program. Ids are handed out in first-intern
+/// order. name() views the table's own std::string, which interning more
+/// names can move (a short name lives inside it), so copy a name that must
+/// outlive the next intern().
 class SymbolTable {
  public:
   SymbolTable();
@@ -47,15 +49,16 @@ class SymbolTable {
   size_t size() const { return names_.size(); }
 
  private:
-  // Heterogeneous lookup so Symbol lookup by string_view does not allocate.
-  struct Hash {
-    using is_transparent = void;
-    size_t operator()(std::string_view s) const noexcept {
-      return std::hash<std::string_view>{}(s);
-    }
-  };
+  /// The slot of `name` in slots_: the one holding its id, or the empty
+  /// slot where its probe ends.
+  size_t find_slot(std::string_view name, size_t hash) const;
+  void rehash(size_t capacity);
+
   std::vector<std::string> names_;  // index == id; names_[0] == ""
-  std::unordered_map<std::string, uint32_t, Hash, std::equal_to<>> index_;
+  std::vector<size_t> hashes_;      // hash of names_[id], for probes and rehash
+  /// Open-addressed index of ids (0 = empty), linear probing, a power of
+  /// two in size and at most half full.
+  std::vector<uint32_t> slots_;
 };
 
 }  // namespace synat

@@ -3,7 +3,10 @@
 // A Program owns flat vectors of Expr and Stmt nodes; ExprId / StmtId are
 // indices into those vectors. Ids double as stable analysis keys (liveness
 // sets, mover maps, CFG node payloads), and the arena makes the exceptional-
-// variant generator's statement cloning cheap.
+// variant generator's statement cloning cheap. A node's list of children
+// (Call arguments, Block statements) is an IdRange into one of two side
+// arrays the Program also owns, so nodes own no heap memory and copy as
+// plain bytes; read the lists through Program::args and Program::children.
 //
 // Differences from the paper's abstract grammar, all syntax-level only:
 //  - `while (e) s` is desugared by the parser into `loop { if (e) s else break; }`
@@ -17,7 +20,9 @@
 
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -58,6 +63,13 @@ struct std::hash<synat::synl::detail::Id<Tag>> {
 };
 
 namespace synat::synl {
+
+/// A node's child list: `count` ids from `begin` in one of the Program's
+/// side arrays (arguments for an Expr, statements for a Stmt).
+struct IdRange {
+  uint32_t begin = 0;
+  uint32_t count = 0;
+};
 
 // ---------------------------------------------------------------------------
 // Types
@@ -109,7 +121,7 @@ struct Expr {
   ExprKind kind = ExprKind::IntLit;
   SourceLoc loc;
   ExprId a, b, c;      ///< operands; see ExprKind comments
-  std::vector<ExprId> args;  ///< Call arguments
+  IdRange args;        ///< Call arguments; read through Program::args
   Symbol name;         ///< VarRef: variable; Field: field; New: class;
                        ///< Call: callee
   int64_t int_value = 0;
@@ -122,6 +134,8 @@ struct Expr {
   TypeId type;        ///< static type of this expression
   ClassId new_class;  ///< resolved class for New
 };
+
+static_assert(std::is_trivially_copyable_v<Expr>);
 
 /// True for the `Location` production of Table 1 (x | x.fd | x[e]).
 constexpr bool is_location_kind(ExprKind k) {
@@ -154,7 +168,7 @@ struct Stmt {
   SourceLoc loc;
   ExprId e1, e2;
   StmtId s1, s2;
-  std::vector<StmtId> stmts;  ///< Block children
+  IdRange stmts;              ///< Block children; see Program::children
   Symbol label;               ///< Loop: own label; Break/Continue: target label
   Symbol name;                ///< Local: declared variable name
   TypeId declared_type;       ///< Local: optional annotation
@@ -163,6 +177,8 @@ struct Stmt {
   VarId var;           ///< Local: resolved variable
   StmtId jump_target;  ///< Break/Continue: enclosing (or labeled) Loop
 };
+
+static_assert(std::is_trivially_copyable_v<Stmt>);
 
 // ---------------------------------------------------------------------------
 // Declarations
@@ -244,13 +260,32 @@ class Program {
   const SymbolTable& syms() const { return syms_; }
 
   // -- node arenas ---------------------------------------------------------
-  ExprId add_expr(Expr e) {
-    exprs_.push_back(std::move(e));
+  ExprId add_expr(const Expr& e) {
+    exprs_.push_back(e);
     return ExprId(static_cast<uint32_t>(exprs_.size() - 1));
   }
-  StmtId add_stmt(Stmt s) {
-    stmts_.push_back(std::move(s));
+  StmtId add_stmt(const Stmt& s) {
+    stmts_.push_back(s);
     return StmtId(static_cast<uint32_t>(stmts_.size() - 1));
+  }
+  /// Appends `ids` as a fresh range of the argument (child) array. `ids`
+  /// must not point into that array: the append may reallocate it.
+  IdRange add_args(std::span<const ExprId> ids) {
+    return append_range(expr_args_, ids);
+  }
+  IdRange add_children(std::span<const StmtId> ids) {
+    return append_range(stmt_children_, ids);
+  }
+  /// A Call's arguments and a Block's statements. The span is valid until
+  /// the next add_args / add_children, so a walk that appends re-reads it
+  /// by index.
+  std::span<const ExprId> args(const Expr& e) const {
+    return std::span<const ExprId>(expr_args_)
+        .subspan(e.args.begin, e.args.count);
+  }
+  std::span<const StmtId> children(const Stmt& s) const {
+    return std::span<const StmtId>(stmt_children_)
+        .subspan(s.stmts.begin, s.stmts.count);
   }
   Expr& expr(ExprId id) {
     SYNAT_ASSERT(id.idx < exprs_.size(), "bad ExprId");
@@ -375,9 +410,19 @@ class Program {
   std::string type_str(TypeId t) const;
 
  private:
+  template <class Id>
+  static IdRange append_range(std::vector<Id>& arr, std::span<const Id> ids) {
+    IdRange r{static_cast<uint32_t>(arr.size()),
+              static_cast<uint32_t>(ids.size())};
+    arr.insert(arr.end(), ids.begin(), ids.end());
+    return r;
+  }
+
   SymbolTable syms_;
   std::vector<Expr> exprs_;
   std::vector<Stmt> stmts_;
+  std::vector<ExprId> expr_args_;      ///< Expr::args ranges
+  std::vector<StmtId> stmt_children_;  ///< Stmt::stmts ranges
   std::vector<TypeNode> types_;
   std::vector<ClassInfo> classes_;
   std::vector<VarInfo> vars_;
@@ -398,6 +443,26 @@ class Program {
 /// procedure while keeping the Program well-formed for downstream passes.
 void mark_proc_broken(Program& prog, ProcId proc);
 
+/// Deep copies of expression and statement trees within one Program, for
+/// the inliner and the exceptional-variant generator. A copy gets fresh
+/// nodes, each created after its children, and fresh child ranges. Fields
+/// sema fills are copied as they are, so a copied tree is resolved again.
+class TreeCloner {
+ public:
+  explicit TreeCloner(Program& prog) : prog_(prog) {}
+
+  ExprId clone(ExprId id);
+  StmtId clone(StmtId id);
+
+ private:
+  Program& prog_;
+  /// Child lists of the copies being built, innermost on top. Copying a
+  /// child appends to the Program's side arrays, so the source list is
+  /// re-read by index rather than held as a span.
+  std::vector<ExprId> arg_stack_;
+  std::vector<StmtId> stmt_stack_;
+};
+
 // ---------------------------------------------------------------------------
 // Traversal helpers
 
@@ -410,7 +475,7 @@ void for_each_subexpr(const Program& prog, ExprId root, Fn&& fn) {
   for_each_subexpr(prog, e.a, fn);
   for_each_subexpr(prog, e.b, fn);
   for_each_subexpr(prog, e.c, fn);
-  for (ExprId arg : e.args) for_each_subexpr(prog, arg, fn);
+  for (ExprId arg : prog.args(e)) for_each_subexpr(prog, arg, fn);
 }
 
 /// Calls `fn(StmtId)` for `root` and every statement nested inside it
@@ -422,7 +487,7 @@ void for_each_stmt(const Program& prog, StmtId root, Fn&& fn) {
   const Stmt& s = prog.stmt(root);
   for_each_stmt(prog, s.s1, fn);
   for_each_stmt(prog, s.s2, fn);
-  for (StmtId child : s.stmts) for_each_stmt(prog, child, fn);
+  for (StmtId child : prog.children(s)) for_each_stmt(prog, child, fn);
 }
 
 /// Calls `fn(ExprId)` for every expression appearing directly in `root`

@@ -1,4 +1,8 @@
 // Hand-written lexer for SYNL. Comments are `//` to end of line.
+//
+// Each byte is read once: character classes come from a 256-entry table,
+// keywords are matched by length, and a column is the byte offset from the
+// start of its line. An integer literal beyond int64_t is an error.
 #pragma once
 
 #include <string_view>
@@ -20,21 +24,21 @@ class Lexer {
   static std::vector<Token> tokenize(std::string_view source, DiagEngine& diags);
 
  private:
-  char peek(size_t ahead = 0) const;
-  char advance();
-  bool match(char expected);
   void skip_trivia();
-  SourceLoc here() const { return {line_, col_}; }
+  bool match(char expected);
+  /// Columns count bytes from the start of the line, from 1.
+  SourceLoc here() const {
+    return {line_, static_cast<uint32_t>(pos_ - line_start_ + 1)};
+  }
 
-  Token make(Tok kind, size_t begin, SourceLoc loc);
-  Token lex_ident(SourceLoc loc);
-  Token lex_number(SourceLoc loc);
+  Token make(Tok kind, size_t begin, SourceLoc loc) const;
+  Token lex_number(size_t begin, SourceLoc loc);
 
   std::string_view src_;
   DiagEngine& diags_;
   size_t pos_ = 0;
+  size_t line_start_ = 0;  ///< offset of the current line's first byte
   uint32_t line_ = 1;
-  uint32_t col_ = 1;
 };
 
 }  // namespace synat::synl

@@ -56,9 +56,12 @@ class Parser {
   StmtId parse_stmt();
   StmtId parse_block();
   /// Parses statements until RBrace, handling `local x := e;` whose scope
-  /// extends to the rest of the block.
-  std::vector<StmtId> parse_stmt_list();
-  StmtId parse_local(bool& consumed_rest, std::vector<StmtId>* rest_sink);
+  /// extends to the rest of the block, and returns them as a child range.
+  IdRange parse_stmt_list();
+  /// `consumed_rest` is null in statement position. Directly inside a
+  /// block, `local x := e;` scopes over the rest of the block, which it
+  /// parses, and sets *consumed_rest.
+  StmtId parse_local(bool* consumed_rest);
   StmtId parse_if();
   StmtId parse_loop(Symbol label);
   StmtId parse_while(Symbol label);
@@ -78,6 +81,10 @@ class Parser {
   Program prog_;
   DiagEngine& diags_;
   std::vector<Token> toks_;
+  /// Children of the blocks and calls being parsed, innermost on top; each
+  /// list moves into the Program's side array when its node is complete.
+  std::vector<StmtId> stmt_stack_;
+  std::vector<ExprId> arg_stack_;
   size_t pos_ = 0;
   int depth_ = 0;
   bool depth_reported_ = false;     ///< reset per procedure

@@ -93,4 +93,37 @@ void mark_proc_broken(Program& prog, ProcId proc) {
   prog.proc(proc).locals.clear();
 }
 
+ExprId TreeCloner::clone(ExprId id) {
+  if (!id.valid()) return id;
+  Expr e = prog_.expr(id);  // copy: the arena may grow below
+  e.a = clone(e.a);
+  e.b = clone(e.b);
+  e.c = clone(e.c);
+  const size_t mark = arg_stack_.size();
+  for (uint32_t i = 0; i < e.args.count; ++i) {
+    ExprId arg = clone(prog_.args(e)[i]);
+    arg_stack_.push_back(arg);
+  }
+  e.args = prog_.add_args(std::span(arg_stack_).subspan(mark));
+  arg_stack_.resize(mark);
+  return prog_.add_expr(e);
+}
+
+StmtId TreeCloner::clone(StmtId id) {
+  if (!id.valid()) return id;
+  Stmt s = prog_.stmt(id);  // copy: the arena may grow below
+  s.e1 = clone(s.e1);
+  s.e2 = clone(s.e2);
+  s.s1 = clone(s.s1);
+  s.s2 = clone(s.s2);
+  const size_t mark = stmt_stack_.size();
+  for (uint32_t i = 0; i < s.stmts.count; ++i) {
+    StmtId child = clone(prog_.children(s)[i]);
+    stmt_stack_.push_back(child);
+  }
+  s.stmts = prog_.add_children(std::span(stmt_stack_).subspan(mark));
+  stmt_stack_.resize(mark);
+  return prog_.add_stmt(s);
+}
+
 }  // namespace synat::synl

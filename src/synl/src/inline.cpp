@@ -5,32 +5,7 @@
 
 namespace synat::synl {
 
-// ---------------------------------------------------------------------------
-// Deep cloning (shared with the variant generator's private copy; kept here
-// so the inliner owns its own arena discipline).
-
 namespace {
-
-ExprId clone_expr_deep(Program& prog, ExprId id) {
-  if (!id.valid()) return id;
-  Expr e = prog.expr(id);
-  e.a = clone_expr_deep(prog, e.a);
-  e.b = clone_expr_deep(prog, e.b);
-  e.c = clone_expr_deep(prog, e.c);
-  for (ExprId& arg : e.args) arg = clone_expr_deep(prog, arg);
-  return prog.add_expr(std::move(e));
-}
-
-StmtId clone_stmt_deep(Program& prog, StmtId id) {
-  if (!id.valid()) return id;
-  Stmt s = prog.stmt(id);
-  s.e1 = clone_expr_deep(prog, s.e1);
-  s.e2 = clone_expr_deep(prog, s.e2);
-  s.s1 = clone_stmt_deep(prog, s.s1);
-  s.s2 = clone_stmt_deep(prog, s.s2);
-  for (StmtId& child : s.stmts) child = clone_stmt_deep(prog, child);
-  return prog.add_stmt(std::move(s));
-}
 
 class Inliner {
  public:
@@ -106,47 +81,50 @@ class Inliner {
   /// returned and wanted).
   void lower_returns(StmtId id, Symbol ret_name, Symbol label) {
     if (!id.valid()) return;
-    Stmt& s = prog_.stmt(id);
+    const Stmt s = prog_.stmt(id);  // copy: the arena may grow below
     if (s.kind == StmtKind::Return) {
       ExprId value = s.e1;
       SourceLoc loc = s.loc;
-      std::vector<StmtId> seq;
+      StmtId seq[2];
+      size_t n = 0;
       if (value.valid() && ret_name.valid()) {
         Stmt assign;
         assign.kind = StmtKind::Assign;
         assign.loc = loc;
         assign.e1 = make_var(ret_name, loc);
         assign.e2 = value;
-        seq.push_back(make_stmt(std::move(assign)));
+        seq[n++] = make_stmt(std::move(assign));
       }
       Stmt brk;
       brk.kind = StmtKind::Break;
       brk.loc = loc;
       brk.label = label;
-      seq.push_back(make_stmt(std::move(brk)));
+      seq[n++] = make_stmt(std::move(brk));
+      IdRange stmts = prog_.add_children(std::span(seq, n));
       Stmt& self = prog_.stmt(id);  // re-fetch: arena may have grown
       self.kind = StmtKind::Block;
       self.e1 = ExprId();
-      self.stmts = std::move(seq);
+      self.stmts = stmts;
       return;
     }
-    StmtId s1 = s.s1, s2 = s.s2;
-    std::vector<StmtId> children = s.stmts;
-    lower_returns(s1, ret_name, label);
-    lower_returns(s2, ret_name, label);
-    for (StmtId c : children) lower_returns(c, ret_name, label);
+    lower_returns(s.s1, ret_name, label);
+    lower_returns(s.s2, ret_name, label);
+    for (uint32_t i = 0; i < s.stmts.count; ++i)
+      lower_returns(prog_.children(s)[i], ret_name, label);
   }
 
-  /// Builds the expansion statement for `dst := callee(args)`.
-  /// `dst` is a location expression (invalid for statement calls).
-  // `args` by value: the expansion grows the expression arena, which would
-  // invalidate a reference into an Expr node's argument list.
-  StmtId expand(ProcId callee, std::vector<ExprId> args, ExprId dst,
-                SourceLoc loc, std::vector<ProcId>& stack) {
+  /// Builds the expansion statement for `dst := callee(args)`, where
+  /// `call` is a copy of the Call node. `dst` is a location expression
+  /// (invalid for statement calls).
+  // The expansion grows the argument array, so the arguments are re-read
+  // by index from the copied node's range.
+  StmtId expand(ProcId callee, const Expr call, ExprId dst, SourceLoc loc,
+                std::vector<ProcId>& stack) {
     const ProcInfo& info = prog_.proc(callee);
-    if (args.size() != info.params.size()) {
+    const size_t num_args = call.args.count;
+    if (num_args != info.params.size()) {
       error(loc, "call to '" + std::string(prog_.syms().name(info.name)) +
-                     "' with " + std::to_string(args.size()) +
+                     "' with " + std::to_string(num_args) +
                      " argument(s); expected " +
                      std::to_string(info.params.size()));
       return make_stmt(Stmt{});  // skip
@@ -164,16 +142,16 @@ class Inliner {
     Symbol label = fresh("inl");
     Symbol ret_name = dst.valid() ? fresh("ret") : Symbol();
     std::vector<Symbol> arg_names;
-    for (size_t i = 0; i < args.size(); ++i)
+    for (size_t i = 0; i < num_args; ++i)
       arg_names.push_back(fresh("arg" + std::to_string(i) + "_"));
 
     // Callee body with returns lowered.
-    StmtId body = clone_stmt_deep(prog_, info.body);
+    StmtId body = cloner_.clone(info.body);
     lower_returns(body, ret_name, label);
 
     // Bind the callee's parameters to the argument temporaries.
     StmtId inner = body;
-    for (size_t i = args.size(); i-- > 0;) {
+    for (size_t i = num_args; i-- > 0;) {
       Stmt bind;
       bind.kind = StmtKind::Local;
       bind.loc = loc;
@@ -192,7 +170,8 @@ class Inliner {
     Stmt loop_body;
     loop_body.kind = StmtKind::Block;
     loop_body.loc = loc;
-    loop_body.stmts = {inner, make_stmt(std::move(trailing_break))};
+    const StmtId loop_stmts[] = {inner, make_stmt(std::move(trailing_break))};
+    loop_body.stmts = prog_.add_children(loop_stmts);
     Stmt loop;
     loop.kind = StmtKind::Loop;
     loop.loc = loc;
@@ -201,19 +180,20 @@ class Inliner {
     StmtId loop_id = make_stmt(std::move(loop));
 
     // loop; dst := __ret
-    std::vector<StmtId> core{loop_id};
+    StmtId core[2] = {loop_id};
+    size_t core_len = 1;
     if (dst.valid()) {
       Stmt assign;
       assign.kind = StmtKind::Assign;
       assign.loc = loc;
       assign.e1 = dst;
       assign.e2 = make_var(ret_name, loc);
-      core.push_back(make_stmt(std::move(assign)));
+      core[core_len++] = make_stmt(std::move(assign));
     }
     Stmt core_block;
     core_block.kind = StmtKind::Block;
     core_block.loc = loc;
-    core_block.stmts = std::move(core);
+    core_block.stmts = prog_.add_children(std::span(core, core_len));
     StmtId result = make_stmt(std::move(core_block));
 
     // Wrap in __ret and argument temporaries (arguments evaluate first, in
@@ -228,13 +208,13 @@ class Inliner {
       ret_local.s1 = result;
       result = make_stmt(std::move(ret_local));
     }
-    for (size_t i = args.size(); i-- > 0;) {
+    for (size_t i = num_args; i-- > 0;) {
       Stmt arg_local;
       arg_local.kind = StmtKind::Local;
       arg_local.loc = loc;
       arg_local.name = arg_names[i];
       arg_local.declared_type = prog_.var(info.params[i]).type;
-      arg_local.e1 = args[i];
+      arg_local.e1 = prog_.args(call)[i];
       arg_local.s1 = result;
       result = make_stmt(std::move(arg_local));
     }
@@ -286,7 +266,7 @@ class Inliner {
         ProcId callee;
         if (callee_of(snapshot.e1, callee)) {
           if (!callee.valid()) return;
-          StmtId exp = expand(callee, prog_.expr(snapshot.e1).args, ExprId(),
+          StmtId exp = expand(callee, prog_.expr(snapshot.e1), ExprId(),
                               snapshot.loc, stack);
           replace_with(id, exp);
         }
@@ -296,8 +276,8 @@ class Inliner {
         ProcId callee;
         if (callee_of(snapshot.e2, callee)) {
           if (!callee.valid()) return;
-          StmtId exp = expand(callee, prog_.expr(snapshot.e2).args,
-                              snapshot.e1, snapshot.loc, stack);
+          StmtId exp = expand(callee, prog_.expr(snapshot.e2), snapshot.e1,
+                              snapshot.loc, stack);
           replace_with(id, exp);
         }
         return;
@@ -308,7 +288,7 @@ class Inliner {
           if (!callee.valid()) return;
           // Guard against the initializer's arguments referring to an
           // outer variable this local is about to shadow.
-          for (ExprId arg : prog_.expr(snapshot.e1).args) {
+          for (ExprId arg : prog_.args(prog_.expr(snapshot.e1))) {
             bool shadows = false;
             for_each_subexpr(prog_, arg, [&](ExprId sub) {
               if (prog_.expr(sub).kind == ExprKind::VarRef &&
@@ -324,12 +304,13 @@ class Inliner {
           }
           TypeId ret = prog_.proc(callee).ret_type;
           ExprId dst = make_var(snapshot.name, snapshot.loc);
-          StmtId exp = expand(callee, prog_.expr(snapshot.e1).args, dst,
+          StmtId exp = expand(callee, prog_.expr(snapshot.e1), dst,
                               snapshot.loc, stack);
           Stmt seq;
           seq.kind = StmtKind::Block;
           seq.loc = snapshot.loc;
-          seq.stmts = {exp, snapshot.s1};
+          const StmtId seq_stmts[] = {exp, snapshot.s1};
+          seq.stmts = prog_.add_children(seq_stmts);
           // Materialize all new nodes BEFORE taking a reference into the
           // arena (make_stmt/default_for may reallocate it).
           ExprId def = default_for(ret, snapshot.loc);
@@ -345,7 +326,9 @@ class Inliner {
         return;
       }
       case StmtKind::Block:
-        for (StmtId child : snapshot.stmts) rewrite_stmt(child, stack);
+        // By index: expansions append to the child array.
+        for (uint32_t i = 0; i < snapshot.stmts.count; ++i)
+          rewrite_stmt(prog_.children(snapshot)[i], stack);
         return;
       case StmtKind::If:
         rewrite_stmt(snapshot.s1, stack);
@@ -365,6 +348,7 @@ class Inliner {
   bool contain_;
   int counter_ = 0;
   bool ok_ = true;
+  TreeCloner cloner_{prog_};
 };
 
 }  // namespace

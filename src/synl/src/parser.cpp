@@ -300,40 +300,41 @@ void Parser::parse_proc() {
 StmtId Parser::parse_block() {
   SourceLoc loc = peek().loc;
   expect(Tok::LBrace, "to open block");
-  std::vector<StmtId> stmts = parse_stmt_list();
+  IdRange stmts = parse_stmt_list();
   expect(Tok::RBrace, "to close block");
   Stmt s;
   s.kind = StmtKind::Block;
   s.loc = loc;
-  s.stmts = std::move(stmts);
+  s.stmts = stmts;
   return prog_.add_stmt(std::move(s));
 }
 
-std::vector<StmtId> Parser::parse_stmt_list() {
-  std::vector<StmtId> stmts;
+IdRange Parser::parse_stmt_list() {
+  // Nested blocks push above `mark` and pop back to it before returning.
+  const size_t mark = stmt_stack_.size();
   while (!check(Tok::RBrace) && !check(Tok::End)) {
     if (check(Tok::KwLocal)) {
       bool consumed_rest = false;
-      StmtId local = parse_local(consumed_rest, &stmts);
-      stmts.push_back(local);
+      StmtId local = parse_local(&consumed_rest);
+      stmt_stack_.push_back(local);
       if (consumed_rest) break;  // the rest of the block was folded in
     } else {
       size_t before = diags_.num_errors();
-      stmts.push_back(parse_stmt());
+      StmtId stmt = parse_stmt();
+      stmt_stack_.push_back(stmt);
       // After a malformed statement, resynchronize at a statement boundary
       // so one bad token does not cascade through the rest of the block.
       if (diags_.num_errors() != before) sync_to_stmt();
     }
   }
-  return stmts;
+  IdRange out = prog_.add_children(std::span(stmt_stack_).subspan(mark));
+  stmt_stack_.resize(mark);
+  return out;
 }
 
-StmtId Parser::parse_local(bool& consumed_rest, std::vector<StmtId>* rest_sink) {
+StmtId Parser::parse_local(bool* consumed_rest) {
   DepthScope depth(*this);  // the `;` form recurses via parse_stmt_list
-  if (depth.exceeded()) {
-    consumed_rest = false;
-    return deep_nesting_stmt();
-  }
+  if (depth.exceeded()) return deep_nesting_stmt();
   SourceLoc loc = peek().loc;
   advance();  // local
   const Token& name = expect(Tok::Ident, "local variable name");
@@ -350,32 +351,25 @@ StmtId Parser::parse_local(bool& consumed_rest, std::vector<StmtId>* rest_sink) 
   s.e1 = init;
 
   if (match(Tok::KwIn)) {
-    consumed_rest = false;
     s.s1 = parse_stmt();
   } else {
     // `local x := e;` — scope is the remainder of the enclosing block.
     expect(Tok::Semi, "after local declaration");
-    if (rest_sink == nullptr) {
+    Stmt body;
+    body.kind = StmtKind::Block;
+    body.loc = loc;
+    if (consumed_rest == nullptr) {
       // Statement position (`if (c) local x := 1;`): there is no enclosing
       // block to scope over, so this form is malformed input, not an
       // internal invariant violation.
       diags_.error(loc,
                    "'local x := e;' is only allowed directly inside a block; "
                    "use 'local x := e in stmt'");
-      consumed_rest = false;
-      Stmt body;
-      body.kind = StmtKind::Block;
-      body.loc = loc;
-      s.s1 = prog_.add_stmt(std::move(body));
     } else {
-      consumed_rest = true;
-      std::vector<StmtId> rest = parse_stmt_list();
-      Stmt body;
-      body.kind = StmtKind::Block;
-      body.loc = loc;
-      body.stmts = std::move(rest);
-      s.s1 = prog_.add_stmt(std::move(body));
+      *consumed_rest = true;
+      body.stmts = parse_stmt_list();
     }
+    s.s1 = prog_.add_stmt(std::move(body));
   }
   return prog_.add_stmt(std::move(s));
 }
@@ -464,9 +458,7 @@ StmtId Parser::parse_stmt() {
     case Tok::KwLocal: {
       // `local ... in s` used in statement position (not directly in a
       // block); the `;` form is only meaningful inside a block.
-      bool consumed_rest = false;
-      StmtId s = parse_local(consumed_rest, nullptr);
-      return s;
+      return parse_local(nullptr);
     }
     case Tok::KwReturn: {
       Stmt s;
@@ -701,12 +693,17 @@ ExprId Parser::parse_primary() {
         e.kind = ExprKind::Call;
         e.loc = tok.loc;
         e.name = intern(tok);
+        // Nested calls push above `mark` and pop back to it.
+        const size_t mark = arg_stack_.size();
         if (!check(Tok::RParen)) {
           do {
-            e.args.push_back(parse_expr());
+            ExprId arg = parse_expr();
+            arg_stack_.push_back(arg);
           } while (match(Tok::Comma));
         }
         expect(Tok::RParen, "to close call arguments");
+        e.args = prog_.add_args(std::span(arg_stack_).subspan(mark));
+        arg_stack_.resize(mark);
         return prog_.add_expr(std::move(e));
       }
       Expr e;

@@ -1,5 +1,6 @@
 #include "synat/synl/printer.h"
 
+#include <charconv>
 #include <string>
 
 namespace synat::synl {
@@ -29,9 +30,11 @@ void print_expr_prec(const Program& prog, ExprId id, int parent_prec,
                      std::string& out) {
   const Expr& e = prog.expr(id);
   switch (e.kind) {
-    case ExprKind::IntLit:
-      out += std::to_string(e.int_value);
+    case ExprKind::IntLit: {
+      char buf[24];
+      out.append(buf, std::to_chars(buf, buf + sizeof(buf), e.int_value).ptr);
       break;
+    }
     case ExprKind::BoolLit:
       out += e.bool_value ? "true" : "false";
       break;
@@ -98,51 +101,72 @@ void print_expr_prec(const Program& prog, ExprId id, int parent_prec,
       out += "new ";
       out += prog.syms().name(e.name);
       break;
-    case ExprKind::Call:
+    case ExprKind::Call: {
       out += prog.syms().name(e.name);
       out += '(';
-      for (size_t i = 0; i < e.args.size(); ++i) {
+      std::span<const ExprId> args = prog.args(e);
+      for (size_t i = 0; i < args.size(); ++i) {
         if (i) out += ", ";
-        print_expr_prec(prog, e.args[i], 0, out);
+        print_expr_prec(prog, args[i], 0, out);
       }
       out += ')';
       break;
+    }
+  }
+}
+
+/// Appends the rendering of `id`, or "<none>" for an absent expression.
+void append_expr(const Program& prog, ExprId id, std::string& out) {
+  if (id.valid()) {
+    print_expr_prec(prog, id, 0, out);
+  } else {
+    out += "<none>";
+  }
+}
+
+void append_type_prefix(const Program& prog, TypeId t, std::string& out) {
+  std::string ty = prog.type_str(t);
+  if (ty != "?") {
+    out += ty;
+    out += ' ';
   }
 }
 
 struct StmtPrinter {
   const Program& prog;
   const PrintOptions& opts;
-  std::string out;
+  std::string& out;
 
   void pad(int indent) { out.append(static_cast<size_t>(indent), ' '); }
+  void expr(ExprId id) { append_expr(prog, id, out); }
 
   void print(StmtId id, int indent) {
     const Stmt& s = prog.stmt(id);
     switch (s.kind) {
       case StmtKind::Assign:
         pad(indent);
-        out += print_expr(prog, s.e1);
+        expr(s.e1);
         out += " := ";
-        out += print_expr(prog, s.e2);
+        expr(s.e2);
         out += ";\n";
         break;
       case StmtKind::ExprStmt:
         pad(indent);
-        out += print_expr(prog, s.e1);
+        expr(s.e1);
         out += ";\n";
         break;
       case StmtKind::Block:
         pad(indent);
         out += "{\n";
-        for (StmtId child : s.stmts) print(child, indent + opts.indent_width);
+        for (StmtId child : prog.children(s))
+          print(child, indent + opts.indent_width);
         pad(indent);
         out += "}\n";
         break;
       case StmtKind::If:
         pad(indent);
         out += "if (";
-        out += print_expr(prog, s.e1);
+        expr(s.e1);
         out += ")\n";
         print_indented(s.s1, indent);
         if (s.s2.valid()) {
@@ -160,7 +184,7 @@ struct StmtPrinter {
           out += prog.type_str(prog.var(s.var).type);
         }
         out += " := ";
-        out += print_expr(prog, s.e1);
+        expr(s.e1);
         out += " in\n";
         print_indented(s.s1, indent);
         break;
@@ -178,7 +202,7 @@ struct StmtPrinter {
         out += "return";
         if (s.e1.valid()) {
           out += ' ';
-          out += print_expr(prog, s.e1);
+          expr(s.e1);
         }
         out += ";\n";
         break;
@@ -207,20 +231,20 @@ struct StmtPrinter {
       case StmtKind::Synchronized:
         pad(indent);
         out += "synchronized (";
-        out += print_expr(prog, s.e1);
+        expr(s.e1);
         out += ")\n";
         print_indented(s.s1, indent);
         break;
       case StmtKind::Assume:
         pad(indent);
         out += "TRUE(";
-        out += print_expr(prog, s.e1);
+        expr(s.e1);
         out += ");\n";
         break;
       case StmtKind::Assert:
         pad(indent);
         out += "assert(";
-        out += print_expr(prog, s.e1);
+        expr(s.e1);
         out += ");\n";
         break;
     }
@@ -237,47 +261,41 @@ struct StmtPrinter {
   }
 };
 
-}  // namespace
-
-std::string print_expr(const Program& prog, ExprId id) {
-  if (!id.valid()) return "<none>";
-  std::string out;
-  print_expr_prec(prog, id, 0, out);
-  return out;
-}
-
-std::string print_stmt(const Program& prog, StmtId id, const PrintOptions& opts,
-                       int indent) {
-  if (!id.valid()) return "";
-  StmtPrinter p{prog, opts, {}};
-  p.print(id, indent);
-  return std::move(p.out);
-}
-
-std::string print_proc(const Program& prog, ProcId id, const PrintOptions& opts) {
+void append_proc(const Program& prog, ProcId id, const PrintOptions& opts,
+                 std::string& out) {
   const ProcInfo& p = prog.proc(id);
-  std::string out = "proc ";
-  if (p.ret_type.valid()) {
-    std::string rt = prog.type_str(p.ret_type);
-    if (rt != "?") {
-      out += rt;
-      out += ' ';
-    }
-  }
+  out += "proc ";
+  if (p.ret_type.valid()) append_type_prefix(prog, p.ret_type, out);
   out += prog.syms().name(p.name);
   out += '(';
   for (size_t i = 0; i < p.params.size(); ++i) {
     if (i) out += ", ";
     const VarInfo& v = prog.var(p.params[i]);
-    std::string ty = prog.type_str(v.type);
-    if (ty != "?") {
-      out += ty;
-      out += ' ';
-    }
+    append_type_prefix(prog, v.type, out);
     out += prog.syms().name(v.name);
   }
   out += ")\n";
-  out += print_stmt(prog, p.body, opts, 0);
+  if (p.body.valid()) StmtPrinter{prog, opts, out}.print(p.body, 0);
+}
+
+}  // namespace
+
+std::string print_expr(const Program& prog, ExprId id) {
+  std::string out;
+  append_expr(prog, id, out);
+  return out;
+}
+
+std::string print_stmt(const Program& prog, StmtId id, const PrintOptions& opts,
+                       int indent) {
+  std::string out;
+  if (id.valid()) StmtPrinter{prog, opts, out}.print(id, indent);
+  return out;
+}
+
+std::string print_proc(const Program& prog, ProcId id, const PrintOptions& opts) {
+  std::string out;
+  append_proc(prog, id, opts, out);
   return out;
 }
 
@@ -314,29 +332,46 @@ std::string print_program(const Program& prog, const PrintOptions& opts) {
   }
   for (size_t i = 0; i < prog.num_procs(); ++i) {
     out += '\n';
-    out += print_proc(prog, ProcId(static_cast<uint32_t>(i)), opts);
+    append_proc(prog, ProcId(static_cast<uint32_t>(i)), opts, out);
   }
   return out;
 }
 
 std::string stmt_head(const Program& prog, StmtId id) {
   const Stmt& s = prog.stmt(id);
+  std::string out;
   switch (s.kind) {
     case StmtKind::Assign:
-      return print_expr(prog, s.e1) + " := " + print_expr(prog, s.e2);
+      append_expr(prog, s.e1, out);
+      out += " := ";
+      append_expr(prog, s.e2, out);
+      return out;
     case StmtKind::ExprStmt:
-      return print_expr(prog, s.e1);
+      append_expr(prog, s.e1, out);
+      return out;
     case StmtKind::Block:
       return "{...}";
     case StmtKind::If:
-      return "if (" + print_expr(prog, s.e1) + ")";
+      out += "if (";
+      append_expr(prog, s.e1, out);
+      out += ')';
+      return out;
     case StmtKind::Local:
-      return "local " + std::string(prog.syms().name(s.name)) + " := " +
-             print_expr(prog, s.e1) + " in";
+      out += "local ";
+      out += prog.syms().name(s.name);
+      out += " := ";
+      append_expr(prog, s.e1, out);
+      out += " in";
+      return out;
     case StmtKind::Loop:
       return "loop";
     case StmtKind::Return:
-      return s.e1.valid() ? "return " + print_expr(prog, s.e1) : "return";
+      out += "return";
+      if (s.e1.valid()) {
+        out += ' ';
+        append_expr(prog, s.e1, out);
+      }
+      return out;
     case StmtKind::Break:
       return "break";
     case StmtKind::Continue:
@@ -344,11 +379,20 @@ std::string stmt_head(const Program& prog, StmtId id) {
     case StmtKind::Skip:
       return "skip";
     case StmtKind::Synchronized:
-      return "synchronized (" + print_expr(prog, s.e1) + ")";
+      out += "synchronized (";
+      append_expr(prog, s.e1, out);
+      out += ')';
+      return out;
     case StmtKind::Assume:
-      return "TRUE(" + print_expr(prog, s.e1) + ")";
+      out += "TRUE(";
+      append_expr(prog, s.e1, out);
+      out += ')';
+      return out;
     case StmtKind::Assert:
-      return "assert(" + print_expr(prog, s.e1) + ")";
+      out += "assert(";
+      append_expr(prog, s.e1, out);
+      out += ')';
+      return out;
   }
   return "?";
 }

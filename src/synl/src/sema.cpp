@@ -224,10 +224,8 @@ class Resolver {
                      "procedure call survived to semantic analysis; run "
                      "inline_calls first (or the call site is not an "
                      "inlinable position)");
-        // Copy the list: resolving arguments cannot invalidate `e` (sema
-        // adds no expressions), but stay defensive.
-        std::vector<ExprId> args = e.args;
-        for (ExprId arg : args) resolve_expr(arg);
+        // Sema adds no expressions, so the argument list stays put.
+        for (ExprId arg : prog_.args(e)) resolve_expr(arg);
         prog_.expr(id).type = prog_.unknown_type();
         break;
       }
@@ -256,10 +254,8 @@ class Resolver {
         break;
       case StmtKind::Block: {
         push_scope();
-        // Re-fetch the statement for each child: resolving one may grow the
-        // arena and invalidate `s`.
-        for (size_t i = 0; i < prog_.stmt(id).stmts.size(); ++i)
-          resolve_stmt(prog_.stmt(id).stmts[i]);
+        // Sema adds no statements, so the child list stays put.
+        for (StmtId child : prog_.children(s)) resolve_stmt(child);
         pop_scope();
         break;
       }

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <unordered_map>
+
 #include "../support/reference_inputs.h"
 #include "synat/analysis/proc_analysis.h"
 #include "synat/atomicity/variants.h"
@@ -268,6 +270,41 @@ TEST(Variants, LoopVerdictsBuildACfgOnlyForLoops) {
     }
   }
   EXPECT_GT(loop_free, 0u);
+}
+
+/// Variants are deep clones: after generation, no two Blocks of any
+/// procedure's statement tree, original or variant, share a slot of the
+/// program's child array.
+TEST(Variants, NoTwoProceduresShareABlockChildRange) {
+  size_t variants = 0;
+  for (const auto& [name, source] : test_support::reference_inputs()) {
+    DiagEngine diags;
+    synl::FrontEnd fe = synl::parse_and_recover(source, diags);
+    ASSERT_FALSE(diags.has_errors()) << name << "\n" << diags.dump();
+    Program& prog = fe.prog;
+    const size_t originals = prog.num_procs();
+    for (size_t p = 0; p < originals; ++p) {
+      synl::ProcId pid(static_cast<uint32_t>(p));
+      variants += generate_variants(prog, pid, loop_verdicts(prog, pid), diags)
+                      .variants.size();
+    }
+    std::unordered_map<uint32_t, size_t> owner;  // child slot -> procedure
+    for (size_t p = 0; p < prog.num_procs(); ++p) {
+      synl::for_each_stmt(
+          prog, prog.proc(synl::ProcId(static_cast<uint32_t>(p))).body,
+          [&](synl::StmtId sid) {
+            const synl::Stmt& s = prog.stmt(sid);
+            if (s.kind != synl::StmtKind::Block) return;
+            for (uint32_t k = 0; k < s.stmts.count; ++k) {
+              auto [it, fresh] = owner.emplace(s.stmts.begin + k, p);
+              EXPECT_TRUE(fresh) << name << ": procedures " << it->second
+                                 << " and " << p << " share child slot "
+                                 << it->first;
+            }
+          });
+    }
+  }
+  EXPECT_GT(variants, 0u);
 }
 
 }  // namespace

@@ -66,18 +66,5 @@ TEST(JsonWriter, EmptyArrayStaysOnOneLine) {
   EXPECT_EQ(std::move(w).str(), "{\n  \"xs\": []\n}");
 }
 
-TEST(JsonWriter, RawReindentsFragment) {
-  JsonWriter inner;
-  inner.begin_object();
-  inner.key("a").value(1);
-  inner.end_object();
-  JsonWriter w;
-  w.begin_object();
-  w.key("frag").raw(inner.str());
-  w.end_object();
-  EXPECT_EQ(std::move(w).str(),
-            "{\n  \"frag\": {\n    \"a\": 1\n  }\n}");
-}
-
 }  // namespace
 }  // namespace synat::driver
