@@ -73,8 +73,8 @@ int main() {
   driver::DriverOptions dopts;
   unsigned hw = std::thread::hardware_concurrency();
   dopts.jobs = hw == 0 ? 1 : hw;
-  dopts.use_cache = true;
-  driver::BatchDriver drv(dopts);
+  driver::ResultCache cache;
+  driver::BatchDriver drv(dopts, &cache);
   int full = -1;
   bool ok = true;
   for (const Config& c : configs) {
@@ -102,7 +102,6 @@ int main() {
   // procedures atomic. Overhead numbers live in BENCH_driver.json (E9).
   driver::DriverOptions iopts = dopts;
   iopts.isolate = true;
-  iopts.use_cache = false;
   driver::BatchDriver idrv(iopts);
   int itotal = 0;
   size_t ihits = 0;

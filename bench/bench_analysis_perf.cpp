@@ -103,7 +103,6 @@ void BM_DriverCorpusWarmCache(benchmark::State& state) {
   std::vector<driver::ProgramInput> inputs = corpus_inputs();
   driver::DriverOptions opts;
   opts.jobs = static_cast<unsigned>(state.range(0));
-  opts.use_cache = true;
   driver::ResultCache cache;
   driver::BatchDriver warmup(opts, &cache);
   warmup.run(inputs);
@@ -250,19 +249,8 @@ void emit_driver_json(const char* path) {
   obs::Tracer::instance().drain();  // discard spans from the timed sweep
   obs::registry().reset();
 
-  // Cost of the flight data (DESIGN.md §3i), split in two: the always-on
-  // ring (render one wide event per program into the in-memory recorder,
-  // no disk) and the full --events-out log (same render plus a JSONL
-  // write+flush per program). The ring number is the price of "postmortems
-  // are always possible"; the file number is what --events-out adds.
-  double recorder_only_ms;
-  {
-    obs::EventLogOptions ring;  // empty path: ring only
-    obs::EventLog ring_log(ring);
-    driver::DriverOptions with_ring = serial;
-    with_ring.events = &ring_log;
-    recorder_only_ms = sweep_ms(with_ring, inputs, nullptr, kReps);
-  }
+  // Cost of the wide-event log (DESIGN.md §3i): one rendered JSONL line
+  // written and flushed per program, what --events-out adds.
   double events_enabled_ms;
   const char* events_tmp = "bench_events_sweep.jsonl";
   {
@@ -300,12 +288,10 @@ void emit_driver_json(const char* path) {
                      : (isolate_ms - parallel_ms) /
                            static_cast<double>(inputs.size());
 
-  driver::DriverOptions cached = serial;
-  cached.use_cache = true;
   driver::ResultCache cache;
-  double cold_ms = sweep_ms(cached, inputs, &cache, 1);
+  double cold_ms = sweep_ms(serial, inputs, &cache, 1);
   size_t h0 = cache.hits(), m0 = cache.misses();
-  double warm_ms = sweep_ms(cached, inputs, &cache, 1);
+  double warm_ms = sweep_ms(serial, inputs, &cache, 1);
   size_t warm_hits = cache.hits() - h0;
   size_t warm_total = warm_hits + (cache.misses() - m0);
 
@@ -389,8 +375,6 @@ void emit_driver_json(const char* path) {
                "  \"procs_per_sec_parallel\": %.1f,\n"
                "  \"obs_enabled_ms\": %.3f,\n"
                "  \"obs_enabled_overhead\": %.3f,\n"
-               "  \"recorder_only_ms\": %.3f,\n"
-               "  \"recorder_only_overhead\": %.3f,\n"
                "  \"events_enabled_ms\": %.3f,\n"
                "  \"events_overhead\": %.3f,\n"
                "  \"provenance_enabled_ms\": %.3f,\n"
@@ -410,8 +394,6 @@ void emit_driver_json(const char* path) {
                parallel_ms > 0 ? procs * 1000.0 / parallel_ms : 0.0,
                obs_enabled_ms,
                serial_ms > 0 ? obs_enabled_ms / serial_ms - 1.0 : 0.0,
-               recorder_only_ms,
-               serial_ms > 0 ? recorder_only_ms / serial_ms - 1.0 : 0.0,
                events_enabled_ms,
                serial_ms > 0 ? events_enabled_ms / serial_ms - 1.0 : 0.0,
                prov_enabled_ms,
@@ -423,13 +405,12 @@ void emit_driver_json(const char* path) {
                serve_cold_rpc_ms, serve_warm_rpc_ms, serve_sandbox_rpc_ms);
   std::fclose(f);
   std::printf("wrote %s (serial %.1fms, --jobs %u %.1fms, --isolate %.1fms, "
-              "obs on %.1fms, ring %.1fms, events %.1fms, warm cache %.1fms, "
+              "obs on %.1fms, events %.1fms, warm cache %.1fms, "
               "hit rate %.0f%%, "
               "serve rpc %.2fms cold / %.2fms warm / %.2fms sandboxed)\n",
               path, serial_ms, kJobs, parallel_ms, isolate_ms, obs_enabled_ms,
-              recorder_only_ms, events_enabled_ms,
-              warm_ms, hit_rate * 100, serve_cold_rpc_ms, serve_warm_rpc_ms,
-              serve_sandbox_rpc_ms);
+              events_enabled_ms, warm_ms, hit_rate * 100, serve_cold_rpc_ms,
+              serve_warm_rpc_ms, serve_sandbox_rpc_ms);
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // Batch analysis driver: runs the full pipeline (sema → CFG/liveness →
 // purity/matching/local-conditions → variant enumeration → mover
 // assignment → type propagation → block partitioning) over many programs
-// on a fixed-size thread pool, with optional content-addressed memoization
-// of per-procedure results.
+// on a fixed-size thread pool. A driver handed a ResultCache memoizes
+// per-procedure results in it, content-addressed; serve is the caller that
+// hands one over, so a batch keeps no state between runs.
 //
 // Concurrency model: one task per program. The task parses its own Program
 // (no AST is shared between program tasks: variant generation appends to
@@ -23,14 +24,12 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "synat/atomicity/infer.h"
 #include "synat/driver/cache.h"
 #include "synat/driver/report.h"
-#include "synat/driver/watchdog.h"
 
 namespace synat {
 class ThreadPool;
@@ -57,13 +56,12 @@ struct DriverOptions {
   /// Worker threads; 1 runs inline on the calling thread, 0 uses one
   /// worker per hardware thread.
   unsigned jobs = 1;
-  /// Memoize per-procedure reports in `cache` (or an internal cache).
-  bool use_cache = false;
-  /// Wall-clock deadline per program in milliseconds; 0 disables it. Every
-  /// procedure the deadline stops is reported as degraded ("deadline"),
-  /// the batch proceeds. Deadline trips depend on machine speed, so results
-  /// are only byte-deterministic when no program trips (or the deadline is
-  /// 0).
+  /// Wall-clock deadline per program in milliseconds; 0 disables it. It
+  /// arms the program's ExecBudget, which trips at the first check after
+  /// the deadline passes. Every procedure the deadline stops is reported as
+  /// degraded ("deadline"), the batch proceeds. Deadline trips depend on
+  /// machine speed, so results are only byte-deterministic when no program
+  /// trips (or the deadline is 0).
   uint64_t deadline_ms = 0;
   /// Escalate instead of degrading: recovered parse errors fail the
   /// program (ParseError) and budget/deadline trips are internal errors.
@@ -73,8 +71,8 @@ struct DriverOptions {
   /// any kind — SIGSEGV, OOM kill, stall — is contained as that one
   /// program's ProgramStatus::Degraded verdict. Workers are plain forks,
   /// so call run() with no other threads alive. `jobs` caps concurrent
-  /// workers; the cache is not consulted (workers are separate address
-  /// spaces).
+  /// workers; the driver's cache is not consulted (workers are separate
+  /// address spaces).
   bool isolate = false;
   /// Address-space cap per worker in MiB (RLIMIT_AS); 0 = unlimited.
   /// Only meaningful with `isolate`.
@@ -95,11 +93,9 @@ uint64_t options_fingerprint(const atomicity::InferOptions& opts);
 
 class BatchDriver {
  public:
-  /// `cache` may be null; when `opts.use_cache` is set and no cache is
-  /// given, the driver uses a private one (warm within a single run() —
-  /// pass an external cache to keep it warm across runs).
+  /// The driver memoizes per-procedure reports in `cache` if and only if it
+  /// is non-null; the cache is not owned and stays warm across runs.
   explicit BatchDriver(DriverOptions opts, ResultCache* cache = nullptr);
-  ~BatchDriver();
 
   BatchDriver(const BatchDriver&) = delete;
   BatchDriver& operator=(const BatchDriver&) = delete;
@@ -107,8 +103,6 @@ class BatchDriver {
   /// Analyzes every input and returns the aggregated report. Safe to call
   /// repeatedly; the cache persists across calls.
   BatchReport run(const std::vector<ProgramInput>& inputs);
-
-  ResultCache& cache() { return *cache_; }
 
  private:
   /// Cache lookups made by one run() — the shared cache's own counters
@@ -128,10 +122,7 @@ class BatchDriver {
   uint64_t* charge(uint64_t& ns) const { return timed() ? &ns : nullptr; }
 
   DriverOptions opts_;
-  ResultCache* cache_;
-  ResultCache owned_cache_;
-  /// Created lazily by run() when deadline_ms > 0.
-  std::unique_ptr<Watchdog> watchdog_;
+  ResultCache* cache_;  ///< null: no memoization
 };
 
 }  // namespace synat::driver

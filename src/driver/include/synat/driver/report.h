@@ -23,7 +23,7 @@
 
 namespace synat::driver {
 
-/// Build version, reported by `synat serve` status and `--cache-stats`.
+/// Build version, reported by the `synat serve` status RPC.
 inline constexpr std::string_view kSynatVersion = "0.6.0";
 /// Version of the "synat-batch-report" JSON schema emitted by to_json.
 inline constexpr int kReportSchemaVersion = 5;

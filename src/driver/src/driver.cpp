@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <exception>
+#include <memory>
 #include <thread>
 
 #include "synat/atomicity/blocks.h"
@@ -10,6 +11,7 @@
 #include "synat/obs/events.h"
 #include "synat/obs/metrics.h"
 #include "synat/obs/trace.h"
+#include "synat/support/budget.h"
 #include "synat/support/hash.h"
 #include "synat/support/thread_pool.h"
 #include "synat/synl/parser.h"
@@ -18,13 +20,6 @@
 namespace synat::driver {
 
 namespace {
-
-std::string hex64(uint64_t v) {
-  static const char* digits = "0123456789abcdef";
-  std::string s(16, '0');
-  for (int i = 15; i >= 0; --i, v >>= 4) s[static_cast<size_t>(i)] = digits[v & 0xf];
-  return s;
-}
 
 std::vector<DiagReport> diag_reports(const DiagEngine& diags) {
   std::vector<DiagReport> out;
@@ -164,9 +159,7 @@ uint64_t options_fingerprint(const atomicity::InferOptions& opts) {
 }
 
 BatchDriver::BatchDriver(DriverOptions opts, ResultCache* cache)
-    : opts_(opts), cache_(cache ? cache : &owned_cache_) {}
-
-BatchDriver::~BatchDriver() = default;
+    : opts_(opts), cache_(cache) {}
 
 void BatchDriver::run_program_task(const ProgramInput& input, size_t index,
                                    ReportSink& sink, CacheTally& tally,
@@ -212,7 +205,12 @@ void BatchDriver::run_program_task(const ProgramInput& input, size_t index,
   // and every classification. A trip degrades each procedure it stops;
   // --strict escalates them into an internal error instead.
   ExecBudget budget;
-  Watchdog::Scope scope(watchdog_.get(), budget, opts_.deadline_ms);
+  if (opts_.deadline_ms > 0) {
+    static obs::Counter& arms =
+        obs::registry().counter("synat_watchdog_arms_total");
+    arms.inc();
+    budget.arm_deadline_ms(opts_.deadline_ms);
+  }
   atomicity::InferOptions iopts = input.opts;
   iopts.variant_opts.budget = &budget;
   auto trip = [&](size_t p, const BudgetExceeded& e) {
@@ -253,7 +251,7 @@ void BatchDriver::run_program_task(const ProgramInput& input, size_t index,
     // whole-program key. Reports carry the whole-program key in their
     // `cache_key` field either way.
     const bool content_keys =
-        opts_.use_cache && !input.opts.provenance && !recovered;
+        cache_ != nullptr && !input.opts.provenance && !recovered;
     const uint64_t universe_fp = content_keys ? universe.fingerprint() : 0;
     struct Miss {
       Miss(synl::ProcId proc, uint64_t key, uint64_t addr)
@@ -281,7 +279,7 @@ void BatchDriver::run_program_task(const ProgramInput& input, size_t index,
                              .mix(universe_fp)
                              .value()
                        : key;
-      if (opts_.use_cache) {
+      if (cache_ != nullptr) {
         if (std::shared_ptr<const ProcReport> hit = cache_->lookup(addr)) {
           ++tally.hits;
           out.procs[p] = with_key(std::move(hit), key);
@@ -331,7 +329,7 @@ void BatchDriver::run_program_task(const ProgramInput& input, size_t index,
       try {
         if (m.error) std::rethrow_exception(m.error);
         std::shared_ptr<const ProcReport> report = std::move(m.report);
-        if (opts_.use_cache)
+        if (cache_ != nullptr)
           report = with_key(cache_->insert(m.addr, report), m.key);
         out.procs[m.proc.idx] = std::move(report);
       } catch (const BudgetExceeded& e) {
@@ -346,6 +344,14 @@ void BatchDriver::run_program_task(const ProgramInput& input, size_t index,
     // An analysis stage threw: a synat bug, reported as the program's.
     out.status = ProgramStatus::InternalError;
     out.diagnostics.push_back({"error", 0, 0, e.what()});
+  }
+  // Only a deadline cancels the budget; trips depend on machine speed, so
+  // the counter is nondeterministic by registration and never enters the
+  // JSON report.
+  if (budget.cancelled()) {
+    static obs::Counter& trips =
+        obs::registry().counter("synat_watchdog_trips_total", false);
+    trips.inc();
   }
   sink.publish_program(index, std::move(out));
 }
@@ -374,8 +380,8 @@ BatchReport BatchDriver::run(const std::vector<ProgramInput>& inputs) {
   CacheTally tally;
   if (opts_.isolate) {
     // Sandboxed one-shot workers (DESIGN.md §3d), forked before any thread
-    // of this run exists: no Watchdog/ThreadPool here (workers build their
-    // own). Each outcome lands in the sink as it arrives.
+    // of this run exists: no ThreadPool here (workers build their own).
+    // Each outcome lands in the sink as it arrives.
     static obs::Counter& dispatches =
         obs::registry().counter("synat_worker_dispatches_total");
     static obs::Counter& results =
@@ -413,8 +419,6 @@ BatchReport BatchDriver::run(const std::vector<ProgramInput>& inputs) {
     };
     run_workers(pending, opts_, jobs, nullptr, deliver);
   } else {
-    if (opts_.deadline_ms > 0 && watchdog_ == nullptr)
-      watchdog_ = std::make_unique<Watchdog>();
     ThreadPool pool(jobs <= 1 ? 0 : jobs);
     for (size_t i = 0; i < inputs.size(); ++i) {
       if (!inputs[i].load_error.empty()) continue;
@@ -433,7 +437,7 @@ BatchReport BatchDriver::run(const std::vector<ProgramInput>& inputs) {
   counters.cache_misses = tally.misses;
   // rejected() is a lifetime counter and load() runs before run(), so the
   // absolute value (not a delta) is what this batch observed.
-  counters.cache_rejected = cache_->rejected();
+  counters.cache_rejected = cache_ != nullptr ? cache_->rejected() : 0;
   static obs::Counter& span_drops =
       obs::registry().counter("synat_trace_spans_dropped_total", false);
   uint64_t dropped = obs::Tracer::instance().dropped();

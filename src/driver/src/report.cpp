@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "synat/driver/json.h"
+#include "synat/support/hash.h"
 
 namespace synat::driver {
 
@@ -232,14 +233,6 @@ size_t count_atomic(const BatchReport& r) {
   return n;
 }
 
-std::string hex64_str(uint64_t v) {
-  static const char* digits = "0123456789abcdef";
-  std::string s(16, '0');
-  for (int i = 15; i >= 0; --i, v >>= 4)
-    s[static_cast<size_t>(i)] = digits[v & 0xf];
-  return s;
-}
-
 // Every record field is always emitted (possibly empty/zero) so the schema
 // validator can require a fixed shape and diff_provenance compares like
 // with like.
@@ -304,7 +297,7 @@ std::string to_json(const BatchReport& report, const RenderOptions& opts) {
         w.key("degrade_kind").value(p->degrade_kind);
         w.key("degrade_reason").value(p->degrade_reason);
       }
-      w.key("cache_key").value(hex64_str(p->key));
+      w.key("cache_key").value(hex64(p->key));
       if (opts.provenance) emit_prov(w, p->prov);
       w.key("variants").begin_array();
       for (const VariantReport& v : p->variants) {

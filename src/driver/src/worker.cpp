@@ -16,6 +16,7 @@
 
 #include "synat/driver/codec.h"
 #include "synat/obs/metrics.h"
+#include "synat/support/budget.h"
 #include "synat/support/fault.h"
 #include "synat/support/frame.h"
 #include "synat/support/subprocess.h"
@@ -36,18 +37,11 @@ constexpr uint64_t kStallGraceMs = 500;
 constexpr uint64_t kStallDefaultMs = 10000;  ///< when no deadline is set
 constexpr uint64_t kBackoffBaseMs = 50;
 constexpr unsigned kBackoffMaxDoublings = 5;  ///< caps the wait at 1.6 s
-/// RLIMIT_CPU backstop: an order of magnitude above the per-procedure
-/// deadline, for runaway spins the in-process watchdog failed to contain.
+/// RLIMIT_CPU backstop: an order of magnitude above the per-program
+/// deadline, for runaway spins between two checks of the worker's budget.
 constexpr uint64_t kCpuLimitFactor = 16;
 /// Exit code of a worker whose analysis ran out of memory (std::bad_alloc).
 constexpr int kExitBadAlloc = 114;
-
-uint64_t now_ms() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 /// Serializes the worker's response pipe between the heartbeat thread and
 /// the result write; a torn frame would read as corruption upstream.
@@ -101,7 +95,6 @@ int worker_body(int out_fd, const ProgramInput& input, unsigned attempt,
   DriverOptions sub = opts;
   sub.jobs = 1;
   sub.isolate = false;
-  sub.use_cache = cache != nullptr;
   sub.events = nullptr;
   if (cache != nullptr) cache->start_capture();
   int rc = 0;
@@ -155,7 +148,7 @@ int worker_body(int out_fd, const ProgramInput& input, unsigned attempt,
 enum class Death : uint8_t { Crash, Timeout, Oom };
 
 /// Maps a reaped wait status onto the death taxonomy. SIGXCPU is the
-/// RLIMIT_CPU backstop firing (the in-process watchdog missed a spin);
+/// RLIMIT_CPU backstop firing (a spin the worker's budget never checked);
 /// kExitBadAlloc is worker_body's std::bad_alloc path; SIGABRT under an
 /// RLIMIT_AS cap is glibc aborting on an allocation the limit refused (raw
 /// mallocs bypass the bad_alloc path). Everything else is a crash.
@@ -239,8 +232,9 @@ void run_workers(const std::vector<const ProgramInput*>& inputs,
     }
     if (attempt <= opts.retries) {
       ++out.retries;
-      pending.push_back(
-          {index, attempt + 1, now_ms() + retry_backoff_ms(attempt)});
+      pending.push_back({index, attempt + 1,
+                         steady_now_ns() / 1'000'000 +
+                             retry_backoff_ms(attempt)});
       return;
     }
     out.reason = std::move(reason);
@@ -325,7 +319,7 @@ void run_workers(const std::vector<const ProgramInput*>& inputs,
   };
 
   while (live > 0 || !pending.empty()) {
-    uint64_t now = now_ms();
+    uint64_t now = steady_now_ns() / 1'000'000;
     for (Slot& s : slots) {
       if (s.child.valid() || pending.empty()) continue;
       auto ready = std::find_if(
@@ -365,7 +359,7 @@ void run_workers(const std::vector<const ProgramInput*>& inputs,
       polled.push_back(&s);
     }
     ::poll(fds.data(), fds.size(), static_cast<int>(kHeartbeatMs));
-    now = now_ms();
+    now = steady_now_ns() / 1'000'000;
     for (size_t i = 0; i < fds.size(); ++i) {
       Slot& s = *polled[i];
       if (fds[i].revents != 0 && read_worker(s, now)) continue;

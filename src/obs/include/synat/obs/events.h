@@ -58,8 +58,7 @@ struct Event {
 std::string render_event(const Event& e);
 
 struct EventLogOptions {
-  /// Sink file; empty keeps the log ring-only (events still reach the
-  /// flight recorder, nothing touches disk).
+  /// Sink file.
   std::string path;
   /// Size-based rotation: when the current file would exceed this, it is
   /// renamed to `path + ".1"` (replacing any previous rotation) and a
@@ -69,10 +68,12 @@ struct EventLogOptions {
 
 /// Append-only wide-event sink. Thread-safe; one instance per batch run or
 /// daemon. append() assigns the sequence number, applies virtual-clock
-/// canonicalization, renders, writes, and mirrors into the Recorder. With a
-/// path, every line is either written whole and flushed (lines()) or
-/// dropped (dropped(), and the synat_events_dropped_total counter): a
-/// failed or short write or flush, or a file that could not be opened.
+/// canonicalization, renders, and writes. Every line is either written
+/// whole and flushed before append() returns (lines()) or dropped
+/// (dropped(), and the synat_events_dropped_total counter): a failed or
+/// short write or flush, or a file that could not be opened. The flush
+/// makes the log the incident record: a daemon that dies has already
+/// written the line of every request it completed.
 class EventLog {
  public:
   explicit EventLog(EventLogOptions opts);
@@ -84,7 +85,7 @@ class EventLog {
   /// Canonicalizes (under the virtual clock), renders, and writes `e`.
   void append(Event e);
 
-  /// Lines logged: written whole to the file, or, without a path, appended.
+  /// Lines written whole to the file.
   uint64_t lines() const;
   /// Lines the file did not take whole.
   uint64_t dropped() const;

@@ -34,9 +34,9 @@ std::string to_chrome_trace(
 std::string to_prometheus(const MetricsSnapshot& snap);
 
 /// Appends `s` as a JSON string literal (quotes included), escaped per
-/// RFC 8259. The one JSON string escape: the exporters, wide events and
-/// flight recorder here, the driver's report writer and serve's encoder
-/// (obs is the lowest library all of them link).
+/// RFC 8259. The one JSON string escape: the exporters and wide events
+/// here, the driver's report writer and serve's encoder (obs is the lowest
+/// library all of them link).
 void append_json_escaped(std::string& out, std::string_view s);
 
 /// Writes `content` to `path` (binary, truncate). Returns false and fills

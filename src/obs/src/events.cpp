@@ -6,7 +6,6 @@
 #include "synat/obs/export.h"
 #include "synat/obs/metrics.h"
 #include "synat/obs/obs.h"
-#include "synat/obs/recorder.h"
 
 namespace synat::obs {
 
@@ -78,12 +77,10 @@ std::string render_event(const Event& e) {
 }
 
 EventLog::EventLog(EventLogOptions opts) : opts_(std::move(opts)) {
-  if (!opts_.path.empty()) {
-    f_ = std::fopen(opts_.path.c_str(), "wb");
-    if (f_ == nullptr)
-      std::fprintf(stderr, "synat: warning: cannot open event log %s\n",
-                   opts_.path.c_str());
-  }
+  f_ = std::fopen(opts_.path.c_str(), "wb");
+  if (f_ == nullptr)
+    std::fprintf(stderr, "synat: warning: cannot open event log %s\n",
+                 opts_.path.c_str());
 }
 
 EventLog::~EventLog() {
@@ -105,7 +102,6 @@ void EventLog::rotate_locked() {
 }
 
 void EventLog::append(Event e) {
-  std::string line;
   bool lost = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -120,28 +116,25 @@ void EventLog::append(Event e) {
     } else if (e.ts_ns == 0) {
       e.ts_ns = now_ns();  // completion time, unless the caller stamped one
     }
-    line = render_event(e);
+    std::string line = render_event(e);
     line += '\n';
-    if (opts_.path.empty()) {
+    if (f_ != nullptr && opts_.max_bytes > 0 && bytes_ > 0 &&
+        bytes_ + line.size() > opts_.max_bytes)
+      rotate_locked();
+    size_t written = 0;
+    bool flushed = false;
+    if (f_ != nullptr) {
+      written = std::fwrite(line.data(), 1, line.size(), f_);
+      // The log is the incident record: a completed request's line must
+      // reach the file before a later failure can take the process down.
+      flushed = std::fflush(f_) == 0;
+    }
+    bytes_ += written;
+    if (written == line.size() && flushed) {
       ++lines_;
     } else {
-      if (f_ != nullptr && opts_.max_bytes > 0 && bytes_ > 0 &&
-          bytes_ + line.size() > opts_.max_bytes)
-        rotate_locked();
-      size_t written = 0;
-      bool flushed = false;
-      if (f_ != nullptr) {
-        written = std::fwrite(line.data(), 1, line.size(), f_);
-        // The log must survive a crash one line later.
-        flushed = std::fflush(f_) == 0;
-      }
-      bytes_ += written;
-      if (written == line.size() && flushed) {
-        ++lines_;
-      } else {
-        ++dropped_;
-        lost = true;
-      }
+      ++dropped_;
+      lost = true;
     }
   }
   if (lost) {
@@ -149,8 +142,6 @@ void EventLog::append(Event e) {
         registry().counter("synat_events_dropped_total", false);
     drops.inc();
   }
-  // Mirror without the newline; the ring stores one frame per line.
-  recorder().note(std::string_view(line.data(), line.size() - 1));
 }
 
 uint64_t EventLog::lines() const {

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "synat/obs/metrics.h"
-#include "synat/obs/recorder.h"
 
 namespace synat::obs {
 
@@ -140,12 +139,6 @@ SpanScope::~SpanScope() {
     registry().stage_histogram(stage_).observe(dur);
   if (flags_ & kTraceFlag)
     Tracer::instance().record(stage_, start_, dur);
-  // Serve-stage edges feed the flight recorder so a postmortem shows what
-  // the daemon was doing when it died. Only the serve category (a handful
-  // of spans per RPC) is mirrored — pipeline/driver stages fire thousands
-  // of times per batch and would wash the ring out instantly.
-  if (stage_category(stage_) == "serve")
-    Recorder::instance().note_span(static_cast<uint32_t>(stage_), start_, dur);
 }
 
 }  // namespace synat::obs

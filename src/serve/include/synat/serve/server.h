@@ -47,12 +47,6 @@ struct ServerOptions {
   /// Chrome trace-event JSON written after the drain (per-request lanes).
   /// Empty disables tracing.
   std::string trace_out;
-  /// Flight-recorder postmortem sink (--postmortem): opened before
-  /// accepting and kept open for the process lifetime so the fatal-signal
-  /// path (support/crash.h) can dump the last-N event ring without
-  /// allocating or opening files. Also rewritten on worker deaths and
-  /// quarantine trips. Empty disables incident dumps.
-  std::string postmortem_path;
 };
 
 class Server {

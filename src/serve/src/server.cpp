@@ -12,16 +12,14 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 
 #include "synat/obs/export.h"
 #include "synat/obs/metrics.h"
-#include "synat/obs/recorder.h"
 #include "synat/obs/trace.h"
 #include "synat/serve/rpc.h"
-#include "synat/support/crash.h"
+#include "synat/support/budget.h"
 
 namespace synat::serve {
 
@@ -39,13 +37,6 @@ void on_signal(int) {
     // pending, which is all we need.
     [[maybe_unused]] ssize_t n = write(fd, &b, 1);
   }
-}
-
-uint64_t steady_ms() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
 }
 
 bool send_all(int fd, const char* data, size_t len) {
@@ -205,25 +196,6 @@ int Server::serve() {
   sigaction(SIGTERM, &sa, &old_term);
   sigaction(SIGINT, &sa, &old_int);
 
-  // Arm the flight recorder's incident sink before accepting: the fd must
-  // already be open when a fatal signal arrives (the handler cannot open
-  // files), and worker-death dumps can happen on the very first request.
-  bool crash_armed = false;
-  if (!opts_.postmortem_path.empty()) {
-    int pfd = open(opts_.postmortem_path.c_str(),
-                   O_CREAT | O_WRONLY | O_CLOEXEC, 0644);
-    if (pfd < 0) {
-      std::fprintf(stderr, "synat serve: warning: cannot open %s: %s\n",
-                   opts_.postmortem_path.c_str(), std::strerror(errno));
-    } else {
-      obs::recorder().set_postmortem_fd(pfd);
-      support::crash::arm([](int sig) {
-        obs::Recorder::instance().dump_incident("fatal_signal", sig);
-      });
-      crash_armed = true;
-    }
-  }
-
   if (!opts_.cache_file.empty()) service_.cache().load(opts_.cache_file);
   std::fprintf(stderr, "synat serve: listening on %s (%u jobs)\n",
                opts_.listen.c_str(), service_.jobs());
@@ -235,12 +207,13 @@ int Server::serve() {
   const bool periodic_snapshots =
       !opts_.cache_file.empty() && snap_interval_ms > 0;
   uint64_t next_snap_ms =
-      periodic_snapshots ? steady_ms() + snap_interval_ms : 0;
+      periodic_snapshots ? steady_now_ns() / 1'000'000 + snap_interval_ms
+                         : 0;
 
   for (;;) {
     int timeout = -1;
     if (periodic_snapshots) {
-      uint64_t now = steady_ms();
+      uint64_t now = steady_now_ns() / 1'000'000;
       timeout = next_snap_ms > now
                     ? static_cast<int>(std::min<uint64_t>(
                           next_snap_ms - now, 3'600'000))
@@ -252,7 +225,7 @@ int Server::serve() {
       if (errno == EINTR) continue;
       break;
     }
-    if (periodic_snapshots && steady_ms() >= next_snap_ms) {
+    if (periodic_snapshots && steady_now_ns() / 1'000'000 >= next_snap_ms) {
       static obs::Counter& snapshots =
           obs::registry().counter("synat_serve_snapshots_total", false);
       if (service_.cache().save(opts_.cache_file))
@@ -261,7 +234,7 @@ int Server::serve() {
         std::fprintf(stderr,
                      "synat serve: warning: could not snapshot cache to %s\n",
                      opts_.cache_file.c_str());
-      next_snap_ms = steady_ms() + snap_interval_ms;
+      next_snap_ms = steady_now_ns() / 1'000'000 + snap_interval_ms;
     }
     if (rc == 0) continue;
     if (fds[1].revents != 0) break;  // signal or shutdown RPC
@@ -302,12 +275,6 @@ int Server::serve() {
   sigaction(SIGTERM, &old_term, nullptr);
   sigaction(SIGINT, &old_int, nullptr);
   g_wake_fd = -1;
-  if (crash_armed) {
-    support::crash::disarm();
-    int pfd = obs::recorder().postmortem_fd();
-    obs::recorder().set_postmortem_fd(-1);
-    if (pfd >= 0) close(pfd);
-  }
 
   if (!opts_.cache_file.empty() &&
       !service_.cache().save(opts_.cache_file))

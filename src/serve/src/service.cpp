@@ -1,6 +1,5 @@
 #include "synat/serve/service.h"
 
-#include <chrono>
 #include <cstdio>
 #include <thread>
 #include <utility>
@@ -11,31 +10,13 @@
 #include "synat/obs/events.h"
 #include "synat/obs/export.h"
 #include "synat/obs/metrics.h"
-#include "synat/obs/recorder.h"
 #include "synat/obs/trace.h"
+#include "synat/support/budget.h"
 #include "synat/support/hash.h"
 
 namespace synat::serve {
 
 namespace {
-
-/// Wall-adjacent monotonic milliseconds for the quarantine TTL. Not the obs
-/// clock: a virtual-clock test run must still see real TTL decay.
-uint64_t steady_ms() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-/// Real steady-clock nanoseconds for request latency samples — never the
-/// virtual clock (quantiles of a virtual clock would be fiction).
-uint64_t real_now_ns() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 /// The display name a refused request would have analyzed under, for its
 /// wide event (accepted requests take the name from the assembled report).
@@ -45,14 +26,6 @@ std::string request_name(const JsonValue& params) {
     if (name != nullptr && name->is_string()) return name->str;
   }
   return "rpc";
-}
-
-std::string hex64(uint64_t v) {
-  static const char* digits = "0123456789abcdef";
-  std::string s(16, '0');
-  for (int i = 15; i >= 0; --i, v >>= 4)
-    s[static_cast<size_t>(i)] = digits[v & 0xf];
-  return s;
 }
 
 /// Reads the analyze/explain params into a ProgramInput + render settings.
@@ -208,7 +181,9 @@ void Service::handle(std::string line, Reply reply) {
 
   const uint64_t seq = next_request_.fetch_add(1, std::memory_order_relaxed);
   const uint64_t req_start = obs::timing_enabled() ? obs::now_ns() : 0;
-  const uint64_t start_real = real_now_ns();
+  // Latency samples take the real clock, never the virtual one (quantiles
+  // of a virtual clock would be fiction).
+  const uint64_t start_real = steady_now_ns();
 
   RpcRequest req;
   RpcError err;
@@ -377,7 +352,6 @@ std::string Service::do_analyze(const RpcRequest& req, bool explain,
 
   driver::DriverOptions dopts;
   dopts.jobs = 1;  // index-addressed assembly makes jobs irrelevant to bytes
-  dopts.use_cache = true;
   driver::BatchDriver drv(dopts, &cache_);
   driver::BatchReport report;
   try {
@@ -421,7 +395,9 @@ std::string Service::do_analyze_sandboxed(const RpcRequest& req, bool explain,
                           .mix(input.source)
                           .mix(driver::options_fingerprint(input.opts))
                           .value();
-  if (quarantine_.check(fp, steady_ms())) {
+  // The quarantine TTL runs on the real clock, so a virtual-clock run still
+  // sees it decay.
+  if (quarantine_.check(fp, steady_now_ns() / 1'000'000)) {
     quarantined.inc();
     if (ev != nullptr) {
       ev->status = "error";
@@ -429,7 +405,6 @@ std::string Service::do_analyze_sandboxed(const RpcRequest& req, bool explain,
       ev->error_code = kErrQuarantined;
       ev->error_kind = "quarantined";
     }
-    obs::recorder().note_event("quarantine_refusal", input.name.c_str());
     return encode_error(&req.id, kErrQuarantined,
                         "program quarantined: repeated worker deaths; "
                         "retry after the quarantine TTL");
@@ -458,14 +433,7 @@ std::string Service::do_analyze_sandboxed(const RpcRequest& req, bool explain,
     if (!out.spans.empty()) obs::Tracer::instance().inject(lane, out.spans);
     quarantine_.record_success(fp);
   } else {
-    // Incident path: note the death (and a trip, if this one tripped the
-    // breaker) in the flight-recorder ring, then dump a postmortem — the
-    // ring at this moment holds the request context leading up to it.
-    obs::Recorder& rec = obs::recorder();
-    rec.note_event("worker_death", out.reason.c_str());
-    const bool tripped = quarantine_.record_death(fp, steady_ms());
-    if (tripped) rec.note_event("quarantine_trip", input.name.c_str());
-    rec.dump_incident(tripped ? "quarantine_trip" : "worker_death");
+    quarantine_.record_death(fp, steady_now_ns() / 1'000'000);
   }
 
   // Reassemble the one-program document exactly the way BatchDriver does,
@@ -549,7 +517,7 @@ std::string Service::do_shutdown(const RpcRequest& req) {
 }
 
 void Service::finish_obs(obs::Event ev, uint64_t start_real_ns) {
-  const uint64_t dur = real_now_ns() - start_real_ns;
+  const uint64_t dur = steady_now_ns() - start_real_ns;
   ev.dur_ns = dur;
   static obs::Histogram& latency = obs::registry().histogram(
       "synat_serve_rpc_request_latency_seconds");

@@ -6,12 +6,11 @@
 // degraded per-procedure verdict; nothing below the driver ever reports a
 // partially computed result as complete.
 //
-// The hot-path contract: check() is a single relaxed atomic load while the
-// task is healthy. Deadlines are enforced two ways — a watchdog thread may
-// flip the cancellation flag from outside (no clock reads on the analysis
-// thread), and check() itself re-reads the clock every kSelfCheckPeriod
-// calls so a deadline still trips when no watchdog is attached (fuzz
-// replay, library embedders).
+// The hot-path contract: without a deadline, check() is a single relaxed
+// atomic load. With one armed, check() also reads the steady clock on every
+// call, so a deadline trips at the first check after it passes. This is the
+// only deadline path: the batch driver, sandbox workers and fuzz replay all
+// rely on it (DESIGN.md §3c gives the check count and the clock's cost).
 #pragma once
 
 #include <atomic>
@@ -41,14 +40,10 @@ uint64_t steady_now_ns();
 /// task; the analysis thread polls check(), any other thread may cancel().
 class ExecBudget {
  public:
-  /// How many check() calls pass between self-measured clock reads.
-  static constexpr uint32_t kSelfCheckPeriod = 1024;
-
   /// Sets an absolute deadline `delay_ms` from now; 0 disables it.
   void arm_deadline_ms(uint64_t delay_ms) {
     deadline_ns_ = delay_ms == 0 ? 0 : steady_now_ns() + delay_ms * 1000000ull;
   }
-  uint64_t deadline_ns() const { return deadline_ns_; }
 
   /// Trips the budget. Safe from any thread; first reason wins.
   void cancel(const char* reason) {
@@ -64,9 +59,7 @@ class ExecBudget {
   /// the polling loop for the exception detail.
   void check(const char* where) {
     if (cancelled_.load(std::memory_order_relaxed)) throw_tripped(where);
-    if (deadline_ns_ != 0 &&
-        tick_.fetch_add(1, std::memory_order_relaxed) % kSelfCheckPeriod == 0 &&
-        steady_now_ns() > deadline_ns_) {
+    if (deadline_ns_ != 0 && steady_now_ns() > deadline_ns_) {
       cancel("deadline");
       throw_tripped(where);
     }
@@ -77,7 +70,6 @@ class ExecBudget {
 
   std::atomic<bool> cancelled_{false};
   std::atomic<const char*> reason_{nullptr};
-  std::atomic<uint32_t> tick_{0};
   uint64_t deadline_ns_ = 0;
 };
 

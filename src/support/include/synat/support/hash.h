@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <string_view>
 
 namespace synat {
@@ -51,5 +52,9 @@ class Hasher {
  private:
   uint64_t h_ = kFnvOffset;
 };
+
+/// `v` as 16 lowercase hex digits: how fingerprints and cache keys are
+/// printed in reports and replies.
+std::string hex64(uint64_t v);
 
 }  // namespace synat

@@ -26,4 +26,12 @@ uint32_t crc32(std::string_view bytes, uint32_t crc) {
   return ~crc;
 }
 
+std::string hex64(uint64_t v) {
+  static const char* digits = "0123456789abcdef";
+  std::string s(16, '0');
+  for (int i = 15; i >= 0; --i, v >>= 4)
+    s[static_cast<size_t>(i)] = digits[v & 0xf];
+  return s;
+}
+
 }  // namespace synat

@@ -55,9 +55,8 @@ TEST(BatchDriver, OneParseAndOneVariantGenerationPerProgram) {
   for (Mode mode : {Mode{1, false}, Mode{4, false}, Mode{4, true}}) {
     DriverOptions opts;
     opts.jobs = mode.jobs;
-    opts.use_cache = mode.cache;
     ResultCache cold;
-    BatchDriver drv(opts, &cold);
+    BatchDriver drv(opts, mode.cache ? &cold : nullptr);
     BatchReport r = drv.run(corpus_inputs());
     uint64_t parses = 0, generated = 0;
     for (const obs::HistogramSample& h : r.metrics.telemetry.histograms)
@@ -83,7 +82,6 @@ std::string analysis_part(const std::string& json) {
 
 TEST(BatchDriver, WarmCacheRunIsByteIdenticalAndAllHits) {
   DriverOptions opts;
-  opts.use_cache = true;
   ResultCache cache;
   std::string cold = run_json(opts, &cache);
   size_t cold_hits = cache.hits();
@@ -101,7 +99,6 @@ TEST(BatchDriver, WarmCacheRunIsByteIdenticalAndAllHits) {
 TEST(BatchDriver, CachePersistedAcrossProcessesViaSnapshot) {
   std::string path = testing::TempDir() + "synat_driver_test.synatcache";
   DriverOptions opts;
-  opts.use_cache = true;
   {
     ResultCache cache;
     run_json(opts, &cache);
@@ -152,7 +149,6 @@ TEST(BatchDriver, LargeProgramIdenticalAcrossJobCounts) {
       opts.jobs = jobs;
       std::vector<std::string>& out = docs[jobs == 1 ? 0 : 1];
       out.push_back(to_json(BatchDriver(opts).run({in}), ropts));
-      opts.use_cache = true;
       ResultCache cache;
       BatchDriver cached(opts, &cache);
       out.push_back(to_json(cached.run({in}), ropts));
@@ -405,7 +401,6 @@ TEST(BatchDriver, VariantBudgetDegradesOnlyExplodingProc) {
 // hits exactly the healthy procedures and degrades Deq again.
 TEST(BatchDriver, VariantBudgetTripIsNeverCached) {
   DriverOptions opts;
-  opts.use_cache = true;
   ResultCache cache;
   for (size_t run = 0; run < 2; ++run) {
     BatchDriver drv(opts, &cache);
@@ -503,7 +498,7 @@ TEST(BatchDriver, StrictBudgetTripCitesTheProcedureLine) {
 
 TEST(BatchDriver, DeadlineDegradesInsteadOfHanging) {
   // An unreachable deadline that is already armed must not change results;
-  // jobs > 1 exercises watchdog registration from pool workers.
+  // jobs > 1 reads the armed budget from pool helpers.
   DriverOptions opts;
   opts.deadline_ms = 600000;
   opts.jobs = 2;
@@ -511,6 +506,48 @@ TEST(BatchDriver, DeadlineDegradesInsteadOfHanging) {
   BatchDriver plain(DriverOptions{});
   EXPECT_EQ(to_json(guarded.run({nfq_prime_input()})),
             to_json(plain.run({nfq_prime_input()})));
+}
+
+// A deadline that passes mid-program: the run completes, the procedures the
+// trip stops are degraded ("deadline"), and every other procedure keeps the
+// verdict of a run without a deadline. At jobs 4 the pool's helpers check
+// the budget too. --strict turns the trip into the program's internal
+// error.
+TEST(BatchDriver, DeadlineTripDegradesOnlyTheProceduresItStops) {
+  const ProgramInput in = generated_input(640);
+  const BatchReport unbounded = BatchDriver(DriverOptions{}).run({in});
+  const auto& want = unbounded.programs.at(0).procs;
+  for (unsigned jobs : {1u, 4u}) {
+    DriverOptions opts;
+    opts.jobs = jobs;
+    opts.deadline_ms = 1;
+    const BatchReport r = BatchDriver(opts).run({in});
+    ASSERT_EQ(r.programs.size(), 1u);
+    const ProgramReport& prog = r.programs[0];
+    EXPECT_EQ(prog.status, ProgramStatus::Ok) << "jobs " << jobs;
+    ASSERT_EQ(prog.procs.size(), want.size());
+    size_t degraded = 0;
+    for (size_t p = 0; p < want.size(); ++p) {
+      const ProcReport& got = *prog.procs[p];
+      EXPECT_EQ(got.name, want[p]->name);
+      if (got.degraded) {
+        EXPECT_EQ(got.degrade_kind, "deadline") << got.name;
+        ++degraded;
+      } else {
+        EXPECT_EQ(got.atomic, want[p]->atomic) << got.name;
+        EXPECT_EQ(got.atomicity, want[p]->atomicity) << got.name;
+      }
+    }
+    EXPECT_GT(degraded, 0u) << "jobs " << jobs;
+    EXPECT_EQ(r.exit_code(), 1) << "jobs " << jobs;
+    EXPECT_EQ(telemetry_counter(r, "synat_watchdog_arms_total"), 1u);
+    EXPECT_EQ(telemetry_counter(r, "synat_watchdog_trips_total"), 1u);
+
+    opts.strict = true;
+    const BatchReport strict = BatchDriver(opts).run({in});
+    EXPECT_EQ(strict.programs.at(0).status, ProgramStatus::InternalError)
+        << "jobs " << jobs;
+  }
 }
 
 // The acceptance scenario: a batch over (a) a syntactically broken file
@@ -534,7 +571,6 @@ TEST(BatchDriver, DegradedBatchAnalyzesHealthySubsetIdentically) {
 
   // Build a snapshot of the healthy program's entries, then corrupt it.
   DriverOptions cached;
-  cached.use_cache = true;
   {
     ResultCache warm;
     BatchDriver drv(cached, &warm);

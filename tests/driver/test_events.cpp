@@ -1,10 +1,10 @@
 // Wide-event log tests (DESIGN.md §3i): the renderer's fixed key order,
-// EventLog sequencing, recorder mirroring, size-based rotation, dropped
-// lines, and the completion-time stamp. The cross-mode byte-identity
-// contract (identical logs under --jobs 1 / --jobs N / --isolate with the
-// virtual clock) is pinned at the CLI level by the cli_events_identity
-// ctest and the CI events job, because the virtual clock is a
-// process-wide, checked-once environment switch.
+// EventLog sequencing, size-based rotation, dropped lines, and the
+// completion-time stamp. The cross-mode byte-identity contract (identical
+// logs under --jobs 1 / --jobs N / --isolate with the virtual clock) is
+// pinned at the CLI level by the cli_events_identity ctest and the CI
+// events job, because the virtual clock is a process-wide, checked-once
+// environment switch.
 #include "synat/obs/events.h"
 
 #include <gtest/gtest.h>
@@ -16,7 +16,6 @@
 #include <string>
 
 #include "synat/obs/obs.h"
-#include "synat/obs/recorder.h"
 
 namespace synat {
 namespace {
@@ -139,18 +138,6 @@ TEST(Events, LinesTheFileCannotTakeAreDroppedNotLogged) {
   log.append(obs::Event{});
   EXPECT_EQ(log.lines(), 0u);
   EXPECT_EQ(log.dropped(), 2u);
-}
-
-TEST(Events, RingOnlyLogMirrorsIntoTheRecorder) {
-  obs::recorder().reset();
-  uint64_t before = obs::recorder().captured();
-  obs::EventLogOptions opts;  // empty path: no disk, ring only
-  obs::EventLog log(opts);
-  obs::Event e;
-  e.name = "ring_only";
-  log.append(std::move(e));
-  EXPECT_EQ(obs::recorder().captured(), before + 1);
-  EXPECT_EQ(log.lines(), 1u);
 }
 
 }  // namespace

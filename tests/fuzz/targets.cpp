@@ -48,7 +48,7 @@ int run_pipeline(const uint8_t* data, size_t size) {
   synl::FrontEnd fe = synl::parse_and_recover(source, diags);
   if (!fe.contained) return 0;
   ExecBudget budget;
-  budget.arm_deadline_ms(2000);  // self-checked; no watchdog in-process
+  budget.arm_deadline_ms(2000);  // checked against the clock at every poll
   atomicity::InferOptions opts;
   opts.variant_opts.max_paths = 64;
   opts.variant_opts.max_variants = 32;
@@ -152,7 +152,7 @@ int run_events(const uint8_t* data, size_t size) {
   std::string line = render_event(e);
   // The line contract the whole pipeline leans on: exactly one line, and
   // every rendered event is a valid JSON document (the validator, the
-  // postmortem renderer, and dashboards all parse it back).
+  // chaos harness, and dashboards all parse it back).
   SYNAT_ASSERT(line.find('\n') == std::string::npos,
                "rendered event contains a raw newline");
   serve::JsonParse back = serve::parse_json(line);

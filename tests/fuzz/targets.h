@@ -41,8 +41,8 @@ int run_rpc(const uint8_t* data, size_t size);
 
 /// The wide-event renderer (obs/events.h): arbitrary bytes land in every
 /// string field of an Event. The rendered line must be a single line and a
-/// valid JSON document — the contract the validator, the postmortem
-/// renderer, and log pipelines parse against.
+/// valid JSON document — the contract the validator, the chaos harness,
+/// and log pipelines parse against.
 int run_events(const uint8_t* data, size_t size);
 
 }  // namespace synat::fuzz

@@ -11,13 +11,12 @@
 //   synat disasm   <prog>                bytecode disassembly
 //   synat mc       <prog> [mc options]   explicit-state model checking
 //   synat serve    [serve options]       long-lived analysis daemon
-//   synat postmortem <file>              render a flight-recorder dump
 //
 // <prog> is a file path, `corpus:<name>` (see `synat corpus`), or `-` for
 // standard input (analyze/batch/explain).
 // analyze options: --no-variants --no-windows --no-conds --counted <k>
 // batch options: --all (whole corpus) --jobs N (0 = one per hardware
-//                thread) --cache --format json|sarif|text
+//                thread) --format json|sarif|text
 //                --timings (parse/analyze/report stage histograms in the
 //                JSON metrics block; workers' stages too under --isolate)
 //                -o FILE --deadline-ms N (per program)
@@ -36,8 +35,6 @@
 //                schema v5 "provenance" sections in the JSON report)
 //                --no-variants --no-windows --no-conds (the analyze
 //                ablation flags, applied to every input)
-//                --cache-stats (print the result-cache summary — the same
-//                fields as the serve `status` RPC — to stderr)
 //                --events-out FILE (wide-event log: one canonical JSON line
 //                per program, byte-identical across --jobs/--isolate under
 //                SYNAT_OBS_VIRTUAL_CLOCK) --events-max-bytes N (size-based
@@ -60,10 +57,9 @@
 //                --snapshot-interval-s N (with --cache-file: periodic
 //                crash-only cache snapshots while serving)
 //                --events-out FILE (wide-event log: one canonical JSON line
-//                per analyze/explain RPC) --events-max-bytes N (rotation)
-//                --postmortem FILE (flight-recorder incident dump: rewritten
-//                with the last 256 events on worker deaths, quarantine
-//                trips, and fatal signals; render with `synat postmortem`)
+//                per analyze/explain RPC, flushed as it is written; the
+//                incident record of worker deaths and quarantine refusals)
+//                --events-max-bytes N (rotation)
 //                The wire protocol is newline-delimited JSON-RPC 2.0:
 //                methods analyze, explain, status, metrics, invalidate,
 //                shutdown (see src/serve/include/synat/serve/service.h and
@@ -100,7 +96,6 @@
 #include "synat/obs/export.h"
 #include "synat/obs/metrics.h"
 #include "synat/obs/trace.h"
-#include "synat/serve/json.h"
 #include "synat/serve/server.h"
 #include "synat/synat.h"
 #include "synat/synl/printer.h"
@@ -121,7 +116,7 @@ int usage() {
       stderr,
       "usage: synat "
       "<corpus|analyze|batch|explain|variants|blocks|cfg|dot|disasm|mc|serve"
-      "|postmortem> [args]\n(see the header of tools/synat_cli.cpp)\n");
+      "> [args]\n(see the header of tools/synat_cli.cpp)\n");
   return kExitUsage;
 }
 
@@ -167,13 +162,6 @@ bool parse(const std::string& spec, Parsed& p) {
     return false;
   }
   return true;
-}
-
-std::string hex64(uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
 }
 
 /// Counted-CAS defaults: if the program came from the corpus, use its
@@ -251,7 +239,6 @@ int cmd_batch(int argc, char** argv) {
   uint64_t events_max_bytes = 64ull << 20;
   std::vector<std::string> specs;
   bool all = false;
-  bool cache_stats = false;
   bool provenance = false;
   bool no_variants = false;
   bool no_windows = false;
@@ -308,10 +295,6 @@ int cmd_batch(int argc, char** argv) {
         return kExitUsage;
       }
       dopts.retries = static_cast<unsigned>(n);
-    } else if (a == "--cache") {
-      dopts.use_cache = true;
-    } else if (a == "--cache-stats") {
-      cache_stats = true;
     } else if (a == "--format" && i + 1 < argc) {
       format = argv[++i];
       if (format != "json" && format != "sarif" && format != "text") {
@@ -387,14 +370,6 @@ int cmd_batch(int argc, char** argv) {
     if (no_windows) in.opts.use_window_rule = false;
     if (no_conds) in.opts.use_local_conditions = false;
   }
-  if (dopts.isolate && dopts.use_cache) {
-    // Workers are separate address spaces; a shared in-memory cache cannot
-    // exist.
-    std::fprintf(stderr,
-                 "note: --isolate workers do not share the result cache; "
-                 "ignoring --cache\n");
-    dopts.use_cache = false;
-  }
   // Observability flags must be set before the driver runs: --isolate
   // forks its workers from this process, and the flag word (like the rest
   // of the address space) is inherited at fork time.
@@ -419,18 +394,6 @@ int cmd_batch(int argc, char** argv) {
   }
   driver::BatchDriver drv(dopts);
   driver::BatchReport report = drv.run(inputs);
-  if (cache_stats) {
-    // The same fields the serve `status` RPC reports, so a batch run and a
-    // daemon are comparable; stderr keeps the stdout document deterministic.
-    std::fprintf(stderr,
-                 "cache-stats: version=%s schema_version=%d cache_entries=%zu "
-                 "options_fingerprint=%s hits=%zu misses=%zu\n",
-                 std::string(driver::kSynatVersion).c_str(),
-                 driver::kReportSchemaVersion, drv.cache().size(),
-                 hex64(driver::options_fingerprint(atomicity::InferOptions{}))
-                     .c_str(),
-                 drv.cache().hits(), drv.cache().misses());
-  }
   if (events != nullptr && events->dropped() != 0) {
     std::fprintf(stderr, "short write to %s\n", events_out.c_str());
     return kExitInternalError;
@@ -761,8 +724,6 @@ int cmd_serve(int argc, char** argv) {
         return kExitUsage;
       }
       events_max_bytes = n;
-    } else if (a == "--postmortem" && i + 1 < argc) {
-      sopts.postmortem_path = argv[++i];
     } else {
       std::fprintf(stderr, "unknown serve option %s\n", a.c_str());
       return kExitUsage;
@@ -793,73 +754,6 @@ int cmd_serve(int argc, char** argv) {
   return server.serve();
 }
 
-/// `synat postmortem <file>` — human rendering of a flight-recorder
-/// incident dump (recorder.h). The file is a header line plus the ring
-/// oldest-first; frames that were overwritten mid-dump may be garbled, so
-/// anything unparsable is shown raw rather than rejected.
-int cmd_postmortem(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    return kExitParseError;
-  }
-  auto str_of = [](const serve::JsonValue& v, const char* key) {
-    const serve::JsonValue* m = v.get(key);
-    return m != nullptr && m->is_string() ? m->str : std::string();
-  };
-  auto num_of = [](const serve::JsonValue& v, const char* key) -> long long {
-    const serve::JsonValue* m = v.get(key);
-    return m != nullptr && m->is_number()
-               ? static_cast<long long>(m->number)
-               : 0;
-  };
-  std::string out;
-  std::string line;
-  size_t events_n = 0, notes_n = 0, spans_n = 0, raw_n = 0;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    serve::JsonParse p = serve::parse_json(line);
-    if (!p.ok || !p.value.is_object()) {
-      appendf(out, "  ?      %s\n", line.c_str());
-      ++raw_n;
-      continue;
-    }
-    const serve::JsonValue& v = p.value;
-    std::string rec = str_of(v, "rec");
-    if (rec == "postmortem") {
-      appendf(out, "postmortem: reason=%s signal=%lld frames=%lld\n",
-              str_of(v, "reason").c_str(), num_of(v, "signal"),
-              num_of(v, "frames"));
-    } else if (rec == "note") {
-      appendf(out, "  note   %s: %s\n", str_of(v, "what").c_str(),
-              str_of(v, "detail").c_str());
-      ++notes_n;
-    } else if (rec == "span") {
-      appendf(out, "  span   %-10s start_ns=%lld dur_ns=%lld\n",
-              str_of(v, "stage").c_str(), num_of(v, "start_ns"),
-              num_of(v, "dur_ns"));
-      ++spans_n;
-    } else if (str_of(v, "schema") == "synat-event") {
-      appendf(out, "  event  seq=%-4lld %-28s status=%s%s exit=%lld "
-                   "dur_ns=%lld\n",
-              num_of(v, "seq"), str_of(v, "name").c_str(),
-              str_of(v, "status").c_str(),
-              v.get("quarantined") != nullptr &&
-                      v.get("quarantined")->boolean
-                  ? " quarantined"
-                  : "",
-              num_of(v, "exit_code"), num_of(v, "dur_ns"));
-      ++events_n;
-    } else {
-      appendf(out, "  ?      %s\n", line.c_str());
-      ++raw_n;
-    }
-  }
-  appendf(out, "-- %zu event(s), %zu note(s), %zu span(s), %zu raw frame(s)\n",
-          events_n, notes_n, spans_n, raw_n);
-  return write_output({}, out) ? kExitOk : kExitInternalError;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -871,7 +765,6 @@ int main(int argc, char** argv) {
     if (cmd == "serve") return cmd_serve(argc - 2, argv + 2);
     if (argc < 3) return usage();
     std::string spec = argv[2];
-    if (cmd == "postmortem") return cmd_postmortem(spec);
     if (cmd == "analyze") return cmd_analyze(spec, argc - 3, argv + 3);
     if (cmd == "explain") return cmd_explain(spec, argc - 3, argv + 3);
     if (cmd == "variants")

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Validate a synat wide-event log (--events-out) or a postmortem dump
-against tools/events_schema.json.
+"""Validate a synat wide-event log (--events-out) against
+tools/events_schema.json.
 
 Every line must be a complete JSON object with exactly the schema's keys
 in the schema's order (key order is part of the byte-identity contract;
@@ -9,11 +9,7 @@ the logs from every execution mode before comparing them byte-for-byte —
 a canonical-but-wrong log should fail here, not in the diff.
 
     validate_events.py events.jsonl [more.jsonl ...]
-    validate_events.py --postmortem dump.pm
 
---postmortem mode validates a flight-recorder dump instead: the first
-line must be the synat-postmortem header, and each following frame must
-be a note, a span, or a mirrored wide event (the ring holds all three).
 Exit 0 when every line validates, 1 otherwise.
 """
 
@@ -76,48 +72,7 @@ def check_event(line, schema):
     return problems
 
 
-# Required string keys per flight-recorder frame kind, beyond "rec" itself.
-_FRAME_KEYS = {"note": ("what", "detail"), "span": ("stage",)}
-
-
-def check_postmortem_line(line, lineno, schema):
-    """One frame of a postmortem dump: header first, then notes, spans, or
-    mirrored wide events."""
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as e:
-        return [f"not valid JSON: {e}"]
-    if not isinstance(obj, dict):
-        return ["not a JSON object"]
-    rec = obj.get("rec")
-    if lineno == 1:
-        if rec != "postmortem" or obj.get("schema") != "synat-postmortem":
-            return ["first line must be the synat-postmortem header"]
-        problems = []
-        if obj.get("v") != 1:
-            problems.append(f"bad header version: {obj.get('v')!r}")
-        for key, kind in (("reason", str), ("signal", int), ("frames", int)):
-            if not isinstance(obj.get(key), kind):
-                problems.append(f"bad header field {key!r}: {obj.get(key)!r}")
-        return problems
-    if rec == "postmortem":
-        return ["duplicate postmortem header"]
-    if rec == "note" or rec == "span":
-        problems = [f"note missing {k!r}" if rec == "note" else
-                    f"span missing {k!r}"
-                    for k in _FRAME_KEYS[rec]
-                    if not isinstance(obj.get(k), str)]
-        if rec == "span":
-            for k in ("start_ns", "dur_ns"):
-                if not isinstance(obj.get(k), int):
-                    problems.append(f"span missing {k!r}")
-        return problems
-    if rec is None and obj.get("schema") == "synat-event":
-        return check_event(line, schema)
-    return [f"unknown frame kind: rec={rec!r}"]
-
-
-def validate_file(path, schema, postmortem):
+def validate_file(path, schema):
     problems = []
     events = 0
     with open(path, encoding="utf-8") as f:
@@ -126,32 +81,24 @@ def validate_file(path, schema, postmortem):
             if not line:
                 problems.append(f"{path}:{lineno}: blank line")
                 continue
-            if postmortem:
-                errs = check_postmortem_line(line, lineno, schema)
-            else:
-                errs = check_event(line, schema)
+            errs = check_event(line, schema)
             if errs:
                 problems.extend(f"{path}:{lineno}: {e}" for e in errs)
             else:
                 events += 1
-    if postmortem and events == 0:
-        problems.append(f"{path}: empty postmortem (no header)")
     return events, problems
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("files", nargs="+", help="JSONL event logs to validate")
-    ap.add_argument("--postmortem", action="store_true",
-                    help="validate flight-recorder dumps instead of "
-                         "wide-event logs")
     args = ap.parse_args(argv)
 
     schema = load_schema()
     total, problems = 0, []
     for path in args.files:
         try:
-            events, errs = validate_file(path, schema, args.postmortem)
+            events, errs = validate_file(path, schema)
         except OSError as e:
             problems.append(f"{path}: {e}")
             continue
@@ -167,8 +114,7 @@ def main(argv=None):
         print(f"validate_events: FAIL ({len(problems)} problem(s))",
               file=sys.stderr)
         return 1
-    kind = "frame" if args.postmortem else "event"
-    print(f"validate_events: OK ({total} {kind}(s) across "
+    print(f"validate_events: OK ({total} event(s) across "
           f"{len(args.files)} file(s))")
     return 0
 
