@@ -9,9 +9,12 @@
 // `new C`. v has *escaped* at event e if e is reachable from any leak of v:
 // storing v into the heap or a global, publishing it via SC/CAS, copying it
 // into another variable (conservative), or returning it.
+//
+// Layout: the fresh variables in one array, each with one row of escaped
+// bits over the CFG's nodes in a NodeRows; the scan's buffers are reused
+// per thread.
 #pragma once
 
-#include <unordered_map>
 #include <vector>
 
 #include "synat/cfg/cfg.h"
@@ -32,18 +35,17 @@ class EscapeAnalysis {
   bool unescaped_at(EventId e, VarId v) const;
 
   /// True if every assignment to v is a fresh allocation.
-  bool is_fresh_var(VarId v) const;
+  bool is_fresh_var(VarId v) const { return fresh_row(v) >= 0; }
 
  private:
-  void analyze_var(VarId v);
+  /// Row of fresh variable `v` in escaped_, or -1 when v is not fresh.
+  int fresh_row(VarId v) const;
 
-  const Program& prog_;
-  const Cfg& cfg_;
-  // For each analyzed var: escaped_after_[v][event] == true once a leak may
-  // have happened before the event. Vars that are not fresh map to an empty
-  // vector and always report escaped.
-  std::unordered_map<VarId, std::vector<bool>> escaped_after_;
-  std::unordered_map<VarId, bool> fresh_;
+  /// The fresh variables, in the order analyzed. Row k of escaped_ holds
+  /// the events that a leak of fresh_[k] may precede. A variable that is
+  /// not fresh always reports escaped.
+  std::vector<VarId> fresh_;
+  cfg::NodeRows escaped_;
 };
 
 class UniqueAnalysis;

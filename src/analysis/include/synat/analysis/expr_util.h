@@ -159,12 +159,11 @@ class AliasIndex {
   std::unordered_map<uint32_t, List> field_all_;   ///< by field, any holder
 };
 
-/// Successor events of an SC/CAS event `e` that are reached only when the
-/// primitive SUCCEEDS. TRUE(SC(...)) succeeds by construction; for
-/// `if (SC(...)) ...` (possibly negated) only the success branch is
-/// returned; any other shape conservatively returns all successors.
-std::vector<cfg::EventId> post_success_edges(const Program& prog,
-                                             const cfg::Cfg& cfg,
-                                             cfg::EventId e);
+/// Sets `out` to the successor events of an SC/CAS event `e` that are
+/// reached only when the primitive SUCCEEDS. TRUE(SC(...)) succeeds by
+/// construction; for `if (SC(...)) ...` (possibly negated) only the success
+/// branch is given; any other shape conservatively gives all successors.
+void post_success_edges(const Program& prog, const cfg::Cfg& cfg,
+                        cfg::EventId e, std::vector<cfg::EventId>& out);
 
 }  // namespace synat::analysis

@@ -16,15 +16,16 @@
 //
 // Cost. A block's events are the events of its Local statement and of every
 // statement in its body. One pre-order walk maps each statement to its
-// innermost enclosing block; one pass over the CFG then appends each event
-// to that block and its ancestors. Membership is therefore linear in the
-// procedure's events times its block nesting depth. Only lvar_updated and
-// the condition walk each block's own body.
+// innermost enclosing block; passes over the CFG then count and place each
+// event in that block and its ancestors. Membership is therefore linear in
+// the procedure's events times its block nesting depth. Only lvar_updated
+// and the condition walk each block's own body. The blocks sit in one
+// exact-size array and their event lists are slices of a second; the walk's
+// buffers are reused per thread.
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
-#include <utility>
+#include <span>
 #include <vector>
 
 #include "synat/cfg/cfg.h"
@@ -64,8 +65,9 @@ struct LocalBlock {
   bool lvar_updated = false; ///< condition (i) violated
   bool has_successful_sc = false;  ///< body contains TRUE-guarded SC on svar
   Pred cond = Pred::True;
-  /// Events belonging to this block (initializer + body), in event order.
-  std::vector<EventId> events;
+  /// Events belonging to this block (initializer + body), in event order:
+  /// a slice of the analysis's event array.
+  std::span<const EventId> events;
 
   bool is_llsc_block() const {
     return init_is_ll && has_successful_sc && !lvar_updated;
@@ -75,31 +77,26 @@ struct LocalBlock {
   }
 };
 
+/// Its blocks' event lists are slices of an array it owns, so it is not
+/// copied.
 class LocalCondAnalysis {
  public:
   LocalCondAnalysis(const Program& prog, const Cfg& cfg);
+  LocalCondAnalysis(const LocalCondAnalysis&) = delete;
+  LocalCondAnalysis& operator=(const LocalCondAnalysis&) = delete;
 
   /// Every block of the procedure, in pre-order.
   const std::vector<LocalBlock>& blocks() const { return blocks_; }
+  /// The block of `local_stmt`, found by a scan; null if it has none.
   const LocalBlock* block_for(StmtId local_stmt) const {
-    auto it = index_.find(local_stmt);
-    return it == index_.end() ? nullptr : &blocks_[it->second];
+    for (const LocalBlock& b : blocks_)
+      if (b.stmt == local_stmt) return &b;
+    return nullptr;
   }
 
  private:
-  static constexpr uint32_t kNoBlock = UINT32_MAX;
-
-  /// Pre-order walk of `sid`'s subtree, where `block` is the innermost
-  /// block enclosing `sid`: adds each Local's block and records every
-  /// enclosed statement's innermost block in `owner` as (StmtId, block).
-  void walk(StmtId sid, uint32_t block,
-            std::vector<std::pair<uint32_t, uint32_t>>& owner);
-  void analyze_block(StmtId local_stmt);
-
-  const Program& prog_;
   std::vector<LocalBlock> blocks_;
-  std::vector<uint32_t> parent_;  ///< enclosing block of each, or kNoBlock
-  std::unordered_map<StmtId, size_t> index_;
+  std::vector<EventId> events_;  ///< every block's events, block by block
 };
 
 }  // namespace synat::analysis

@@ -11,9 +11,15 @@
 // reaching procedure entry: an SC with an incomplete match set may execute
 // with no matching LL (and then must fail); a CAS may succeed without a
 // matching read, in which case Theorem 5.3's CAS analogue does not apply.
+//
+// Layout: one table entry per SC, VL and CAS event in ascending EventId
+// order, found by binary search, with every match list a slice of one
+// array; an inverse (LL, primitive) index, sorted, answers matched_by.
+// Every search reuses one visited/matched mark buffer and work stack per
+// thread.
 #pragma once
 
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "synat/cfg/cfg.h"
@@ -25,19 +31,19 @@ using cfg::EventId;
 using synl::Program;
 
 struct MatchInfo {
-  std::vector<EventId> matches;  ///< LL events (or reads for CAS)
-  bool complete = false;         ///< a match lies on every backward path
+  std::span<const EventId> matches;  ///< LL events (or reads for CAS)
+  bool complete = false;  ///< a match lies on every backward path
 };
 
+/// Its match lists are slices of an array it owns, so it is not copied.
 class MatchingAnalysis {
  public:
   MatchingAnalysis(const Program& prog, const Cfg& cfg);
+  MatchingAnalysis(const MatchingAnalysis&) = delete;
+  MatchingAnalysis& operator=(const MatchingAnalysis&) = delete;
 
   /// Match info for an SC/VL/CAS event; null if `e` is not such an event.
-  const MatchInfo* info(EventId e) const {
-    auto it = info_.find(e);
-    return it == info_.end() ? nullptr : &it->second;
-  }
+  const MatchInfo* info(EventId e) const;
 
   /// True if `ll` is a matching LL (or matching read) of `primitive`.
   bool is_match(EventId primitive, EventId ll) const {
@@ -48,16 +54,19 @@ class MatchingAnalysis {
     return false;
   }
 
-  /// All SC/VL/CAS events for which `ll` is a match.
-  std::vector<EventId> matched_by(EventId ll) const;
+  /// All SC/VL/CAS events for which `ll` is a match, in ascending order.
+  std::span<const EventId> matched_by(EventId ll) const;
 
  private:
-  void match_ll(EventId sc_or_vl);
-  void match_read(EventId cas);
-
-  const Program& prog_;
-  const Cfg& cfg_;
-  std::unordered_map<EventId, MatchInfo> info_;
+  struct Entry {
+    EventId primitive;
+    MatchInfo info;
+  };
+  std::vector<Entry> entries_;     ///< by ascending primitive
+  std::vector<EventId> matches_;   ///< every match list, in entry order
+  /// The (match, primitive) pairs sorted: inverse_lls_[k] is matched by
+  /// inverse_prims_[k].
+  std::vector<EventId> inverse_lls_, inverse_prims_;
 };
 
 }  // namespace synat::analysis

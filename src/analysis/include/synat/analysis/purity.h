@@ -22,10 +22,14 @@
 // contexts (ProcAnalysis) build none. Conditions (i) and (ii) use Theorem
 // 3.1's local-action test, which lives in escape.h because the mover
 // assignment asks it too.
+//
+// The verdicts sit in one array in CFG loop order; the per-loop sets and
+// searches reuse per-thread buffers, and an impure reason stores what broke
+// and where, rendering its text only when provenance asks for it.
 #pragma once
 
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 #include "synat/analysis/escape.h"
@@ -39,19 +43,23 @@ using synl::StmtId;
 
 /// One broken purity premise: which of the Section 4 conditions failed
 /// ("i" global updates, "ii" live local updates, "iii" LL/SC containment),
-/// where, and a rendered explanation. Structured so the provenance layer
-/// can cite the exact premise instead of re-parsing a message.
+/// why, and at which event. Structured so the provenance layer can cite
+/// the exact premise instead of re-parsing a message.
 struct ImpureReason {
-  std::string condition;  ///< "i", "ii", or "iii"
-  std::string message;    ///< human-readable, includes path/kind/line
-  uint32_t line = 0;      ///< source line of the offending event (0 unknown)
+  std::string condition;   ///< "i", "ii", or "iii"
+  std::string_view cause;  ///< what broke, a static string
+  cfg::EventKind kind = cfg::EventKind::Join;  ///< the offending event's
+  cfg::AccessPath path;                        ///< kind and location
+  uint32_t line = 0;  ///< source line of the offending event (0 unknown)
+
+  /// "<cause> at <path> (<kind>, line <line>)", the text step-0
+  /// provenance quotes.
+  std::string message(const Program& prog) const;
 };
 
 struct LoopPurity {
   StmtId loop;
   bool pure = false;
-  /// Action events that can occur in a normally terminating iteration.
-  cfg::NodeSet normal_events;
   /// Broken purity premises (empty when pure).
   std::vector<ImpureReason> reasons;
 };
@@ -66,24 +74,29 @@ class PurityAnalysis {
     const LoopPurity* p = result(loop);
     return p && p->pure;
   }
+  /// The verdict on `loop`, found by a scan; null if it is not a loop of
+  /// the CFG.
   const LoopPurity* result(StmtId loop) const {
-    auto it = results_.find(loop);
-    return it == results_.end() ? nullptr : &it->second;
+    for (const LoopPurity& r : results_)
+      if (r.loop == loop) return &r;
+    return nullptr;
   }
+  /// Every verdict, in CFG loop order, moved out of the analysis.
+  std::vector<LoopPurity> take_results() { return std::move(results_); }
 
   /// True if the SC/CAS at `e` counts as a read under normal termination of
   /// its innermost loop (success branch unreachable from normal paths).
   bool treated_as_read(EventId e) const { return sc_as_read_.contains(e); }
 
  private:
-  void analyze_loop(const cfg::LoopInfo& info);
+  LoopPurity analyze_loop(const cfg::LoopInfo& info);
 
   const Program& prog_;
   const Cfg& cfg_;
   const MatchingAnalysis& matching_;
   const EscapeAnalysis& escape_;
   const UniqueAnalysis& unique_;
-  std::unordered_map<StmtId, LoopPurity> results_;
+  std::vector<LoopPurity> results_;  ///< in CFG loop order
   cfg::NodeSet sc_as_read_;
 };
 

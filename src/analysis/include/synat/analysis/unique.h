@@ -22,9 +22,12 @@
 //   (3) every non-`new` assignment to v is one of those retirements.
 // Thread-local candidates are assumed to hold a unique reference initially
 // (the standard setup for these algorithms; documented in DESIGN.md).
+// The working copies are kept as a sorted array; the checks' buffers are
+// reused per thread.
 #pragma once
 
-#include <unordered_set>
+#include <algorithm>
+#include <vector>
 
 #include "synat/cfg/cfg.h"
 
@@ -41,18 +44,12 @@ class UniqueAnalysis {
 
   /// True if v is a verified working copy: dereferences through v are local
   /// actions everywhere in this procedure.
-  bool is_working_copy(VarId v) const { return working_.count(v) != 0; }
-
-  const std::unordered_set<VarId>& working_copies() const { return working_; }
+  bool is_working_copy(VarId v) const {
+    return std::binary_search(working_.begin(), working_.end(), v);
+  }
 
  private:
-  bool check_candidate(VarId v) const;
-  /// Events reached only when the SC/CAS at `publish` succeeds.
-  std::vector<EventId> post_success(EventId publish) const;
-
-  const Program& prog_;
-  const Cfg& cfg_;
-  std::unordered_set<VarId> working_;
+  std::vector<VarId> working_;  ///< by ascending VarId
 };
 
 }  // namespace synat::analysis

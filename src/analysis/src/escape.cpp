@@ -22,46 +22,34 @@ synl::ExprId write_rhs(const Stmt& s) {
   }
 }
 
-}  // namespace
+/// The analysis's buffers, reused by every construction on this thread.
+struct EscapeScratch {
+  std::vector<VarId> fresh;
+  cfg::NodeRows escaped;
+  std::vector<EventId> leaks;
+  std::vector<EventId> seeds;
+  std::vector<EventId> work;
+};
+thread_local EscapeScratch escape_scratch;
 
-EscapeAnalysis::EscapeAnalysis(const Program& prog, const Cfg& cfg)
-    : prog_(prog), cfg_(cfg) {
-  const synl::ProcInfo& p = prog.proc(cfg.proc());
-  auto consider = [&](VarId v) {
-    if (prog.is_ref_like(prog.var(v).type)) analyze_var(v);
-  };
-  for (VarId v : p.params) consider(v);
-  for (VarId v : p.locals) consider(v);
-  for (VarId v : prog.threadlocals()) consider(v);
-}
-
-bool EscapeAnalysis::is_fresh_var(VarId v) const {
-  auto it = fresh_.find(v);
-  return it != fresh_.end() && it->second;
-}
-
-bool EscapeAnalysis::unescaped_at(EventId e, VarId v) const {
-  if (!is_fresh_var(v)) return false;
-  auto it = escaped_after_.find(v);
-  if (it == escaped_after_.end()) return false;
-  return !it->second[e.idx];
-}
-
-void EscapeAnalysis::analyze_var(VarId v) {
+/// Whether `v` is fresh in `cfg`; if so, adds its row of escaped events to
+/// `s.escaped` and appends it to `s.fresh`.
+void analyze_var(const Program& prog, const Cfg& cfg, VarId v,
+                 EscapeScratch& s) {
   // Freshness: every write of the plain variable stores a `new`.
   bool fresh = false;
   bool saw_nonfresh_def = false;
-  std::vector<EventId> leaks;
+  s.leaks.clear();
 
-  for (uint32_t i = 0; i < cfg_.num_nodes(); ++i) {
+  for (uint32_t i = 0; i < cfg.num_nodes(); ++i) {
     EventId id(i);
-    const Event& ev = cfg_.node(id);
+    const Event& ev = cfg.node(id);
     switch (ev.kind) {
       case EventKind::Write: {
-        const Stmt& s = prog_.stmt(ev.stmt);
+        const Stmt& st = prog.stmt(ev.stmt);
         if (ev.path.is_plain_var() && ev.path.root == v) {
-          synl::ExprId rhs = write_rhs(s);
-          if (rhs.valid() && prog_.expr(rhs).kind == synl::ExprKind::New) {
+          synl::ExprId rhs = write_rhs(st);
+          if (rhs.valid() && prog.expr(rhs).kind == synl::ExprKind::New) {
             fresh = true;
           } else {
             saw_nonfresh_def = true;
@@ -69,28 +57,29 @@ void EscapeAnalysis::analyze_var(VarId v) {
         } else {
           // Writing v's value somewhere else leaks it — including into a
           // local copy (the copy could escape later; we do not track it).
-          synl::ExprId rhs = write_rhs(s);
-          if (rhs.valid() && mentions_as_value(prog_, rhs, v)) leaks.push_back(id);
+          synl::ExprId rhs = write_rhs(st);
+          if (rhs.valid() && mentions_as_value(prog, rhs, v))
+            s.leaks.push_back(id);
         }
         break;
       }
       case EventKind::SC: {
-        const synl::Expr& e = prog_.expr(ev.expr);
-        if (mentions_as_value(prog_, e.b, v)) leaks.push_back(id);
+        const synl::Expr& e = prog.expr(ev.expr);
+        if (mentions_as_value(prog, e.b, v)) s.leaks.push_back(id);
         break;
       }
       case EventKind::CAS: {
-        const synl::Expr& e = prog_.expr(ev.expr);
-        if (mentions_as_value(prog_, e.b, v) || mentions_as_value(prog_, e.c, v))
-          leaks.push_back(id);
+        const synl::Expr& e = prog.expr(ev.expr);
+        if (mentions_as_value(prog, e.b, v) || mentions_as_value(prog, e.c, v))
+          s.leaks.push_back(id);
         break;
       }
       case EventKind::Read: {
         // Returning v leaks it to the environment.
         if (!ev.is_base && ev.path.is_plain_var() && ev.path.root == v &&
             ev.stmt.valid() &&
-            prog_.stmt(ev.stmt).kind == StmtKind::Return) {
-          leaks.push_back(id);
+            prog.stmt(ev.stmt).kind == StmtKind::Return) {
+          s.leaks.push_back(id);
         }
         break;
       }
@@ -102,42 +91,61 @@ void EscapeAnalysis::analyze_var(VarId v) {
   // Parameters and threadlocals start with unknown contents, so they are
   // only fresh if reassigned before use; we keep it simple and require
   // locals (whose declaration initializes them).
-  if (prog_.var(v).kind != VarKind::Local) fresh = false;
-
-  fresh_[v] = fresh && !saw_nonfresh_def;
-  if (!fresh_[v]) return;
+  if (prog.var(v).kind != VarKind::Local) fresh = false;
+  if (!fresh || saw_nonfresh_def) return;
 
   // Escaped set: forward closure from the successors of each leak. SC/CAS
   // leaks only publish on success, so only their success continuations are
   // seeded (a failed SC in a retry loop does not shared-ify the object).
-  std::vector<bool> escaped(cfg_.num_nodes(), false);
-  std::vector<EventId> work;
-  for (EventId l : leaks) {
-    const Event& lev = cfg_.node(l);
-    std::vector<EventId> seeds;
+  const uint32_t row = s.escaped.add_rows(1);
+  s.fresh.push_back(v);
+  s.work.clear();
+  for (EventId l : s.leaks) {
+    const Event& lev = cfg.node(l);
     if (lev.kind == EventKind::SC || lev.kind == EventKind::CAS) {
-      seeds = post_success_edges(prog_, cfg_, l);
+      post_success_edges(prog, cfg, l, s.seeds);
     } else {
-      for (const cfg::Edge& e : cfg_.succs(l)) seeds.push_back(e.to);
+      s.seeds.clear();
+      for (const cfg::Edge& e : cfg.succs(l)) s.seeds.push_back(e.to);
     }
-    for (EventId s : seeds) {
-      if (!escaped[s.idx]) {
-        escaped[s.idx] = true;
-        work.push_back(s);
-      }
-    }
+    for (EventId seed : s.seeds)
+      if (s.escaped.insert(row, seed)) s.work.push_back(seed);
   }
-  while (!work.empty()) {
-    EventId n = work.back();
-    work.pop_back();
-    for (const cfg::Edge& e : cfg_.succs(n)) {
-      if (!escaped[e.to.idx]) {
-        escaped[e.to.idx] = true;
-        work.push_back(e.to);
-      }
-    }
+  while (!s.work.empty()) {
+    EventId n = s.work.back();
+    s.work.pop_back();
+    for (const cfg::Edge& e : cfg.succs(n))
+      if (s.escaped.insert(row, e.to)) s.work.push_back(e.to);
   }
-  escaped_after_[v] = std::move(escaped);
+}
+
+}  // namespace
+
+EscapeAnalysis::EscapeAnalysis(const Program& prog, const Cfg& cfg) {
+  EscapeScratch& s = escape_scratch;
+  s.fresh.clear();
+  s.escaped.reset(cfg.num_nodes());
+  const synl::ProcInfo& p = prog.proc(cfg.proc());
+  auto consider = [&](VarId v) {
+    if (prog.is_ref_like(prog.var(v).type)) analyze_var(prog, cfg, v, s);
+  };
+  for (VarId v : p.params) consider(v);
+  for (VarId v : p.locals) consider(v);
+  for (VarId v : prog.threadlocals()) consider(v);
+  if (s.fresh.empty()) return;
+  fresh_.assign(s.fresh.begin(), s.fresh.end());
+  escaped_ = s.escaped;
+}
+
+int EscapeAnalysis::fresh_row(VarId v) const {
+  for (size_t k = 0; k < fresh_.size(); ++k)
+    if (fresh_[k] == v) return static_cast<int>(k);
+  return -1;
+}
+
+bool EscapeAnalysis::unescaped_at(EventId e, VarId v) const {
+  const int row = fresh_row(v);
+  return row >= 0 && !escaped_.contains(static_cast<uint32_t>(row), e);
 }
 
 bool is_local_action(const Program& prog, const Cfg& cfg,

@@ -1,5 +1,7 @@
 #include "synat/analysis/expr_util.h"
 
+#include <algorithm>
+
 #include "synat/cfg/cfg.h"
 
 namespace synat::analysis {
@@ -67,7 +69,6 @@ bool mentions_as_value(const Program& prog, ExprId root, VarId v) {
 
 AccessPath path_of_expr(const Program& prog, ExprId id) {
   AccessPath path;
-  std::vector<cfg::Selector> rev;
   ExprId cur = id;
   while (cur.valid()) {
     const Expr& e = prog.expr(cur);
@@ -76,16 +77,17 @@ AccessPath path_of_expr(const Program& prog, ExprId id) {
       break;
     }
     if (e.kind == ExprKind::Field) {
-      rev.push_back({cfg::Selector::Field, e.name});
+      path.sels.push_back({cfg::Selector::Field, e.name});
       cur = e.a;
     } else if (e.kind == ExprKind::Index) {
-      rev.push_back({cfg::Selector::Index, {}});
+      path.sels.push_back({cfg::Selector::Index, {}});
       cur = e.a;
     } else {
       break;
     }
   }
-  path.sels.assign(rev.rbegin(), rev.rend());
+  // Collected from the outermost selector inward.
+  std::reverse(path.sels.begin(), path.sels.end());
   return path;
 }
 
@@ -143,14 +145,12 @@ TypeId path_type(const Program& prog, const AccessPath& path) {
   return walk_type(prog, path, path.sels.size());
 }
 
-std::vector<cfg::EventId> post_success_edges(const Program& prog,
-                                             const cfg::Cfg& cfg,
-                                             cfg::EventId e) {
+void post_success_edges(const Program& prog, const cfg::Cfg& cfg,
+                        cfg::EventId e, std::vector<cfg::EventId>& out) {
+  out.clear();
   const cfg::Event& ev = cfg.node(e);
   auto all_succs = [&] {
-    std::vector<cfg::EventId> out;
     for (const cfg::Edge& s : cfg.succs(e)) out.push_back(s.to);
-    return out;
   };
   if (ev.must_succeed) return all_succs();
 
@@ -174,15 +174,14 @@ std::vector<cfg::EventId> post_success_edges(const Program& prog,
     n = ss[0].to;
     const cfg::Event& cur = cfg.node(n);
     if (cur.kind == cfg::EventKind::Join && cur.stmt == ev.stmt) {
-      std::vector<cfg::EventId> out;
       cfg::EdgeKind want = negated ? cfg::EdgeKind::False : cfg::EdgeKind::True;
       for (const cfg::Edge& s : cfg.succs(n))
         if (s.kind == want) out.push_back(s.to);
-      return out;
+      return;
     }
     if (cur.is_action()) break;  // something else runs first; give up
   }
-  return all_succs();
+  all_succs();
 }
 
 bool may_alias(const Program& prog, const AccessPath& a, const AccessPath& b) {

@@ -13,6 +13,11 @@ using cfg::EventKind;
 using synl::ExprKind;
 using synl::StmtKind;
 
+std::string ImpureReason::message(const Program& prog) const {
+  return std::string(cause) + " at " + path.str(prog) + " (" +
+         std::string(to_string(kind)) + ", line " + std::to_string(line) + ")";
+}
+
 PurityAnalysis::PurityAnalysis(const Program& prog, const Cfg& cfg,
                                const MatchingAnalysis& matching,
                                const EscapeAnalysis& escape,
@@ -20,10 +25,22 @@ PurityAnalysis::PurityAnalysis(const Program& prog, const Cfg& cfg,
     : prog_(prog), cfg_(cfg), matching_(matching), escape_(escape),
       unique_(unique), sc_as_read_(cfg.num_nodes()) {
   obs::SpanScope span(obs::StageId::Purity);
-  for (const cfg::LoopInfo& info : cfg.loops()) analyze_loop(info);
+  results_.reserve(cfg.loops().size());
+  for (const cfg::LoopInfo& info : cfg.loops())
+    results_.push_back(analyze_loop(info));
 }
 
 namespace {
+
+/// The analysis's per-loop buffers, reused by every loop on this thread.
+struct PurityScratch {
+  std::vector<uint8_t> member;  ///< 1 for the loop's members
+  cfg::NodeSet s1, s2, normal;
+  std::vector<uint8_t> seen;
+  std::vector<EventId> work;
+  std::vector<ImpureReason> reasons;
+};
+thread_local PurityScratch purity_scratch;
 
 /// True branch? False branch? Finds the success-edge kind for an SC/CAS
 /// that is (possibly negated) the condition of its `if` statement; returns
@@ -52,29 +69,34 @@ bool success_edge_kind(const Program& prog, const Cfg& cfg, EventId e,
 
 }  // namespace
 
-void PurityAnalysis::analyze_loop(const cfg::LoopInfo& info) {
+LoopPurity PurityAnalysis::analyze_loop(const cfg::LoopInfo& info) {
+  PurityScratch& s = purity_scratch;
+  const size_t n_nodes = cfg_.num_nodes();
   LoopPurity result;
   result.loop = info.stmt;
+  s.reasons.clear();
 
-  std::vector<bool> member(cfg_.num_nodes(), false);
-  for (EventId m : info.members) member[m.idx] = true;
-  auto within = [&](EventId n) { return member[n.idx]; };
+  s.member.assign(n_nodes, 0);
+  for (EventId m : info.members) s.member[m.idx] = 1;
+  auto within = [&](EventId n) { return s.member[n.idx] != 0; };
 
   // S1: reachable from the loop head staying inside the loop.
-  const cfg::NodeSet s1 = cfg_.reachable(info.head, within);
+  s.s1.reset(n_nodes);
+  cfg_.reach(info.head, within, s.s1, s.work);
   // S2: can reach a normal-termination point (a back-edge source of this
   // loop) staying inside the loop.
-  cfg::NodeSet s2(cfg_.num_nodes());
-  for (EventId src : info.back_sources) s2 |= cfg_.reachable_back(src, within);
+  s.s2.reset(n_nodes);
+  for (EventId src : info.back_sources)
+    cfg_.reach_back(src, within, s.s2, s.work);
 
-  result.normal_events = cfg::NodeSet(cfg_.num_nodes());
-  for (EventId n : s1) {
-    if (s2.contains(n) && cfg_.node(n).is_action())
-      result.normal_events.insert(n);
+  // Action events that can occur in a normally terminating iteration.
+  s.normal.reset(n_nodes);
+  for (EventId n : s.s1) {
+    if (s.s2.contains(n) && cfg_.node(n).is_action()) s.normal.insert(n);
   }
 
   // Pre-compute SC/CAS-as-read for primitives in the normal set.
-  for (EventId n : result.normal_events) {
+  for (EventId n : s.normal) {
     const Event& ev = cfg_.node(n);
     if (ev.kind != EventKind::SC && ev.kind != EventKind::CAS) continue;
     if (ev.must_succeed) continue;
@@ -84,26 +106,24 @@ void PurityAnalysis::analyze_loop(const cfg::LoopInfo& info) {
     bool success_in_normal = false;
     for (const Edge& e : cfg_.succs(branch)) {
       if (e.kind != success) continue;
-      if (s2.contains(e.to)) success_in_normal = true;
+      if (s.s2.contains(e.to)) success_in_normal = true;
     }
     if (!success_in_normal) sc_as_read_.insert(n);
   }
 
-  auto impure = [&](EventId n, const char* condition, const std::string& why) {
-    uint32_t line = cfg_.node(n).stmt.valid()
-                        ? prog_.stmt(cfg_.node(n).stmt).loc.line
-                        : 0;
+  auto impure = [&](EventId n, const char* condition, std::string_view why) {
+    const Event& ev = cfg_.node(n);
     ImpureReason r;
     r.condition = condition;
-    r.message = why + " at " + cfg_.node(n).path.str(prog_) + " (" +
-                std::string(to_string(cfg_.node(n).kind)) + ", line " +
-                std::to_string(line) + ")";
-    r.line = line;
-    result.reasons.push_back(std::move(r));
+    r.cause = why;
+    r.kind = ev.kind;
+    r.path = ev.path;
+    r.line = ev.stmt.valid() ? prog_.stmt(ev.stmt).loc.line : 0;
+    s.reasons.push_back(std::move(r));
   };
 
   // Reasons in ascending EventId order, which is evaluation order.
-  for (EventId n : result.normal_events) {
+  for (EventId n : s.normal) {
     const Event& ev = cfg_.node(n);
     switch (ev.kind) {
       case EventKind::Read:
@@ -116,19 +136,19 @@ void PurityAnalysis::analyze_loop(const cfg::LoopInfo& info) {
       case EventKind::LL: {
         // Condition (iii): all matching SCs in the loop, LL on every path.
         for (EventId sc : matching_.matched_by(n)) {
-          if (!member[sc.idx]) {
+          if (!within(sc)) {
             impure(n, "iii", "LL matched by an SC outside the loop");
             continue;
           }
           // BFS from the head, not expanding past LL(path) nodes; if the SC
           // is reached, some path to it lacks the LL.
-          std::vector<bool> seen(cfg_.num_nodes(), false);
-          std::vector<EventId> work{info.head};
-          seen[info.head.idx] = true;
+          s.seen.assign(n_nodes, 0);
+          s.work.assign(1, info.head);
+          s.seen[info.head.idx] = 1;
           bool ll_free_path = false;
-          while (!work.empty() && !ll_free_path) {
-            EventId cur = work.back();
-            work.pop_back();
+          while (!s.work.empty() && !ll_free_path) {
+            EventId cur = s.work.back();
+            s.work.pop_back();
             const Event& cev = cfg_.node(cur);
             if (cur != info.head && cev.kind == EventKind::LL &&
                 cev.path == ev.path)
@@ -138,9 +158,9 @@ void PurityAnalysis::analyze_loop(const cfg::LoopInfo& info) {
               break;
             }
             for (const Edge& e : cfg_.succs(cur)) {
-              if (member[e.to.idx] && !seen[e.to.idx]) {
-                seen[e.to.idx] = true;
-                work.push_back(e.to);
+              if (within(e.to) && !s.seen[e.to.idx]) {
+                s.seen[e.to.idx] = 1;
+                s.work.push_back(e.to);
               }
             }
           }
@@ -178,8 +198,9 @@ void PurityAnalysis::analyze_loop(const cfg::LoopInfo& info) {
     }
   }
 
+  result.reasons.assign(s.reasons.begin(), s.reasons.end());
   result.pure = result.reasons.empty();
-  results_[info.stmt] = std::move(result);
+  return result;
 }
 
 }  // namespace synat::analysis

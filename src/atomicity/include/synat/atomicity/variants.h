@@ -60,13 +60,10 @@ struct VariantOptions {
   ExecBudget* budget = nullptr;
 };
 
-/// Section 4's verdict on one loop of an original procedure: all that
-/// step 0 keeps of the procedure's analysis.
-struct LoopVerdict {
-  synl::StmtId loop;
-  bool pure = false;
-  std::vector<analysis::ImpureReason> reasons;  ///< empty when pure
-};
+/// Section 4's verdict on one loop of an original procedure (the loop,
+/// whether it is pure, and the broken premises when not): all that step 0
+/// keeps of the procedure's analysis.
+using LoopVerdict = analysis::LoopPurity;
 
 /// The verdict on every loop of `proc`, in CFG loop order. Builds only
 /// what Section 4 reads: the CFG, escape, uniqueness, matching and a

@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <functional>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_set>
 
 #include "synat/analysis/expr_util.h"
+#include "synat/analysis/locksets.h"
 #include "synat/obs/metrics.h"
 #include "synat/obs/trace.h"
 #include "synat/support/hash.h"
@@ -114,6 +116,21 @@ SourceLoc event_loc(const Program& prog, const Event& ev) {
   return {};
 }
 
+/// A mutual-exclusion region inside one variant (Theorems 5.4/5.5). Its
+/// three node sets are rows `row` (members: the closed region,
+/// anchor..terminal), `row + 1` (in_s: the anchor and the part strictly
+/// after it) and `row + 2` (prot: strictly after the anchor) of its
+/// context's region_rows.
+struct Region {
+  enum Kind : uint8_t { Window, LLSCBlock, PlainBlock } kind = Window;
+  AccessPath svar;
+  Pred cond = Pred::True;
+  uint32_t row = 0;
+  /// Theorem 5.5 premise for svar's alias class (llsc_premise), set when
+  /// the universe is built for the blocks excluded() consults.
+  std::optional<Pred> premise;
+};
+
 /// body(0) .. body(n-1) on `pool` (its idle workers help), or in order on
 /// this thread when there is no pool.
 void for_each_index(ThreadPool* pool, size_t n,
@@ -141,25 +158,24 @@ class InferEngine {
   uint64_t fingerprint() const;
 
  private:
-  /// A mutual-exclusion region inside one variant (Theorems 5.4/5.5).
-  struct Region {
-    enum Kind : uint8_t { Window, LLSCBlock, PlainBlock } kind = Window;
-    AccessPath svar;
-    Pred cond = Pred::True;
-    std::vector<bool> members;  ///< closed region (anchor..terminal)
-    std::vector<bool> in_s;     ///< anchor + strictly-after-anchor part
-    std::vector<bool> prot;     ///< strictly after the anchor
-    /// Theorem 5.5 premise for svar's alias class (llsc_premise), set when
-    /// the universe is built for the blocks excluded() consults.
-    std::optional<Pred> premise;
-  };
-
+  /// One variant's context: its analysis, its regions with their node
+  /// sets in one array, and its lock sets.
   struct VariantCtx {
     ProcId id;
     std::shared_ptr<ProcAnalysis> pa;
     std::vector<Region> regions;
-    /// Lock paths held on entry to each event.
-    std::vector<std::vector<AccessPath>> held;
+    cfg::NodeRows region_rows;
+    analysis::LockSets locks;  ///< lock paths held on entry to each event
+
+    bool member(const Region& r, EventId e) const {
+      return region_rows.contains(r.row, e);
+    }
+    bool in_s(const Region& r, EventId e) const {
+      return region_rows.contains(r.row + 1, e);
+    }
+    bool prot(const Region& r, EventId e) const {
+      return region_rows.contains(r.row + 2, e);
+    }
   };
 
   /// Step 0 of one original procedure: its variants, where their contexts
@@ -179,7 +195,6 @@ class InferEngine {
 
   VariantCtx make_variant_ctx(ProcId variant) const;
   void build_regions(VariantCtx& ctx) const;
-  void build_lock_sets(VariantCtx& ctx) const;
   /// Lists the conflict candidates and LL-SC blocks into their alias
   /// indexes, then computes every Theorem 5.5 block's premise.
   void build_index(Work& work);
@@ -305,13 +320,28 @@ class InferEngine {
 
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// build_regions' buffers, reused by every context built on this thread:
+/// the regions and their rows before they are copied out at their exact
+/// size, and the reachability sets and search stack.
+struct RegionScratch {
+  std::vector<Region> regions;
+  cfg::NodeRows rows;
+  cfg::NodeSet back, fwd;
+  std::vector<EventId> work;
+};
+thread_local RegionScratch region_scratch;
+
+}  // namespace
+
 InferEngine::VariantCtx InferEngine::make_variant_ctx(ProcId variant) const {
   VariantCtx ctx;
   ctx.id = variant;
   ctx.pa = std::make_shared<ProcAnalysis>(prog_, variant);
   obs::SpanScope span(obs::StageId::Contexts);
   build_regions(ctx);
-  build_lock_sets(ctx);
+  ctx.locks = analysis::LockSets(ctx.pa->cfg());
   return ctx;
 }
 
@@ -319,6 +349,9 @@ void InferEngine::build_regions(VariantCtx& ctx) const {
   const cfg::Cfg& cfg = ctx.pa->cfg();
   const size_t n = cfg.num_nodes();
   auto all = [](EventId) { return true; };
+  RegionScratch& s = region_scratch;
+  s.regions.clear();
+  s.rows.reset(n);
 
   // Successful-SC windows (Theorem 5.4) and, for counted targets, CAS
   // windows from the matching read to the CAS.
@@ -335,37 +368,28 @@ void InferEngine::build_regions(VariantCtx& ctx) const {
     Region r;
     r.kind = Region::Window;
     r.svar = ev.path;
-    r.members.assign(n, false);
-    r.in_s.assign(n, false);
-    r.prot.assign(n, false);
-    auto back = cfg.reachable_back(sc, all);
+    r.row = s.rows.add_rows(3);
+    s.back.reset(n);
+    cfg.reach_back(sc, all, s.back, s.work);
     for (EventId anchor : mi->matches) {
-      auto fwd = cfg.reachable(anchor, all);
-      for (EventId m : fwd) {
-        if (!back.contains(m)) continue;
-        r.members[m.idx] = true;
-        r.in_s[m.idx] = true;
-        if (m != anchor) r.prot[m.idx] = true;
+      s.fwd.reset(n);
+      cfg.reach(anchor, all, s.fwd, s.work);
+      for (EventId m : s.fwd) {
+        if (!s.back.contains(m)) continue;
+        s.rows.insert(r.row, m);
+        s.rows.insert(r.row + 1, m);
+        if (m != anchor) s.rows.insert(r.row + 2, m);
       }
     }
     // Anchors of one window are never "protected" even if another anchor
     // reaches them.
-    for (EventId anchor : mi->matches) r.prot[anchor.idx] = false;
-    ctx.regions.push_back(std::move(r));
+    for (EventId anchor : mi->matches) s.rows.erase(r.row + 2, anchor);
+    s.regions.push_back(std::move(r));
   }
 
   // Local blocks (Theorem 5.5): LL-SC blocks and plain local blocks.
   for (const analysis::LocalBlock& b : ctx.pa->localcond().blocks()) {
     if (!b.reads_svar || b.lvar_updated) continue;
-    Region r;
-    r.kind = b.is_llsc_block() ? Region::LLSCBlock : Region::PlainBlock;
-    r.svar = b.svar;
-    r.cond = b.cond;
-    r.members.assign(n, false);
-    r.in_s.assign(n, false);
-    r.prot.assign(n, false);
-    for (EventId e : b.events) r.members[e.idx] = true;
-
     // Anchor: the initializer's read/LL of svar.
     EventId anchor;
     for (EventId e : b.events) {
@@ -378,70 +402,25 @@ void InferEngine::build_regions(VariantCtx& ctx) const {
       }
     }
     if (!anchor.valid()) continue;
-    auto fwd = cfg.reachable(anchor, all);
-    for (EventId m : fwd) {
-      if (!r.members[m.idx]) continue;
-      r.in_s[m.idx] = true;
-      if (m != anchor) r.prot[m.idx] = true;
+    Region r;
+    r.kind = b.is_llsc_block() ? Region::LLSCBlock : Region::PlainBlock;
+    r.svar = b.svar;
+    r.cond = b.cond;
+    r.row = s.rows.add_rows(3);
+    for (EventId e : b.events) s.rows.insert(r.row, e);
+    s.fwd.reset(n);
+    cfg.reach(anchor, all, s.fwd, s.work);
+    for (EventId m : s.fwd) {
+      if (!s.rows.contains(r.row, m)) continue;
+      s.rows.insert(r.row + 1, m);
+      if (m != anchor) s.rows.insert(r.row + 2, m);
     }
-    ctx.regions.push_back(std::move(r));
+    s.regions.push_back(std::move(r));
   }
-}
 
-void InferEngine::build_lock_sets(VariantCtx& ctx) const {
-  const cfg::Cfg& cfg = ctx.pa->cfg();
-  const size_t n = cfg.num_nodes();
-  // Forward dataflow: set of lock paths held on entry to each node; meet is
-  // intersection. Initialized to "unknown" (bottom = everything) except the
-  // entry.
-  std::vector<std::vector<AccessPath>> in(n);
-  std::vector<bool> defined(n, false);
-  defined[cfg.entry().idx] = true;
-
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (uint32_t i = 0; i < n; ++i) {
-      EventId id(i);
-      if (!defined[i]) continue;
-      // Transfer.
-      std::vector<AccessPath> out = in[i];
-      const Event& ev = cfg.node(id);
-      if (ev.kind == EventKind::Acquire && ev.path.root.valid()) {
-        out.push_back(ev.path);
-      } else if (ev.kind == EventKind::Release && ev.path.root.valid()) {
-        for (size_t k = 0; k < out.size(); ++k) {
-          if (out[k] == ev.path) {
-            out.erase(out.begin() + static_cast<long>(k));
-            break;
-          }
-        }
-      }
-      for (const Edge& e : cfg.succs(id)) {
-        if (!defined[e.to.idx]) {
-          defined[e.to.idx] = true;
-          in[e.to.idx] = out;
-          changed = true;
-        } else {
-          // Intersect.
-          std::vector<AccessPath> merged;
-          for (const AccessPath& p : in[e.to.idx]) {
-            for (const AccessPath& q : out) {
-              if (p == q) {
-                merged.push_back(p);
-                break;
-              }
-            }
-          }
-          if (merged.size() != in[e.to.idx].size()) {
-            in[e.to.idx] = std::move(merged);
-            changed = true;
-          }
-        }
-      }
-    }
-  }
-  ctx.held = std::move(in);
+  if (s.regions.empty()) return;
+  ctx.regions.assign(s.regions.begin(), s.regions.end());
+  ctx.region_rows = s.rows;
 }
 
 void InferEngine::build_index(Work& work) {
@@ -526,7 +505,7 @@ std::optional<Pred> InferEngine::llsc_premise(const AccessPath& svar,
     if (fe.kind == EventKind::SC) {
       for (const Region& r : w.regions) {
         if (r.kind == Region::LLSCBlock && may_alias(prog_, r.svar, svar) &&
-            r.members[f.idx]) {
+            w.member(r, f)) {
           inside = true;
           break;
         }
@@ -541,18 +520,18 @@ std::optional<Pred> InferEngine::llsc_premise(const AccessPath& svar,
 
 bool InferEngine::before_protected(const VariantCtx& ctx, const Region& r,
                                    EventId e) const {
-  if (!r.prot[e.idx]) return false;
+  if (!ctx.prot(r, e)) return false;
   for (const Edge& p : ctx.pa->cfg().preds(e)) {
-    if (!r.in_s[p.to.idx]) return false;
+    if (!ctx.in_s(r, p.to)) return false;
   }
   return true;
 }
 
 bool InferEngine::after_protected(const VariantCtx& ctx, const Region& r,
                                   EventId e) const {
-  if (!r.in_s[e.idx]) return false;
+  if (!ctx.in_s(r, e)) return false;
   for (const Edge& s : ctx.pa->cfg().succs(e)) {
-    if (!r.prot[s.to.idx]) return false;
+    if (!ctx.prot(r, s.to)) return false;
   }
   return true;
 }
@@ -562,8 +541,8 @@ bool InferEngine::excluded(const VariantCtx& ctx_e, EventId e,
                            bool before, const char** why, Work& work) const {
   ++work.exclusion_checks;
   // (a) Theorem 5.1: both hold a common lock.
-  for (const AccessPath& le : ctx_e.held[e.idx]) {
-    for (const AccessPath& lf : ctx_f.held[f.idx]) {
+  for (const AccessPath& le : ctx_e.locks.held(e)) {
+    for (const AccessPath& lf : ctx_f.locks.held(f)) {
       if (may_alias(prog_, le, lf)) {
         if (why != nullptr) *why = "5.1";
         return true;
@@ -572,7 +551,7 @@ bool InferEngine::excluded(const VariantCtx& ctx_e, EventId e,
   }
 
   for (const Region& re : ctx_e.regions) {
-    if (!re.members[e.idx]) continue;
+    if (!ctx_e.member(re, e)) continue;
     bool dir_ok = before ? before_protected(ctx_e, re, e)
                          : after_protected(ctx_e, re, e);
     if (!dir_ok) continue;
@@ -580,7 +559,7 @@ bool InferEngine::excluded(const VariantCtx& ctx_e, EventId e,
     // (b) Theorem 5.4: both inside successful-SC windows on aliasing vars.
     if (opts_.use_window_rule && re.kind == Region::Window) {
       for (const Region& rf : ctx_f.regions) {
-        if (rf.kind == Region::Window && rf.members[f.idx] &&
+        if (rf.kind == Region::Window && ctx_f.member(rf, f) &&
             may_alias(prog_, re.svar, rf.svar)) {
           if (why != nullptr) *why = "5.4";
           return true;
@@ -600,7 +579,7 @@ bool InferEngine::excluded(const VariantCtx& ctx_e, EventId e,
       Region::Kind want = e_is_llsc ? Region::PlainBlock : Region::LLSCBlock;
       Pred want_cond = e_is_llsc ? analysis::negate(*p) : *p;
       for (const Region& rf : ctx_f.regions) {
-        if (rf.kind == want && rf.cond == want_cond && rf.members[f.idx] &&
+        if (rf.kind == want && rf.cond == want_cond && ctx_f.member(rf, f) &&
             may_alias(prog_, re.svar, rf.svar)) {
           if (why != nullptr) *why = "5.5";
           return true;
@@ -1085,7 +1064,7 @@ std::vector<obs::ProvenanceRecord> InferEngine::step0_provenance(
         r.column = col;
         r.detail =
             "purity condition (" + ir.condition + ") violated: " +
-            ir.message + "; the loop is kept whole";
+            ir.message(prog_) + "; the loop is kept whole";
         r.witness_line = ir.line;
         recs.push_back(std::move(r));
       }
@@ -1452,10 +1431,11 @@ void InferEngine::mix_variant_signature(Hasher& h, const VariantCtx& ctx) const 
     h.mix("event");
     h.mix(static_cast<uint64_t>(ev.kind));
     mix_path_sig(h, prog_, ev.path);
-    h.mix(static_cast<uint64_t>(ctx.held[i].size()));
-    for (const AccessPath& l : ctx.held[i]) mix_path_sig(h, prog_, l);
+    const std::span<const AccessPath> held = ctx.locks.held(e);
+    h.mix(static_cast<uint64_t>(held.size()));
+    for (const AccessPath& l : held) mix_path_sig(h, prog_, l);
     for (size_t ri = 0; ri < ctx.regions.size(); ++ri)
-      if (ctx.regions[ri].members[i]) h.mix(static_cast<uint64_t>(ri));
+      if (ctx.member(ctx.regions[ri], e)) h.mix(static_cast<uint64_t>(ri));
     h.mix("end");
   }
 }

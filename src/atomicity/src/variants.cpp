@@ -1,5 +1,6 @@
 #include "synat/atomicity/variants.h"
 
+#include <algorithm>
 #include <optional>
 #include <string>
 
@@ -34,19 +35,37 @@ struct Path {
   Exit exit;
 };
 
+/// VariantGen's buffers. Generation runs on the program's thread, one
+/// procedure at a time; each thread reuses its own buffers, so each keeps
+/// the capacity of the largest procedure it served.
+struct GenScratch {
+  /// The paths of the statements being enumerated, innermost on top: a
+  /// statement enumerated when the buffer holds `base` paths leaves its
+  /// own at [base, size()).
+  std::vector<Path> paths;
+  std::vector<Exit> exits;          ///< kept_exits' result
+  std::vector<Exit> jumps;          ///< kept_exits' jumps to other loops
+  std::vector<StmtId> inner_loops;  ///< kept_exits' loops in the subtree
+  std::vector<StmtId> bodies;       ///< run's result
+};
+thread_local GenScratch gen_scratch;
+
 class VariantGen {
  public:
   VariantGen(Program& prog, ProcId proc,
              const std::vector<LoopVerdict>& loops, DiagEngine& diags,
-             const VariantOptions& opts)
-      : prog_(prog), proc_(proc), loops_(loops), diags_(diags), opts_(opts) {}
+             const VariantOptions& opts, GenScratch& scratch)
+      : prog_(prog), proc_(proc), loops_(loops), diags_(diags), opts_(opts),
+        s_(scratch) {}
 
-  std::vector<StmtId> run(StmtId body, bool& bailed) {
-    std::vector<Path> paths = enumerate(body);
+  /// The variant bodies, in order, in the scratch buffer.
+  std::vector<StmtId>& run(StmtId body, bool& bailed) {
+    s_.paths.clear();
+    enumerate(body);
     bailed = bailed_;
-    std::vector<StmtId> out;
-    for (const Path& p : paths) out.push_back(ensure_stmt(p.stmt));
-    return out;
+    s_.bodies.clear();
+    for (const Path& p : s_.paths) s_.bodies.push_back(ensure_stmt(p.stmt));
+    return s_.bodies;
   }
 
   /// Unspecialized whole-procedure clone, for budget fallbacks.
@@ -149,45 +168,56 @@ class VariantGen {
     }
   }
 
-  /// Exits a kept (unsliced) statement can take, by scanning its subtree.
-  std::vector<Exit> kept_exits(StmtId id, StmtId this_loop) {
+  /// Exits a kept (unsliced) statement can take, into s_.exits, from one
+  /// walk of its subtree. A jump leaves `id` unless its target loop is
+  /// inside it; sema points every jump at a loop, so the walk notes the
+  /// subtree's loops and its jumps to loops other than `this_loop`, and
+  /// then keeps the jumps whose target is not among those loops.
+  void kept_exits(StmtId id, StmtId this_loop) {
     bool has_break_self = false, has_return = false;
-    std::vector<Exit> outer;
+    s_.inner_loops.clear();
+    s_.jumps.clear();
     synl::for_each_stmt(prog_, id, [&](StmtId sid) {
       const Stmt& s = prog_.stmt(sid);
+      if (s.kind == StmtKind::Loop) s_.inner_loops.push_back(sid);
       if (s.kind == StmtKind::Return) has_return = true;
       if (s.kind == StmtKind::Break || s.kind == StmtKind::Continue) {
         if (s.jump_target == this_loop) {
           if (s.kind == StmtKind::Break) has_break_self = true;
           // continue-to-self stays inside the loop
         } else if (s.jump_target.valid()) {
-          // Jump past this loop to an enclosing one — only if the target is
-          // NOT nested inside `id` itself.
-          bool internal = false;
-          synl::for_each_stmt(prog_, id, [&](StmtId t) {
-            if (t == s.jump_target) internal = true;
-          });
-          if (!internal) {
-            Exit e;
-            e.kind = s.kind == StmtKind::Break ? Exit::Break : Exit::Continue;
-            e.target = s.jump_target;
-            outer.push_back(e);
-          }
+          s_.jumps.push_back(
+              {s.kind == StmtKind::Break ? Exit::Break : Exit::Continue,
+               s.jump_target});
         }
       }
     });
-    std::vector<Exit> exits;
-    if (has_break_self) exits.push_back({Exit::Normal, {}});
-    if (has_return) exits.push_back({Exit::Return, {}});
-    for (const Exit& e : outer) exits.push_back(e);
-    if (exits.empty()) exits.push_back({Exit::Return, {}});  // never completes
-    return exits;
+    s_.exits.clear();
+    if (has_break_self) s_.exits.push_back({Exit::Normal, {}});
+    if (has_return) s_.exits.push_back({Exit::Return, {}});
+    for (const Exit& jump : s_.jumps) {
+      // Jump past this loop to an enclosing one — only if the target is
+      // NOT nested inside `id` itself.
+      if (std::find(s_.inner_loops.begin(), s_.inner_loops.end(),
+                    jump.target) == s_.inner_loops.end())
+        s_.exits.push_back(jump);
+    }
+    if (s_.exits.empty())
+      s_.exits.push_back({Exit::Return, {}});  // never completes
   }
 
-  std::vector<Path> enumerate(StmtId id) {
+  /// Appends the paths through `id` to s_.paths. The paths of a compound
+  /// statement are built from its children's in place: a child enumerated
+  /// above its parent's paths is rewritten into the parent's next paths.
+  void enumerate(StmtId id) {
     if (opts_.budget != nullptr) opts_.budget->check("variant enumeration");
-    if (!id.valid()) return {{StmtId(), {Exit::Normal, {}}}};
+    std::vector<Path>& paths = s_.paths;
+    if (!id.valid()) {
+      paths.push_back({StmtId(), {Exit::Normal, {}}});
+      return;
+    }
     const Stmt s = prog_.stmt(id);  // copy: the arena may grow below
+    const size_t base = paths.size();
     switch (s.kind) {
       case StmtKind::ExprStmt: {
         // A discarded-result SC/CAS that fails is a no-op transition, so
@@ -200,36 +230,52 @@ class VariantGen {
           assume.kind = StmtKind::Assume;
           assume.loc = s.loc;
           assume.e1 = cloner_.clone(s.e1);
-          return {{prog_.add_stmt(std::move(assume)), {Exit::Normal, {}}}};
+          paths.push_back({prog_.add_stmt(std::move(assume)), {Exit::Normal, {}}});
+          return;
         }
-        return {{cloner_.clone(id), {Exit::Normal, {}}}};
+        paths.push_back({cloner_.clone(id), {Exit::Normal, {}}});
+        return;
       }
       case StmtKind::Assign:
       case StmtKind::Skip:
       case StmtKind::Assume:
       case StmtKind::Assert:
-        return {{cloner_.clone(id), {Exit::Normal, {}}}};
+        paths.push_back({cloner_.clone(id), {Exit::Normal, {}}});
+        return;
       case StmtKind::Return:
-        return {{cloner_.clone(id), {Exit::Return, {}}}};
+        paths.push_back({cloner_.clone(id), {Exit::Return, {}}});
+        return;
       // Jump statements perform no action; the exit annotation carries all
       // the information, so the slice omits the statement itself.
       case StmtKind::Break:
-        return {{StmtId(), {Exit::Break, s.jump_target}}};
+        paths.push_back({StmtId(), {Exit::Break, s.jump_target}});
+        return;
       case StmtKind::Continue:
-        return {{StmtId(), {Exit::Continue, s.jump_target}}};
+        paths.push_back({StmtId(), {Exit::Continue, s.jump_target}});
+        return;
       case StmtKind::Block: {
-        std::vector<Path> acc{{StmtId(), {Exit::Normal, {}}}};
+        // The paths so far sit at [base, acc_end); extending them by the
+        // next child builds the next paths above them, which then move
+        // down to base.
+        paths.push_back({StmtId(), {Exit::Normal, {}}});
         for (uint32_t i = 0; i < s.stmts.count; ++i) {
           const StmtId child = prog_.children(s)[i];  // re-read: clones append
-          std::vector<Path> next;
-          for (const Path& prefix : acc) {
+          const size_t acc_end = paths.size();
+          for (size_t a = base; a < acc_end; ++a) {
+            const Path prefix = paths[a];  // copy: the buffer grows below
             if (prefix.exit.kind != Exit::Normal) {
-              next.push_back(prefix);
+              paths.push_back(prefix);
               continue;
             }
+            const size_t child_begin = paths.size();
+            enumerate(child);
+            // Each child path is rewritten into one next path at or below
+            // its own slot, until the next paths reach the cap.
+            size_t next_end = child_begin;
             bool first_extension = true;
-            for (const Path& cp : enumerate(child)) {
-              if (next.size() >= opts_.max_paths) break;
+            for (size_t c = child_begin; c < paths.size(); ++c) {
+              if (next_end - acc_end >= opts_.max_paths) break;
+              const Path cp = paths[c];
               // Each path needs its own copy of the shared prefix: variants
               // are re-resolved independently, so no statement tree may be
               // shared between two of them.
@@ -237,39 +283,47 @@ class VariantGen {
                                        ? prefix.stmt
                                        : cloner_.clone(prefix.stmt);
               first_extension = false;
-              next.push_back({seq2(prefix_stmt, cp.stmt, s.loc), cp.exit});
+              paths[next_end++] = {seq2(prefix_stmt, cp.stmt, s.loc), cp.exit};
             }
+            paths.resize(next_end);
           }
-          if (next.size() >= opts_.max_paths) {
+          if (paths.size() - acc_end >= opts_.max_paths) {
             note_explosion();
-            std::vector<Path> bail;
+            paths.resize(base);
             StmtId whole = cloner_.clone(id);
-            bail.push_back({whole, {Exit::Normal, {}}});
-            return bail;
+            paths.push_back({whole, {Exit::Normal, {}}});
+            return;
           }
-          acc = std::move(next);
+          paths.erase(paths.begin() + static_cast<long>(base),
+                      paths.begin() + static_cast<long>(acc_end));
         }
-        return acc;
+        return;
       }
       case StmtKind::If: {
-        std::vector<Path> out;
-        for (const Path& p : enumerate(s.s1)) {
+        enumerate(s.s1);
+        for (size_t k = base; k < paths.size(); ++k) {
+          const Path p = paths[k];
           StmtId guard = make_assume(s.e1, /*negated=*/false, s.loc);
-          out.push_back({seq2(guard, p.stmt, s.loc), p.exit});
+          paths[k] = {seq2(guard, p.stmt, s.loc), p.exit};
         }
         // An absent else branch is an empty normal path.
-        std::vector<Path> else_paths =
-            s.s2.valid() ? enumerate(s.s2)
-                         : std::vector<Path>{{StmtId(), {Exit::Normal, {}}}};
-        for (const Path& p : else_paths) {
-          StmtId guard = make_assume(s.e1, /*negated=*/true, s.loc);
-          out.push_back({seq2(guard, p.stmt, s.loc), p.exit});
+        const size_t else_begin = paths.size();
+        if (s.s2.valid()) {
+          enumerate(s.s2);
+        } else {
+          paths.push_back({StmtId(), {Exit::Normal, {}}});
         }
-        return out;
+        for (size_t k = else_begin; k < paths.size(); ++k) {
+          const Path p = paths[k];
+          StmtId guard = make_assume(s.e1, /*negated=*/true, s.loc);
+          paths[k] = {seq2(guard, p.stmt, s.loc), p.exit};
+        }
+        return;
       }
       case StmtKind::Local: {
-        std::vector<Path> out;
-        for (const Path& p : enumerate(s.s1)) {
+        enumerate(s.s1);
+        for (size_t k = base; k < paths.size(); ++k) {
+          const Path p = paths[k];
           Stmt local;
           local.kind = StmtKind::Local;
           local.loc = s.loc;
@@ -277,61 +331,58 @@ class VariantGen {
           local.declared_type = s.declared_type;
           local.e1 = cloner_.clone(s.e1);
           local.s1 = ensure_stmt(p.stmt);
-          out.push_back({prog_.add_stmt(std::move(local)), p.exit});
+          paths[k] = {prog_.add_stmt(std::move(local)), p.exit};
         }
-        return out;
+        return;
       }
       case StmtKind::Synchronized: {
-        std::vector<Path> out;
-        for (const Path& p : enumerate(s.s1)) {
+        enumerate(s.s1);
+        for (size_t k = base; k < paths.size(); ++k) {
+          const Path p = paths[k];
           Stmt sync;
           sync.kind = StmtKind::Synchronized;
           sync.loc = s.loc;
           sync.e1 = cloner_.clone(s.e1);
           sync.s1 = ensure_stmt(p.stmt);
-          out.push_back({prog_.add_stmt(std::move(sync)), p.exit});
+          paths[k] = {prog_.add_stmt(std::move(sync)), p.exit};
         }
-        return out;
+        return;
       }
       case StmtKind::Loop: {
         bool pure = !opts_.disable && is_pure(id);
         if (!pure) {
           // Kept whole; one clone per possible exit so block sequencing can
           // continue after a break or stop at a return.
-          std::vector<Path> out;
-          for (const Exit& e : kept_exits(id, id)) {
-            out.push_back({cloner_.clone(id), e});
-          }
-          return out;
+          kept_exits(id, id);
+          for (const Exit& e : s_.exits) paths.push_back({cloner_.clone(id), e});
+          return;
         }
-        std::vector<Path> out;
-        for (const Path& p : enumerate(s.s1)) {
+        enumerate(s.s1);
+        size_t kept = base;
+        for (size_t k = base; k < paths.size(); ++k) {
+          Path p = paths[k];
           switch (p.exit.kind) {
             case Exit::Normal:
-              break;  // normal termination: deleted (Theorem 4.1)
+              continue;  // normal termination: deleted (Theorem 4.1)
             case Exit::Continue:
-              if (p.exit.target == id) break;  // normal termination
-              out.push_back(p);                // leaves this loop outward
-              break;
+              if (p.exit.target == id) continue;  // normal termination
+              break;                              // leaves this loop outward
             case Exit::Break:
-              if (p.exit.target == id) {
-                out.push_back({p.stmt, {Exit::Normal, {}}});
-              } else {
-                out.push_back(p);
-              }
+              if (p.exit.target == id) p.exit = {Exit::Normal, {}};
               break;
             case Exit::Return:
-              out.push_back(p);
               break;
           }
+          paths[kept++] = p;
         }
+        paths.resize(kept);
         // Jumps to this (now removed) loop surviving inside kept inner
         // loops can never fire in an exceptional iteration.
-        for (Path& p : out) kill_jumps_to(p.stmt, id);
-        return out;
+        for (size_t k = base; k < paths.size(); ++k)
+          kill_jumps_to(paths[k].stmt, id);
+        return;
       }
     }
-    return {};
   }
 
   bool is_pure(StmtId loop) const {
@@ -345,6 +396,7 @@ class VariantGen {
   const std::vector<LoopVerdict>& loops_;
   DiagEngine& diags_;
   const VariantOptions& opts_;
+  GenScratch& s_;
   bool bailed_ = false;
   synl::TreeCloner cloner_{prog_};
 };
@@ -368,14 +420,9 @@ std::vector<LoopVerdict> loop_verdicts(const Program& prog, ProcId proc) {
     unique.emplace(prog, cfg);
     matching.emplace(prog, cfg);
   }
-  const analysis::PurityAnalysis purity(prog, cfg, *matching, *escape,
-                                        *unique);
-  std::vector<LoopVerdict> out;
-  for (const cfg::LoopInfo& li : cfg.loops()) {
-    if (const analysis::LoopPurity* lp = purity.result(li.stmt))
-      out.push_back({li.stmt, lp->pure, lp->reasons});
-  }
-  return out;
+  // One verdict per loop of the CFG, in its loop order.
+  return analysis::PurityAnalysis(prog, cfg, *matching, *escape, *unique)
+      .take_results();
 }
 
 VariantSet generate_variants(Program& prog, ProcId proc,
@@ -385,9 +432,9 @@ VariantSet generate_variants(Program& prog, ProcId proc,
   VariantSet out;
   out.original = proc;
 
-  VariantGen gen(prog, proc, loops, diags, opts);
+  VariantGen gen(prog, proc, loops, diags, opts, gen_scratch);
   bool bailed = false;
-  std::vector<StmtId> bodies = gen.run(prog.proc(proc).body, bailed);
+  std::vector<StmtId>& bodies = gen.run(prog.proc(proc).body, bailed);
   out.bailed_out = bailed;
 
   if (opts.max_variants != 0 && bodies.size() > opts.max_variants) {
@@ -405,6 +452,7 @@ VariantSet generate_variants(Program& prog, ProcId proc,
   }
 
   const std::string base(prog.syms().name(prog.proc(proc).name));
+  out.variants.reserve(bodies.size());
   for (size_t i = 0; i < bodies.size(); ++i) {
     synl::ProcInfo info;
     std::string vname = base + "'" + std::to_string(i + 1);
@@ -417,6 +465,7 @@ VariantSet generate_variants(Program& prog, ProcId proc,
     // procedures would confuse per-procedure analyses).
     ProcId vid = prog.add_proc(std::move(info));
     std::vector<synl::VarId> params;
+    params.reserve(prog.proc(proc).params.size());
     for (synl::VarId p : prog.proc(proc).params) {
       synl::VarInfo v = prog.var(p);
       v.proc = vid;

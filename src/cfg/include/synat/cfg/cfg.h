@@ -8,16 +8,19 @@
 // jump path, preserving the matched-pair property the paper's Theorem 4.1
 // relies on.
 //
-// The graph is laid out flat once construction finishes: each direction's
-// edges sit in one array, grouped by node (compressed sparse rows), and
-// each node keeps its edges in the order they were added. Reachability
-// answers with a NodeSet, one bit per node.
+// The graph is laid out flat once construction finishes: the nodes in one
+// exact-size array, the edges of both directions in one array, grouped by
+// node (compressed sparse rows), with each node's edges in the order they
+// were added, and every loop's members and back-edge sources as slices of
+// two more arrays. The builder collects into per-thread buffers that it
+// reuses from one build to the next, so a build allocates only the
+// finished arrays. Reachability fills a caller's NodeSet, one bit per
+// node.
 #pragma once
 
 #include <bit>
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "synat/cfg/event.h"
@@ -30,6 +33,10 @@ class NodeSet {
  public:
   NodeSet() = default;
   explicit NodeSet(size_t num_nodes) : words_((num_nodes + 63) / 64, 0) {}
+
+  /// Empties the set and sizes it for a graph of `num_nodes` nodes,
+  /// keeping its buffer.
+  void reset(size_t num_nodes) { words_.assign((num_nodes + 63) / 64, 0); }
 
   bool contains(EventId e) const {
     return e.idx / 64 < words_.size() &&
@@ -92,16 +99,67 @@ class NodeSet {
   std::vector<uint64_t> words_;
 };
 
+/// Several node sets of one CFG in one array, for facts that keep a set per
+/// variable or per region: row r is words [r*W, (r+1)*W), W words per row.
+class NodeRows {
+ public:
+  /// Drops every row and sizes rows for a graph of `num_nodes` nodes,
+  /// keeping the buffer.
+  void reset(size_t num_nodes) {
+    row_words_ = (num_nodes + 63) / 64;
+    words_.clear();
+  }
+  /// Appends `n` empty rows; returns the index of the first.
+  uint32_t add_rows(uint32_t n) {
+    const uint32_t first = rows();
+    words_.resize(words_.size() + n * row_words_, 0);
+    return first;
+  }
+  uint32_t rows() const {
+    return row_words_ == 0 ? 0
+                           : static_cast<uint32_t>(words_.size() / row_words_);
+  }
+
+  bool contains(uint32_t row, EventId e) const {
+    return ((words_[row * row_words_ + e.idx / 64] >> (e.idx % 64)) & 1) != 0;
+  }
+  /// Adds `e` to row `row`; false if present.
+  bool insert(uint32_t row, EventId e) {
+    uint64_t& w = words_[row * row_words_ + e.idx / 64];
+    const uint64_t bit = uint64_t{1} << (e.idx % 64);
+    if (w & bit) return false;
+    w |= bit;
+    return true;
+  }
+  void erase(uint32_t row, EventId e) {
+    words_[row * row_words_ + e.idx / 64] &= ~(uint64_t{1} << (e.idx % 64));
+  }
+
+ private:
+  size_t row_words_ = 0;
+  std::vector<uint64_t> words_;
+};
+
 struct LoopInfo {
   StmtId stmt;           ///< the Loop statement
   EventId head;          ///< LoopHead node
   StmtId parent;         ///< enclosing Loop statement, if any
-  std::vector<EventId> back_sources;  ///< nodes with a Back edge to head
-  std::vector<EventId> members;       ///< all nodes strictly inside the loop
+  /// Nodes with a Back edge to head, in the order the edges were added.
+  std::span<const EventId> back_sources;
+  /// The head and every node inside the loop, in creation order.
+  std::span<const EventId> members;
 };
 
+/// A CFG's loops point into arrays the Cfg owns, so a Cfg moves but is
+/// never copied.
 class Cfg {
  public:
+  Cfg() = default;
+  Cfg(Cfg&&) = default;
+  Cfg& operator=(Cfg&&) = default;
+  Cfg(const Cfg&) = delete;
+  Cfg& operator=(const Cfg&) = delete;
+
   EventId entry() const { return entry_; }
   EventId exit() const { return exit_; }
   ProcId proc() const { return proc_; }
@@ -112,40 +170,44 @@ class Cfg {
 
   /// Out-edges of `id` in the order they were added.
   std::span<const Edge> succs(EventId id) const {
-    return {succs_.data() + succ_begin_[id.idx],
-            succs_.data() + succ_begin_[id.idx + 1]};
+    return {edges_.data() + begin_[id.idx],
+            edges_.data() + begin_[id.idx + 1]};
   }
   /// In-edges of `id` in the order they were added; `Edge::to` is the
   /// source.
   std::span<const Edge> preds(EventId id) const {
-    return {preds_.data() + pred_begin_[id.idx],
-            preds_.data() + pred_begin_[id.idx + 1]};
+    return {pred_edges() + pred_begin()[id.idx],
+            pred_edges() + pred_begin()[id.idx + 1]};
   }
 
   const std::vector<LoopInfo>& loops() const { return loops_; }
+  /// The loop of statement `loop`, found by a scan (a procedure has a
+  /// handful of loops); null if `loop` is not one of them.
   const LoopInfo* loop_info(StmtId loop) const {
-    auto it = loop_index_.find(loop);
-    return it == loop_index_.end() ? nullptr : &loops_[it->second];
+    for (const LoopInfo& info : loops_)
+      if (info.stmt == loop) return &info;
+    return nullptr;
   }
 
   /// True if `n` is inside loop `loop` (directly or in a nested loop).
   bool in_loop(EventId n, StmtId loop) const;
 
-  /// All event ids in creation order (a valid traversal universe; creation
-  /// order is not a topological order because of back edges).
-  std::vector<EventId> all_nodes() const;
-
-  /// Forward reachability from `from`, optionally restricted to nodes for
-  /// which `within` returns true (edges to outside nodes are not followed).
+  /// Forward reachability from `from`, restricted to nodes for which
+  /// `within` returns true (edges to outside nodes are not followed), into
+  /// a caller's buffers: adds to `seen`, a set over this graph, every such
+  /// node reachable through nodes not yet in it, using `work` as the search
+  /// stack. Searches with one predicate into one set therefore leave the
+  /// union of their reachable sets.
   template <class Pred>
-  NodeSet reachable(EventId from, Pred within) const {
-    return search(from, within, succ_begin_, succs_);
+  void reach(EventId from, Pred within, NodeSet& seen,
+             std::vector<EventId>& work) const {
+    search(from, within, begin_.data(), edges_.data(), seen, work);
   }
-
-  /// Backward reachability (same contract as `reachable`).
+  /// Backward reachability (same contract as `reach`).
   template <class Pred>
-  NodeSet reachable_back(EventId from, Pred within) const {
-    return search(from, within, pred_begin_, preds_);
+  void reach_back(EventId from, Pred within, NodeSet& seen,
+                  std::vector<EventId>& work) const {
+    search(from, within, pred_begin(), pred_edges(), seen, work);
   }
 
   std::string dump(const Program& prog) const;
@@ -154,12 +216,11 @@ class Cfg {
   friend class CfgBuilder;
 
   template <class Pred>
-  NodeSet search(EventId from, Pred within, const std::vector<uint32_t>& begin,
-                 const std::vector<Edge>& edges) const {
-    NodeSet seen(nodes_.size());
-    if (!within(from)) return seen;
-    seen.insert(from);
-    std::vector<EventId> work{from};
+  void search(EventId from, Pred within, const uint32_t* begin,
+              const Edge* edges, NodeSet& seen,
+              std::vector<EventId>& work) const {
+    if (!within(from) || !seen.insert(from)) return;
+    work.assign(1, from);
     while (!work.empty()) {
       EventId n = work.back();
       work.pop_back();
@@ -168,22 +229,33 @@ class Cfg {
         if (within(to) && seen.insert(to)) work.push_back(to);
       }
     }
-    return seen;
+  }
+
+  /// In-edge offsets and in-edges: the second halves of begin_ and edges_.
+  const uint32_t* pred_begin() const {
+    return begin_.data() + nodes_.size() + 1;
+  }
+  const Edge* pred_edges() const {
+    return edges_.data() + edges_.size() / 2;
   }
 
   /// Lays out `edges`, (source, edge) pairs in the order they were added,
-  /// as the two adjacency arrays.
-  void lay_out(const std::vector<std::pair<EventId, Edge>>& edges);
+  /// as the adjacency arrays of both directions.
+  void lay_out(std::span<const std::pair<EventId, Edge>> edges);
 
   ProcId proc_;
   EventId entry_, exit_;
   std::vector<Event> nodes_;
-  /// Node i's out-edges are succs_[succ_begin_[i] .. succ_begin_[i+1]);
-  /// likewise for in-edges.
-  std::vector<uint32_t> succ_begin_, pred_begin_;
-  std::vector<Edge> succs_, preds_;
+  /// Out-edge offsets of every node, then in-edge offsets of every node:
+  /// node i's out-edges are edges_[begin_[i] .. begin_[i+1]), and its
+  /// in-edges the same range of pred_edges() under pred_begin().
+  std::vector<uint32_t> begin_;
+  /// Every out-edge grouped by source, then every in-edge grouped by
+  /// target; `Edge::to` of an in-edge is its source.
+  std::vector<Edge> edges_;
   std::vector<LoopInfo> loops_;
-  std::unordered_map<StmtId, size_t> loop_index_;
+  /// The arrays LoopInfo::members and back_sources are slices of.
+  std::vector<EventId> loop_members_, loop_back_sources_;
 };
 
 /// Builds the CFG for one procedure. The program must have passed sema.

@@ -15,9 +15,10 @@
 // here.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
-#include <vector>
+#include <utility>
 
 #include "synat/synl/ast.h"
 
@@ -46,13 +47,79 @@ struct Selector {
   friend bool operator==(const Selector&, const Selector&) = default;
 };
 
+/// The selectors of an access path: up to kInline of them are stored in
+/// the list itself, and a longer list moves to the heap. Every path of the
+/// corpus, examples/synl and perfbench's generator has at most two
+/// selectors, so an event, lock-set entry, region or local block owns no
+/// heap memory for its path.
+class SelectorList {
+ public:
+  static constexpr uint32_t kInline = 2;
+
+  SelectorList() = default;
+  SelectorList(const SelectorList& other) { *this = other; }
+  SelectorList(SelectorList&& other) noexcept { *this = std::move(other); }
+  SelectorList& operator=(const SelectorList& other) {
+    if (this == &other) return *this;
+    if (other.size_ > cap_) spill_to(other.size_);
+    std::copy(other.begin(), other.end(), data());
+    size_ = other.size_;
+    return *this;
+  }
+  SelectorList& operator=(SelectorList&& other) noexcept {
+    if (this == &other) return *this;
+    if (!other.spilled()) return *this = other;  // fits: no allocation
+    if (spilled()) delete[] heap_;
+    heap_ = other.heap_;
+    cap_ = other.cap_;
+    size_ = other.size_;
+    other.cap_ = kInline;
+    other.size_ = 0;
+    return *this;
+  }
+  ~SelectorList() {
+    if (spilled()) delete[] heap_;
+  }
+
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  const Selector& operator[](size_t i) const { return data()[i]; }
+  const Selector& back() const { return data()[size_ - 1]; }
+  const Selector* begin() const { return data(); }
+  const Selector* end() const { return data() + size_; }
+  Selector* begin() { return data(); }
+  Selector* end() { return data() + size_; }
+  void push_back(const Selector& s) {
+    if (size_ == cap_) spill_to(2 * cap_);
+    data()[size_++] = s;
+  }
+
+  friend bool operator==(const SelectorList& a, const SelectorList& b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  }
+
+ private:
+  bool spilled() const { return cap_ > kInline; }
+  /// Moves the selectors to a heap array of `cap` slots.
+  void spill_to(uint32_t cap);
+  const Selector* data() const { return spilled() ? heap_ : inline_; }
+  Selector* data() { return spilled() ? heap_ : inline_; }
+
+  uint32_t size_ = 0;
+  uint32_t cap_ = kInline;  ///< above kInline: the selectors are in heap_
+  union {
+    Selector inline_[kInline] = {};
+    Selector* heap_;
+  };
+};
+
 /// The location accessed by a read/write/LL/SC/VL/CAS event:
 /// root variable followed by zero or more .field / [*] selectors.
 /// Array indices are abstracted to [*]; the alias analysis treats all
 /// indices of the same array as potentially equal.
 struct AccessPath {
   VarId root;
-  std::vector<Selector> sels;
+  SelectorList sels;
 
   bool is_plain_var() const { return sels.empty(); }
   /// The final selector's field, or the invalid symbol for plain vars /

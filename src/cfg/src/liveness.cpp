@@ -1,5 +1,6 @@
 #include "synat/cfg/liveness.h"
 
+#include <cstdint>
 #include <vector>
 
 namespace synat::cfg {
@@ -17,6 +18,13 @@ bool proper_prefix(const AccessPath& a, const AccessPath& b) {
 }
 
 bool same_path(const AccessPath& a, const AccessPath& b) { return a == b; }
+
+/// live_after's search buffers, reused by every query on this thread.
+struct LiveScratch {
+  std::vector<uint8_t> visited;
+  std::vector<EventId> work;
+};
+thread_local LiveScratch live_scratch;
 
 }  // namespace
 
@@ -52,8 +60,10 @@ bool live_after(const Program& prog, const Cfg& cfg, EventId point,
       query.root.valid() &&
       prog.var(query.root).kind == synl::VarKind::ThreadLocal;
 
-  std::vector<bool> visited(cfg.num_nodes(), false);
-  std::vector<EventId> work;
+  std::vector<uint8_t>& visited = live_scratch.visited;
+  std::vector<EventId>& work = live_scratch.work;
+  visited.assign(cfg.num_nodes(), 0);
+  work.clear();
   auto push = [&](EventId n) {
     if (!visited[n.idx]) {
       visited[n.idx] = true;

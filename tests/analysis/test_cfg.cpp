@@ -16,6 +16,14 @@ Program parse_ok(std::string_view src) {
   return p;
 }
 
+/// Every node reachable from the entry.
+NodeSet reachable_from_entry(const Cfg& cfg) {
+  NodeSet seen(cfg.num_nodes());
+  std::vector<EventId> work;
+  cfg.reach(cfg.entry(), [](EventId) { return true; }, seen, work);
+  return seen;
+}
+
 // --- structural invariants over the whole corpus --------------------------
 
 class CfgInvariants : public ::testing::TestWithParam<corpus::Entry> {};
@@ -136,7 +144,7 @@ TEST(Cfg, BreakLeavesLoop) {
   Program p = parse_ok("proc F() { loop { break; } return; }");
   Cfg cfg = build_cfg(p, synl::ProcId(0));
   // The exit must be reachable from entry.
-  auto reach = cfg.reachable(cfg.entry(), [](EventId) { return true; });
+  const NodeSet reach = reachable_from_entry(cfg);
   EXPECT_TRUE(reach.count(cfg.exit()));
 }
 
@@ -207,7 +215,7 @@ TEST(Cfg, AssumeFalseIsDeadEnd) {
   Program p = parse_ok("global int X; proc F() { TRUE(false); X := 1; }");
   Cfg cfg = build_cfg(p, synl::ProcId(0));
   // The write after TRUE(false) must be unreachable from entry.
-  auto reach = cfg.reachable(cfg.entry(), [](EventId) { return true; });
+  const NodeSet reach = reachable_from_entry(cfg);
   for (uint32_t n = 0; n < cfg.num_nodes(); ++n) {
     const Event& ev = cfg.node(EventId(n));
     if (ev.kind == EventKind::Write) {
@@ -239,6 +247,41 @@ TEST(Cfg, MustSucceedPolarity) {
   EXPECT_TRUE(sc_flags[0]);
   EXPECT_FALSE(sc_flags[1]);
   EXPECT_TRUE(vl_flag);
+}
+
+// A path keeps two selectors inline and moves longer ones to the heap;
+// copies, moves and comparisons see the same selectors either way.
+TEST(Cfg, PathsLongerThanTheInlineSelectorsSpill) {
+  Program p = parse_ok(R"(
+    class Node { Node next; int v; }
+    global Node N;
+    proc F() { N.next.next.next.v := 1; }
+  )");
+  Cfg cfg = build_cfg(p, synl::ProcId(0));
+  const AccessPath* written = nullptr;
+  for (uint32_t n = 0; n < cfg.num_nodes(); ++n) {
+    const Event& ev = cfg.node(EventId(n));
+    if (ev.kind == EventKind::Write) written = &ev.path;
+  }
+  ASSERT_NE(written, nullptr);
+  ASSERT_EQ(written->sels.size(), 4u);
+  EXPECT_GT(written->sels.size(), SelectorList::kInline);
+  EXPECT_EQ(written->str(p), "N.next.next.next.v");
+
+  AccessPath copy = *written;
+  EXPECT_TRUE(copy == *written);
+  AccessPath moved = std::move(copy);
+  EXPECT_TRUE(moved == *written);
+  EXPECT_TRUE(copy.sels.empty());
+  copy = moved;  // back into the moved-from path
+  EXPECT_TRUE(copy == *written);
+  AccessPath shorter;
+  shorter.root = written->root;
+  shorter.sels.push_back(written->sels[0]);
+  moved = shorter;  // a spilled list takes a short one
+  EXPECT_TRUE(moved == shorter);
+  EXPECT_FALSE(moved == *written);
+  EXPECT_EQ(moved.last_field(), written->sels[0].field);
 }
 
 }  // namespace

@@ -10,8 +10,10 @@
 #include <fstream>
 #include <sstream>
 
+#include "gen.h"
 #include "synat/atomicity/infer.h"
 #include "synat/corpus/corpus.h"
+#include "synat/support/thread_pool.h"
 #include "synat/synl/parser.h"
 
 namespace synat::atomicity {
@@ -110,6 +112,39 @@ TEST(ConflictUniverse, FingerprintEqualsFingerprintProgram) {
       EXPECT_EQ(content_fingerprint(prog, ProcId(static_cast<uint32_t>(p))),
                 fp.content[p])
           << in.name << " proc " << p;
+  }
+}
+
+// Pool helpers build contexts at the same time, each filling its own
+// thread's reused buffers: the universe must not depend on which thread
+// built which context. The 640-procedure programs keep all four workers
+// busy (a TSan job runs this test).
+TEST(ConflictUniverse, PoolBuildMatchesSerialBuild) {
+  ThreadPool pool(4);
+  for (perfbench::AliasMode mode :
+       {perfbench::AliasMode::Disjoint, perfbench::AliasMode::Shared}) {
+    perfbench::GenOptions o;
+    o.procs = 640;
+    o.seed = 1;
+    o.mode = mode;
+    perfbench::GenProgram gen(o);
+    Input in{mode == perfbench::AliasMode::Shared ? "gen640 shared"
+                                                  : "gen640 disjoint",
+             gen.render(), {}};
+    in.opts.counted_cas = gen.counted();
+    DiagEngine diags;
+    Program serial_prog = parse(in);
+    Program pool_prog = parse(in);
+    ConflictUniverse serial(serial_prog, diags, in.opts);
+    ConflictUniverse pooled(pool_prog, diags, in.opts, &pool);
+    EXPECT_EQ(pooled.fingerprint(), serial.fingerprint()) << in.name;
+    ASSERT_EQ(pooled.num_procs(), serial.num_procs()) << in.name;
+    for (size_t p = 0; p < serial.num_procs(); ++p) {
+      const ProcId pid(static_cast<uint32_t>(p));
+      EXPECT_EQ(render(pool_prog, pooled.classify(pid)),
+                render(serial_prog, serial.classify(pid)))
+          << in.name << " proc " << p;
+    }
   }
 }
 

@@ -229,7 +229,8 @@ TEST(Variants, LoopVerdictsMatchPurityOverAFullAnalysis) {
         for (size_t r = 0; r < lp->reasons.size(); ++r) {
           EXPECT_EQ(got[k].reasons[r].condition, lp->reasons[r].condition)
               << where << " loop " << k << " reason " << r;
-          EXPECT_EQ(got[k].reasons[r].message, lp->reasons[r].message)
+          EXPECT_EQ(got[k].reasons[r].message(prog),
+                    lp->reasons[r].message(prog))
               << where << " loop " << k << " reason " << r;
           EXPECT_EQ(got[k].reasons[r].line, lp->reasons[r].line)
               << where << " loop " << k << " reason " << r;
