@@ -99,7 +99,7 @@ int main() {
 
   // Sandboxed cross-check: the same full analysis routed through --isolate
   // workers (fork-per-program supervisor) must prove exactly the same
-  // procedures atomic. Overhead numbers live in BENCH_driver.json (E9).
+  // procedures atomic. Throughput is perfbench's (E9).
   driver::DriverOptions iopts = dopts;
   iopts.isolate = true;
   driver::BatchDriver idrv(iopts);

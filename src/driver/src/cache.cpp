@@ -3,8 +3,9 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <map>
-#include <vector>
+#include <string_view>
 
 #include "synat/driver/codec.h"
 #include "synat/obs/metrics.h"
@@ -15,13 +16,14 @@ namespace synat::driver {
 
 namespace {
 
-// Snapshot format v4: magic, format version, entry count, then per entry
-// [key][payload length][payload bytes][CRC32 of payload], where the payload
-// is one codec-encoded ProcReport plus its provenance section (shared with
-// the worker result frames — see codec.h). The explicit framing plus
-// per-entry checksum lets load() skip a corrupted entry (bit flips) and
-// salvage the intact prefix of a truncated file, instead of dropping the
-// whole snapshot.
+// Snapshot format: magic, format version (u64), entry count (u64), then
+// per entry the key (u64), the payload as a codec string (u64 length, then
+// the bytes) and the payload's CRC32 (u32), all in the codec's encoding.
+// The payload is one codec-encoded ProcReport plus its provenance section
+// (shared with the worker result frames — see codec.h). The explicit
+// framing plus per-entry checksum lets load() skip a corrupted entry (bit
+// flips) and salvage the intact prefix of a truncated file, instead of
+// dropping the whole snapshot.
 // Entries are written in key order so snapshots of equal caches are
 // byte-identical. v4 bumped v3 because every entry payload now appends the
 // provenance section (codec.h) after the ProcReport. v5 bumps v4 because
@@ -32,36 +34,6 @@ namespace {
 // ones did.
 constexpr char kMagic[8] = {'S', 'Y', 'N', 'A', 'T', 'C', 'C', '5'};
 constexpr uint64_t kFormatVersion = kCacheSchemaVersion;
-
-void put_u64(std::ostream& out, uint64_t v) {
-  char buf[8];
-  for (int i = 0; i < 8; ++i) buf[i] = static_cast<char>((v >> (i * 8)) & 0xff);
-  out.write(buf, 8);
-}
-
-void put_u32(std::ostream& out, uint32_t v) {
-  char buf[4];
-  for (int i = 0; i < 4; ++i) buf[i] = static_cast<char>((v >> (i * 8)) & 0xff);
-  out.write(buf, 4);
-}
-
-bool get_u32(std::istream& in, uint32_t& v) {
-  char buf[4];
-  if (!in.read(buf, 4)) return false;
-  v = 0;
-  for (int i = 0; i < 4; ++i)
-    v |= static_cast<uint32_t>(static_cast<unsigned char>(buf[i])) << (i * 8);
-  return true;
-}
-
-bool get_u64(std::istream& in, uint64_t& v) {
-  char buf[8];
-  if (!in.read(buf, 8)) return false;
-  v = 0;
-  for (int i = 0; i < 8; ++i)
-    v |= static_cast<uint64_t>(static_cast<unsigned char>(buf[i])) << (i * 8);
-  return true;
-}
 
 }  // namespace
 
@@ -140,24 +112,25 @@ bool ResultCache::save(const std::string& path) const {
     std::lock_guard<std::mutex> lock(s.mu);
     sorted.insert(s.map.begin(), s.map.end());
   }
+  std::string snap(kMagic, sizeof kMagic);
+  codec::put_u64(snap, kFormatVersion);
+  codec::put_u64(snap, sorted.size());
+  std::string payload;
+  for (const auto& [key, report] : sorted) {
+    payload.clear();
+    codec::put_proc_report(payload, *report);
+    codec::put_proc_provenance(payload, *report);
+    codec::put_u64(snap, key);
+    codec::put_str(snap, payload);
+    codec::put_u32(snap, crc32(payload));
+  }
   // Write-then-rename: the serve daemon snapshots the live cache on a
   // timer, so a crash mid-write must leave the previous snapshot intact
   // (crash-only design — the snapshot on disk is always a complete one).
   const std::string tmp = path + ".tmp";
   std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
   if (!out) return false;
-  out.write(kMagic, sizeof kMagic);
-  put_u64(out, kFormatVersion);
-  put_u64(out, sorted.size());
-  for (const auto& [key, report] : sorted) {
-    std::string bytes;
-    codec::put_proc_report(bytes, *report);
-    codec::put_proc_provenance(bytes, *report);
-    put_u64(out, key);
-    put_u64(out, bytes.size());
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    put_u32(out, crc32(bytes));
-  }
+  out.write(snap.data(), static_cast<std::streamsize>(snap.size()));
   // close() writes the last buffered bytes; a write that fails there must
   // not rename a short file over the previous snapshot.
   out.close();
@@ -171,40 +144,32 @@ bool ResultCache::save(const std::string& path) const {
 bool ResultCache::load(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return false;  // no snapshot: a plain cold start, not corruption
+  const std::string file((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
   auto reject = [this] {
     rejected_.fetch_add(1, std::memory_order_relaxed);
     static obs::Counter& rejected =
         obs::registry().counter("synat_cache_rejected_total");
     rejected.inc();
   };
-  char magic[sizeof kMagic];
-  if (!in.read(magic, sizeof magic) ||
-      std::string_view(magic, sizeof magic) !=
-          std::string_view(kMagic, sizeof kMagic)) {
+  if (std::string_view(file).substr(0, sizeof kMagic) !=
+      std::string_view(kMagic, sizeof kMagic)) {
     reject();  // garbage or a pre-v3 snapshot: cold start
     return false;
   }
-  uint64_t version = 0;
-  if (!get_u64(in, version) || version != kFormatVersion) {
+  codec::Reader snap(std::string_view(file).substr(sizeof kMagic));
+  uint64_t version = 0, count = 0;
+  if (!snap.get_u64(version) || version != kFormatVersion ||
+      !snap.get_u64(count) || count > (uint64_t{1} << 32)) {
     reject();
     return false;
   }
-  uint64_t count = 0;
-  if (!get_u64(in, count) || count > (uint64_t{1} << 32)) {
-    reject();
-    return false;
-  }
+  std::string bytes;
   for (uint64_t i = 0; i < count; ++i) {
-    uint64_t key = 0, len = 0;
-    if (!get_u64(in, key) || !get_u64(in, len) || len > (uint64_t{1} << 32)) {
-      reject();  // truncated tail: keep what already decoded
-      break;
-    }
-    std::string bytes(len, '\0');
+    uint64_t key = 0;
     uint32_t crc = 0;
-    if (!in.read(bytes.data(), static_cast<std::streamsize>(len)) ||
-        !get_u32(in, crc)) {
-      reject();
+    if (!snap.get_u64(key) || !snap.get_str(bytes) || !snap.get_u32(crc)) {
+      reject();  // truncated tail: keep what already decoded
       break;
     }
     if (crc32(bytes) != crc) {

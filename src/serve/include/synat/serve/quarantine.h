@@ -39,9 +39,9 @@ class Quarantine {
   /// (the offender gets a fresh fork) and reports false.
   bool check(uint64_t fp, uint64_t now_ms);
 
-  /// Records one failed sandboxed execution (all fork attempts died).
-  /// Returns true when this death tripped the breaker.
-  bool record_death(uint64_t fp, uint64_t now_ms);
+  /// Records one failed sandboxed execution (all fork attempts died); the
+  /// `threshold`-th in a row trips the breaker.
+  void record_death(uint64_t fp, uint64_t now_ms);
 
   /// A successful execution clears the consecutive-death count.
   void record_success(uint64_t fp);

@@ -1,5 +1,5 @@
 // The `synat serve` transport: a long-lived daemon accepting many
-// concurrent clients over a unix-domain socket or TCP, speaking
+// concurrent clients over a unix-domain socket, speaking
 // newline-delimited JSON-RPC 2.0 (rpc.h) and dispatching to a shared
 // Service (service.h).
 //
@@ -29,9 +29,8 @@
 namespace synat::serve {
 
 struct ServerOptions {
-  /// Listen address: a path (anything containing '/') binds a unix-domain
-  /// socket (an existing socket file is replaced); otherwise "host:port"
-  /// binds TCP ("127.0.0.1:9123"; empty host means loopback).
+  /// Listen address: the path of a unix-domain socket, which must contain
+  /// '/' ("./synat.sock"); an existing socket file is replaced.
   std::string listen;
   ServiceOptions service;
   /// Result-cache snapshot: loaded before accepting (warm start), saved
@@ -80,7 +79,6 @@ class Server {
   Service service_;
   int listen_fd_ = -1;
   int wake_rd_ = -1, wake_wr_ = -1;  ///< self-pipe: signals + shutdown RPC
-  bool unix_socket_ = false;
 
   std::mutex conns_mu_;
   std::vector<std::shared_ptr<Conn>> conns_;

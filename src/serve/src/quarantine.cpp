@@ -15,7 +15,7 @@ bool Quarantine::check(uint64_t fp, uint64_t now_ms) {
   return true;
 }
 
-bool Quarantine::record_death(uint64_t fp, uint64_t now_ms) {
+void Quarantine::record_death(uint64_t fp, uint64_t now_ms) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(fp);
   if (it == entries_.end()) {
@@ -27,12 +27,8 @@ bool Quarantine::record_death(uint64_t fp, uint64_t now_ms) {
     it = entries_.emplace(fp, Entry{}).first;
   }
   Entry& e = it->second;
-  if (e.until_ms != 0) return false;  // already tripped
-  if (++e.deaths >= opts_.threshold) {
-    e.until_ms = now_ms + opts_.ttl_ms;
-    return true;
-  }
-  return false;
+  if (e.until_ms != 0) return;  // already tripped
+  if (++e.deaths >= opts_.threshold) e.until_ms = now_ms + opts_.ttl_ms;
 }
 
 void Quarantine::record_success(uint64_t fp) {

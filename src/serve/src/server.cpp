@@ -1,9 +1,6 @@
 #include "synat/serve/server.h"
 
-#include <arpa/inet.h>
 #include <fcntl.h>
-#include <netdb.h>
-#include <netinet/in.h>
 #include <poll.h>
 #include <signal.h>
 #include <sys/socket.h>
@@ -72,67 +69,32 @@ void Server::request_stop() {
 }
 
 int Server::bind_listen(std::string* err) {
-  if (opts_.listen.empty()) {
-    *err = "no listen address";
-    return -1;
-  }
-  if (opts_.listen.find('/') != std::string::npos) {
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    if (opts_.listen.size() >= sizeof(addr.sun_path)) {
-      *err = "unix socket path too long: " + opts_.listen;
-      return -1;
-    }
-    std::memcpy(addr.sun_path, opts_.listen.c_str(), opts_.listen.size() + 1);
-    int fd = socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    if (fd < 0) {
-      *err = std::string("socket: ") + std::strerror(errno);
-      return -1;
-    }
-    // A stale socket file from a previous daemon would make bind fail;
-    // replacing it is the conventional unix-daemon behavior.
-    unlink(opts_.listen.c_str());
-    if (bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0 ||
-        listen(fd, 64) < 0) {
-      *err = "bind " + opts_.listen + ": " + std::strerror(errno);
-      close(fd);
-      return -1;
-    }
-    unix_socket_ = true;
-    return fd;
-  }
-
-  size_t colon = opts_.listen.rfind(':');
-  if (colon == std::string::npos) {
-    *err = "listen address must be a socket path or host:port, got '" +
+  if (opts_.listen.find('/') == std::string::npos) {
+    *err = "listen address must be a unix socket path containing '/', got '" +
            opts_.listen + "'";
     return -1;
   }
-  std::string host = opts_.listen.substr(0, colon);
-  std::string port = opts_.listen.substr(colon + 1);
-  if (host.empty()) host = "127.0.0.1";
-  addrinfo hints{};
-  hints.ai_family = AF_UNSPEC;
-  hints.ai_socktype = SOCK_STREAM;
-  hints.ai_flags = AI_NUMERICSERV;
-  addrinfo* res = nullptr;
-  if (int rc = getaddrinfo(host.c_str(), port.c_str(), &hints, &res); rc != 0) {
-    *err = "resolve " + opts_.listen + ": " + gai_strerror(rc);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  if (opts_.listen.size() >= sizeof(addr.sun_path)) {
+    *err = "unix socket path too long: " + opts_.listen;
     return -1;
   }
-  int fd = -1;
-  for (addrinfo* ai = res; ai != nullptr; ai = ai->ai_next) {
-    fd = socket(ai->ai_family, ai->ai_socktype | SOCK_CLOEXEC, ai->ai_protocol);
-    if (fd < 0) continue;
-    int one = 1;
-    setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    if (bind(fd, ai->ai_addr, ai->ai_addrlen) == 0 && listen(fd, 64) == 0)
-      break;
-    close(fd);
-    fd = -1;
+  std::memcpy(addr.sun_path, opts_.listen.c_str(), opts_.listen.size() + 1);
+  int fd = socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  if (fd < 0) {
+    *err = std::string("socket: ") + std::strerror(errno);
+    return -1;
   }
-  freeaddrinfo(res);
-  if (fd < 0) *err = "bind " + opts_.listen + ": " + std::strerror(errno);
+  // A stale socket file from a previous daemon would make bind fail;
+  // replacing it is the conventional unix-daemon behavior.
+  unlink(opts_.listen.c_str());
+  if (bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0 ||
+      listen(fd, 64) < 0) {
+    *err = "bind " + opts_.listen + ": " + std::strerror(errno);
+    close(fd);
+    return -1;
+  }
   return fd;
 }
 
@@ -261,7 +223,7 @@ int Server::serve() {
   std::fprintf(stderr, "synat serve: draining\n");
   close(listen_fd_);
   listen_fd_ = -1;
-  if (unix_socket_) unlink(opts_.listen.c_str());
+  unlink(opts_.listen.c_str());
   service_.drain();
   {
     std::lock_guard<std::mutex> lock(conns_mu_);

@@ -1,5 +1,6 @@
 // Allocation gates: heap allocations per procedure in a warm `--jobs 1`
-// batch, and per variant while a conflict universe is built. This binary
+// batch, per variant while a conflict universe is built, and what tracing,
+// metrics and the wide-event log add to a batch. This binary
 // replaces the global operator new and its deletes with versions that
 // count calls and forward to malloc, so a change that brings back
 // per-node containers on the per-procedure path fails here instead of only
@@ -8,14 +9,18 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <new>
+#include <string>
 
 #include "gen.h"
 #include "synat/atomicity/infer.h"
 #include "synat/corpus/corpus.h"
 #include "synat/driver/driver.h"
+#include "synat/obs/events.h"
 #include "synat/obs/metrics.h"
+#include "synat/obs/trace.h"
 #include "synat/synl/parser.h"
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
@@ -46,27 +51,38 @@ void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 namespace synat::driver {
 namespace {
 
-/// operator new calls per reported procedure in the third of three
-/// `--jobs 1` runs over `inputs`; the first two warm the registries and
-/// other process-lifetime state.
-double warm_news_per_proc(const std::vector<ProgramInput>& inputs) {
-  DriverOptions opts;
+struct WarmRun {
+  uint64_t news = 0;  ///< operator new calls
+  size_t procs = 0;   ///< procedures reported
+};
+
+/// The third of three `--jobs 1` runs over `inputs`; the first two warm
+/// the registries, the span rings and other process-lifetime state. The
+/// rings are drained before each run, so they keep the capacity the first
+/// run grew.
+WarmRun warm_run(const std::vector<ProgramInput>& inputs,
+                 DriverOptions opts = {}) {
   opts.jobs = 1;
-  uint64_t news = 0;
-  size_t procs = 0;
+  WarmRun warm;
   for (int run = 0; run < 3; ++run) {
+    obs::Tracer::instance().drain();
     BatchDriver drv(opts);
     const uint64_t before = g_news.load(std::memory_order_relaxed);
     BatchReport report = drv.run(inputs);
-    news = g_news.load(std::memory_order_relaxed) - before;
-    procs = report.metrics.procedures;
+    warm.news = g_news.load(std::memory_order_relaxed) - before;
+    warm.procs = report.metrics.procedures;
   }
-  EXPECT_GT(procs, 0u);
-  return procs == 0 ? 0.0 : static_cast<double>(news) / procs;
+  EXPECT_GT(warm.procs, 0u);
+  return warm;
 }
 
-TEST(AllocBudget, CorpusAtJobs1) {
-  if (!SYNAT_COUNT_ALLOCS) GTEST_SKIP() << "sanitizer build: not counted";
+/// operator new calls per reported procedure in a warm run.
+double warm_news_per_proc(const std::vector<ProgramInput>& inputs) {
+  const WarmRun warm = warm_run(inputs);
+  return warm.procs == 0 ? 0.0 : static_cast<double>(warm.news) / warm.procs;
+}
+
+std::vector<ProgramInput> corpus_inputs() {
   std::vector<ProgramInput> inputs;
   for (const corpus::Entry& e : corpus::all()) {
     ProgramInput in;
@@ -75,21 +91,26 @@ TEST(AllocBudget, CorpusAtJobs1) {
     for (auto c : e.counted_cas) in.opts.counted_cas.emplace_back(c);
     inputs.push_back(std::move(in));
   }
-  const double per_proc = warm_news_per_proc(inputs);
+  return inputs;
+}
+
+TEST(AllocBudget, CorpusAtJobs1) {
+  if (!SYNAT_COUNT_ALLOCS) GTEST_SKIP() << "sanitizer build: not counted";
+  const double per_proc = warm_news_per_proc(corpus_inputs());
   // Measured: 803 before the flat per-procedure structures, 376 with
   // them, 334 with the flat AST and the node-free symbol index, 131
   // with flat variant contexts; the bound is 10% above.
   EXPECT_LE(per_proc, 144.0) << "operator new calls per procedure";
 }
 
-/// The seed-1 160-procedure disjoint program with its counted CAS.
-ProgramInput generated_input() {
+/// The seed-1 `procs`-procedure disjoint program with its counted CAS.
+ProgramInput generated_input(size_t procs = 160) {
   perfbench::GenOptions o;
-  o.procs = 160;
+  o.procs = procs;
   o.seed = 1;
   perfbench::GenProgram gen(o);
   ProgramInput in;
-  in.name = "gen:160";
+  in.name = "gen:" + std::to_string(procs);
   in.source = gen.render();
   for (const std::string& c : gen.counted()) in.opts.counted_cas.push_back(c);
   return in;
@@ -129,6 +150,70 @@ TEST(AllocBudget, UniverseBuildPerVariant) {
   // Measured: 110 with a heap container per fact, 25 with flat
   // variant contexts; the bound is 10% above.
   EXPECT_LE(per_variant, 27.0) << "operator new calls per variant";
+}
+
+/// What tracing and metrics, and the wide-event log, add to a warm run.
+struct ObsCost {
+  int64_t traced = 0;  ///< obs::kTraceFlag | obs::kMetricsFlag on
+  int64_t logged = 0;  ///< flags off, an EventLog attached
+};
+
+ObsCost obs_cost(const std::vector<ProgramInput>& inputs,
+                 const std::string& log_path) {
+  const auto news = [&inputs](const DriverOptions& opts) {
+    return static_cast<int64_t>(warm_run(inputs, opts).news);
+  };
+  ObsCost cost;
+  {
+    obs::EventLogOptions eopts;
+    eopts.path = log_path;
+    obs::EventLog log(std::move(eopts));
+    DriverOptions opts;
+    opts.events = &log;
+    const int64_t plain = news({});
+    cost.logged = news(opts) - plain;
+    EXPECT_EQ(log.dropped(), 0u);
+  }
+  std::remove(log_path.c_str());
+  // Measured after the logged runs: their latency histogram is in both.
+  const int64_t plain = news({});
+  obs::set_flags(obs::kTraceFlag | obs::kMetricsFlag);
+  cost.traced = news({}) - plain;
+  obs::set_flags(0);
+  obs::Tracer::instance().drain();
+  return cost;
+}
+
+/// Tracing and metrics cost a fixed number of allocations per batch (the
+/// registry snapshots and the stage histograms): spans go to per-thread
+/// rings that keep their capacity, so nothing is allocated per procedure
+/// or per span. The wide-event log costs a fixed number per program (its
+/// event and rendered line). The bounds are absolute, so one allocation
+/// per procedure breaks them.
+TEST(AllocBudget, ObservabilityAllocatesPerBatchNotPerProcedure) {
+  if (!SYNAT_COUNT_ALLOCS) GTEST_SKIP() << "sanitizer build: not counted";
+  const std::string log_path = testing::TempDir() + "synat_alloc_events.jsonl";
+  // The first call registers the stage histograms and the event series, so
+  // every plain run after it snapshots the same registry.
+  obs_cost({generated_input()}, log_path);
+  // Measured: tracing +100 to +120 per batch at both sizes and on the
+  // corpus (a snapshot copies each histogram's occupied buckets, so the
+  // count moves with the timings); the log +4 to +8 per one-program batch
+  // and +98 to +102 on the 17-program corpus. The bounds are 10% above
+  // the largest.
+  constexpr int64_t kTracedPerBatch = 132;
+  constexpr int64_t kLoggedPerProgram = 9;
+  for (size_t procs : {160, 640}) {
+    const ObsCost cost = obs_cost({generated_input(procs)}, log_path);
+    EXPECT_LE(cost.traced, kTracedPerBatch) << procs << " procedures";
+    EXPECT_LE(cost.logged, kLoggedPerProgram) << procs << " procedures";
+  }
+  const std::vector<ProgramInput> corpus = corpus_inputs();
+  const ObsCost cost = obs_cost(corpus, log_path);
+  EXPECT_LE(cost.traced, kTracedPerBatch) << "corpus";
+  EXPECT_LE(cost.logged,
+            kLoggedPerProgram * static_cast<int64_t>(corpus.size()))
+      << "corpus";
 }
 
 }  // namespace

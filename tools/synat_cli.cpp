@@ -39,8 +39,8 @@
 //                per program, byte-identical across --jobs/--isolate under
 //                SYNAT_OBS_VIRTUAL_CLOCK) --events-max-bytes N (size-based
 //                rotation to FILE.1; default 64 MiB, 0 disables)
-// serve options: --listen ADDR (required; a path binds a unix socket,
-//                host:port binds TCP) --jobs N (analysis pool workers,
+// serve options: --listen PATH (required; binds a unix socket there, and
+//                PATH must contain '/') --jobs N (analysis pool workers,
 //                0 = one per hardware thread) --max-queue N (queued+running
 //                request cap before -32003 rejections; default 64)
 //                --cache-file FILE (warm-start snapshot, saved on shutdown)
@@ -84,6 +84,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -193,6 +194,24 @@ bool write_output(const std::string& path, const std::string& doc) {
   return false;
 }
 
+/// Reads the value of a numeric flag into `out`: a decimal number in
+/// [lo, hi], where `hi` is at most what `T` holds. Anything else, a
+/// missing value included, prints "<flag> expects <noun>, got '<value>'"
+/// and returns false, and the caller exits kExitUsage.
+template <typename T>
+bool parse_number(const char* flag, const char* noun, const char* value,
+                  T& out, uint64_t hi = std::numeric_limits<T>::max(),
+                  uint64_t lo = 0) {
+  char* end = nullptr;
+  const unsigned long long n = std::strtoull(value, &end, 10);
+  if (end == value || *end != '\0' || n < lo || n > hi) {
+    std::fprintf(stderr, "%s expects %s, got '%s'\n", flag, noun, value);
+    return false;
+  }
+  out = static_cast<T>(n);
+  return true;
+}
+
 /// printf into `out`: listings are built whole, then written through
 /// write_output.
 [[gnu::format(printf, 2, 3)]] void appendf(std::string& out, const char* fmt,
@@ -249,52 +268,26 @@ int cmd_batch(int argc, char** argv) {
     if (a == "--all") {
       all = true;
     } else if (a == "--jobs" && i + 1 < argc) {
-      char* end = nullptr;
-      unsigned long n = std::strtoul(argv[++i], &end, 10);
-      if (end == argv[i] || *end != '\0' || n > 1024) {
-        std::fprintf(stderr, "--jobs expects a thread count, got '%s'\n",
-                     argv[i]);
+      if (!parse_number("--jobs", "a thread count", argv[++i], dopts.jobs,
+                        1024))
         return kExitUsage;
-      }
-      dopts.jobs = static_cast<unsigned>(n);
     } else if (a == "--deadline-ms" && i + 1 < argc) {
-      char* end = nullptr;
-      unsigned long long n = std::strtoull(argv[++i], &end, 10);
-      if (end == argv[i] || *end != '\0') {
-        std::fprintf(stderr, "--deadline-ms expects milliseconds, got '%s'\n",
-                     argv[i]);
+      if (!parse_number("--deadline-ms", "milliseconds", argv[++i],
+                        dopts.deadline_ms))
         return kExitUsage;
-      }
-      dopts.deadline_ms = n;
     } else if (a == "--max-variants" && i + 1 < argc) {
-      char* end = nullptr;
-      unsigned long long n = std::strtoull(argv[++i], &end, 10);
-      if (end == argv[i] || *end != '\0') {
-        std::fprintf(stderr, "--max-variants expects a count, got '%s'\n",
-                     argv[i]);
+      if (!parse_number("--max-variants", "a count", argv[++i], max_variants))
         return kExitUsage;
-      }
-      max_variants = static_cast<size_t>(n);
     } else if (a == "--strict") {
       dopts.strict = true;
     } else if (a == "--isolate") {
       dopts.isolate = true;
     } else if (a == "--max-rss-mb" && i + 1 < argc) {
-      char* end = nullptr;
-      unsigned long n = std::strtoul(argv[++i], &end, 10);
-      if (end == argv[i] || *end != '\0') {
-        std::fprintf(stderr, "--max-rss-mb expects MiB, got '%s'\n", argv[i]);
+      if (!parse_number("--max-rss-mb", "MiB", argv[++i], dopts.max_rss_mb))
         return kExitUsage;
-      }
-      dopts.max_rss_mb = static_cast<unsigned>(n);
     } else if (a == "--retries" && i + 1 < argc) {
-      char* end = nullptr;
-      unsigned long n = std::strtoul(argv[++i], &end, 10);
-      if (end == argv[i] || *end != '\0' || n > 100) {
-        std::fprintf(stderr, "--retries expects a count, got '%s'\n", argv[i]);
+      if (!parse_number("--retries", "a count", argv[++i], dopts.retries, 100))
         return kExitUsage;
-      }
-      dopts.retries = static_cast<unsigned>(n);
     } else if (a == "--format" && i + 1 < argc) {
       format = argv[++i];
       if (format != "json" && format != "sarif" && format != "text") {
@@ -310,14 +303,9 @@ int cmd_batch(int argc, char** argv) {
     } else if (a == "--events-out" && i + 1 < argc) {
       events_out = argv[++i];
     } else if (a == "--events-max-bytes" && i + 1 < argc) {
-      char* end = nullptr;
-      unsigned long long n = std::strtoull(argv[++i], &end, 10);
-      if (end == argv[i] || *end != '\0') {
-        std::fprintf(stderr, "--events-max-bytes expects bytes, got '%s'\n",
-                     argv[i]);
+      if (!parse_number("--events-max-bytes", "bytes", argv[++i],
+                        events_max_bytes))
         return kExitUsage;
-      }
-      events_max_bytes = n;
     } else if (a == "--report-counters") {
       ropts.counters = true;
     } else if (a == "--provenance") {
@@ -438,14 +426,9 @@ int cmd_explain(const std::string& spec, int argc, char** argv) {
   for (int i = 0; i < argc; ++i) {
     std::string a = argv[i];
     if (a == "--jobs" && i + 1 < argc) {
-      char* end = nullptr;
-      unsigned long n = std::strtoul(argv[++i], &end, 10);
-      if (end == argv[i] || *end != '\0' || n > 1024) {
-        std::fprintf(stderr, "--jobs expects a thread count, got '%s'\n",
-                     argv[i]);
+      if (!parse_number("--jobs", "a thread count", argv[++i], dopts.jobs,
+                        1024))
         return kExitUsage;
-      }
-      dopts.jobs = static_cast<unsigned>(n);
     } else if (a == "--isolate") {
       dopts.isolate = true;
     } else if (a == "--no-variants") {
@@ -604,9 +587,13 @@ int cmd_mc(const std::string& spec, int argc, char** argv) {
     } else if (a == "--atomic") {
       opts.atomic_procs.emplace_back(next());
     } else if (a == "--arrays") {
-      opts.array_size = std::atoi(next());
+      if (!parse_number("--arrays", "an array length", next(),
+                        opts.array_size))
+        return kExitUsage;
     } else if (a == "--max-states") {
-      opts.max_states = std::strtoull(next(), nullptr, 10);
+      if (!parse_number("--max-states", "a state count", next(),
+                        opts.max_states))
+        return kExitUsage;
     } else {
       std::fprintf(stderr, "unknown mc option %s\n", a.c_str());
       return kExitUsage;
@@ -633,23 +620,13 @@ int cmd_serve(int argc, char** argv) {
     if (a == "--listen" && i + 1 < argc) {
       sopts.listen = argv[++i];
     } else if (a == "--jobs" && i + 1 < argc) {
-      char* end = nullptr;
-      unsigned long n = std::strtoul(argv[++i], &end, 10);
-      if (end == argv[i] || *end != '\0' || n > 1024) {
-        std::fprintf(stderr, "--jobs expects a thread count, got '%s'\n",
-                     argv[i]);
+      if (!parse_number("--jobs", "a thread count", argv[++i],
+                        sopts.service.jobs, 1024))
         return kExitUsage;
-      }
-      sopts.service.jobs = static_cast<unsigned>(n);
     } else if (a == "--max-queue" && i + 1 < argc) {
-      char* end = nullptr;
-      unsigned long n = std::strtoul(argv[++i], &end, 10);
-      if (end == argv[i] || *end != '\0') {
-        std::fprintf(stderr, "--max-queue expects a count, got '%s'\n",
-                     argv[i]);
+      if (!parse_number("--max-queue", "a count", argv[++i],
+                        sopts.service.max_queue))
         return kExitUsage;
-      }
-      sopts.service.max_queue = static_cast<size_t>(n);
     } else if (a == "--cache-file" && i + 1 < argc) {
       sopts.cache_file = argv[++i];
     } else if (a == "--trace-out" && i + 1 < argc) {
@@ -657,80 +634,45 @@ int cmd_serve(int argc, char** argv) {
     } else if (a == "--sandbox") {
       sopts.service.sandbox = true;
     } else if (a == "--deadline-ms" && i + 1 < argc) {
-      char* end = nullptr;
-      unsigned long n = std::strtoul(argv[++i], &end, 10);
-      if (end == argv[i] || *end != '\0') {
-        std::fprintf(stderr, "--deadline-ms expects milliseconds, got '%s'\n",
-                     argv[i]);
+      if (!parse_number("--deadline-ms", "milliseconds", argv[++i],
+                        sopts.service.sandbox_deadline_ms))
         return kExitUsage;
-      }
-      sopts.service.sandbox_deadline_ms = n;
     } else if (a == "--max-rss-mb" && i + 1 < argc) {
-      char* end = nullptr;
-      unsigned long n = std::strtoul(argv[++i], &end, 10);
-      if (end == argv[i] || *end != '\0') {
-        std::fprintf(stderr, "--max-rss-mb expects megabytes, got '%s'\n",
-                     argv[i]);
+      if (!parse_number("--max-rss-mb", "megabytes", argv[++i],
+                        sopts.service.sandbox_max_rss_mb))
         return kExitUsage;
-      }
-      sopts.service.sandbox_max_rss_mb = static_cast<size_t>(n);
     } else if (a == "--retries" && i + 1 < argc) {
-      char* end = nullptr;
-      unsigned long n = std::strtoul(argv[++i], &end, 10);
-      if (end == argv[i] || *end != '\0' || n > 16) {
-        std::fprintf(stderr, "--retries expects a small count, got '%s'\n",
-                     argv[i]);
+      if (!parse_number("--retries", "a small count", argv[++i],
+                        sopts.service.sandbox_retries, 16))
         return kExitUsage;
-      }
-      sopts.service.sandbox_retries = static_cast<unsigned>(n);
     } else if (a == "--quarantine-threshold" && i + 1 < argc) {
-      char* end = nullptr;
-      unsigned long n = std::strtoul(argv[++i], &end, 10);
-      if (end == argv[i] || *end != '\0' || n == 0) {
-        std::fprintf(stderr,
-                     "--quarantine-threshold expects a positive count, "
-                     "got '%s'\n",
-                     argv[i]);
+      if (!parse_number("--quarantine-threshold", "a positive count",
+                        argv[++i], sopts.service.quarantine_threshold,
+                        std::numeric_limits<unsigned>::max(), 1))
         return kExitUsage;
-      }
-      sopts.service.quarantine_threshold = static_cast<unsigned>(n);
     } else if (a == "--quarantine-ttl" && i + 1 < argc) {
-      char* end = nullptr;
-      unsigned long n = std::strtoul(argv[++i], &end, 10);
-      if (end == argv[i] || *end != '\0') {
-        std::fprintf(stderr, "--quarantine-ttl expects seconds, got '%s'\n",
-                     argv[i]);
+      uint64_t seconds = 0;
+      if (!parse_number("--quarantine-ttl", "seconds", argv[++i], seconds,
+                        std::numeric_limits<uint64_t>::max() / 1000))
         return kExitUsage;
-      }
-      sopts.service.quarantine_ttl_ms = uint64_t{n} * 1000;
+      sopts.service.quarantine_ttl_ms = seconds * 1000;
     } else if (a == "--snapshot-interval-s" && i + 1 < argc) {
-      char* end = nullptr;
-      unsigned long n = std::strtoul(argv[++i], &end, 10);
-      if (end == argv[i] || *end != '\0') {
-        std::fprintf(stderr,
-                     "--snapshot-interval-s expects seconds, got '%s'\n",
-                     argv[i]);
+      if (!parse_number("--snapshot-interval-s", "seconds", argv[++i],
+                        sopts.snapshot_interval_s))
         return kExitUsage;
-      }
-      sopts.snapshot_interval_s = static_cast<unsigned>(n);
     } else if (a == "--events-out" && i + 1 < argc) {
       events_out = argv[++i];
     } else if (a == "--events-max-bytes" && i + 1 < argc) {
-      char* end = nullptr;
-      unsigned long long n = std::strtoull(argv[++i], &end, 10);
-      if (end == argv[i] || *end != '\0') {
-        std::fprintf(stderr, "--events-max-bytes expects bytes, got '%s'\n",
-                     argv[i]);
+      if (!parse_number("--events-max-bytes", "bytes", argv[++i],
+                        events_max_bytes))
         return kExitUsage;
-      }
-      events_max_bytes = n;
     } else {
       std::fprintf(stderr, "unknown serve option %s\n", a.c_str());
       return kExitUsage;
     }
   }
   if (sopts.listen.empty()) {
-    std::fprintf(stderr, "serve needs --listen <socket-path|host:port>\n");
+    std::fprintf(stderr, "serve needs --listen <socket-path>\n");
     return kExitUsage;
   }
   // The daemon's stage histograms back the live `metrics` RPC, so metrics

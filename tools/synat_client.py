@@ -2,12 +2,12 @@
 """Reference client for the `synat serve` daemon.
 
 The wire protocol is newline-delimited JSON-RPC 2.0 over a unix-domain
-socket or TCP (see src/serve/include/synat/serve/service.h for the method
+socket (see src/serve/include/synat/serve/service.h for the method
 surface). This module is both a library (used by the tests and CI) and a
 small CLI:
 
     synat_client.py --connect /tmp/synat.sock status
-    synat_client.py --connect 127.0.0.1:9123 analyze prog.synl [--provenance]
+    synat_client.py --connect /tmp/synat.sock analyze prog.synl [--provenance]
     synat_client.py --connect /tmp/synat.sock analyze -        # stdin
     synat_client.py --connect /tmp/synat.sock explain prog.synl [PROC]
     synat_client.py --connect /tmp/synat.sock metrics
@@ -77,19 +77,11 @@ class Client:
 
     def _connect(self):
         deadline = time.monotonic() + self._CONNECT_RETRY_SECS
-        address = self._address
         while True:
             try:
-                if "/" in address:
-                    self._sock = socket.socket(socket.AF_UNIX,
-                                               socket.SOCK_STREAM)
-                    self._sock.settimeout(self._timeout)
-                    self._sock.connect(address)
-                else:
-                    host, _, port = address.rpartition(":")
-                    self._sock = socket.create_connection(
-                        (host or "127.0.0.1", int(port)),
-                        timeout=self._timeout)
+                self._sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+                self._sock.settimeout(self._timeout)
+                self._sock.connect(self._address)
                 break
             except (ConnectionRefusedError, FileNotFoundError):
                 if time.monotonic() >= deadline:
@@ -281,7 +273,7 @@ def _read_program(spec):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--connect",
-                    help="unix socket path (contains '/') or host:port "
+                    help="unix socket path "
                          "(required for every command except tail)")
     ap.add_argument("--timeout", type=float, default=60.0)
     ap.add_argument("--max-retries", type=int, default=3,
