@@ -1,20 +1,24 @@
 // Batch analysis driver: runs the full pipeline (sema → CFG/liveness →
 // purity/matching/local-conditions → variant enumeration → mover
 // assignment → type propagation → block partitioning) over many programs
-// on a fixed-size thread pool. A driver handed a ResultCache memoizes
+// on the calling thread and the process's pool of `jobs - 1` workers
+// (ThreadPool::shared). A driver handed a ResultCache memoizes
 // per-procedure results in it, content-addressed; serve is the caller that
 // hands one over, so a batch keeps no state between runs.
 //
-// Concurrency model: one task per program. The task parses its own Program
-// (no AST is shared between program tasks: variant generation appends to
-// the Program it analyzes), builds the program's conflict universe once,
-// takes every procedure's cache address from that universe, classifies
-// only the cache misses against it, and publishes the finished program to
-// the ReportSink in one call. Inside the task, the pool's idle workers
-// help with the read-only parts: the universe's analyses and contexts, and
-// the classification and rendering of the misses, each landing by index.
-// Output assembly is index-addressed throughout, which makes the rendered
-// documents byte-identical for any --jobs value.
+// Concurrency model: one parallel_for index per program, taken by the
+// calling thread or by a pool worker; a lone program runs on the caller.
+// The program's thread parses its own Program (no AST is shared between
+// programs: variant generation appends to the Program it analyzes), builds
+// the program's conflict universe once, takes every procedure's cache
+// address from that universe, classifies only the cache misses against it,
+// and publishes the finished program to the ReportSink in one call. Inside
+// the program, the pool's idle workers help with the read-only parts: the
+// universe's analyses and contexts, and the classification and rendering
+// of the misses, each landing by index. Output assembly is index-addressed
+// throughout, which makes the rendered documents byte-identical for any
+// --jobs value. Completion is tracked per run() call, so several threads
+// may run batches at once and share the pool.
 //
 // Timing has one clock: parse, analyze and report are obs spans (DESIGN.md
 // §3e), so their histograms live in the obs registry and reach the report
@@ -53,8 +57,9 @@ struct ProgramInput {
 };
 
 struct DriverOptions {
-  /// Worker threads; 1 runs inline on the calling thread, 0 uses one
-  /// worker per hardware thread.
+  /// Threads that analyze: the calling thread plus `jobs - 1` workers of
+  /// the process's shared pool; 1 runs inline on the calling thread, 0
+  /// uses one thread per hardware thread.
   unsigned jobs = 1;
   /// Wall-clock deadline per program in milliseconds; 0 disables it. It
   /// arms the program's ExecBudget, which trips at the first check after
@@ -69,10 +74,13 @@ struct DriverOptions {
   /// Run every program in a sandboxed one-shot worker process, through the
   /// fork-worker supervisor of worker.h (DESIGN.md §3d). A worker death of
   /// any kind — SIGSEGV, OOM kill, stall — is contained as that one
-  /// program's ProgramStatus::Degraded verdict. Workers are plain forks,
-  /// so call run() with no other threads alive. `jobs` caps concurrent
-  /// workers; the driver's cache is not consulted (workers are separate
-  /// address spaces).
+  /// program's ProgramStatus::Degraded verdict. Workers are plain forks of
+  /// the calling thread, so a worker must need no lock that another thread
+  /// of this process may hold when it forks: it analyzes at jobs 1, which
+  /// takes no pool lock, and glibc's fork leaves malloc usable, so the
+  /// shared pool's parked workers and serve's threads may be alive. `jobs`
+  /// caps concurrent workers; the driver's cache is not consulted (workers
+  /// are separate address spaces).
   bool isolate = false;
   /// Address-space cap per worker in MiB (RLIMIT_AS); 0 = unlimited.
   /// Only meaningful with `isolate`.
@@ -113,7 +121,7 @@ class BatchDriver {
   };
 
   /// Analyzes one program on the calling thread, with the idle workers of
-  /// `pool` (the batch's own) helping inside the program.
+  /// `pool` (the process's shared pool) helping inside the program.
   void run_program_task(const ProgramInput& input, size_t index,
                         ReportSink& sink, CacheTally& tally, ThreadPool& pool);
   /// Per-program stage wall times are taken only for the wide events.

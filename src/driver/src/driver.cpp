@@ -379,9 +379,9 @@ BatchReport BatchDriver::run(const std::vector<ProgramInput>& inputs) {
 
   CacheTally tally;
   if (opts_.isolate) {
-    // Sandboxed one-shot workers (DESIGN.md §3d), forked before any thread
-    // of this run exists: no ThreadPool here (workers build their own).
-    // Each outcome lands in the sink as it arrives.
+    // Sandboxed one-shot workers (DESIGN.md §3d), forked from this thread;
+    // they analyze at jobs 1, so they never touch a pool. Each outcome
+    // lands in the sink as it arrives.
     static obs::Counter& dispatches =
         obs::registry().counter("synat_worker_dispatches_total");
     static obs::Counter& results =
@@ -419,19 +419,18 @@ BatchReport BatchDriver::run(const std::vector<ProgramInput>& inputs) {
     };
     run_workers(pending, opts_, jobs, nullptr, deliver);
   } else {
-    ThreadPool pool(jobs <= 1 ? 0 : jobs);
-    for (size_t i = 0; i < inputs.size(); ++i) {
-      if (!inputs[i].load_error.empty()) continue;
-      pool.submit([this, &inputs, i, &sink, &tally, &pool] {
-        try {
-          run_program_task(inputs[i], i, sink, tally, pool);
-        } catch (const std::exception& e) {
-          sink.fail_program(i, inputs[i].name, ProgramStatus::InternalError,
-                            {{"error", 0, 0, e.what()}});
-        }
-      });
-    }
-    pool.wait_idle();
+    // This thread takes programs beside the process's `jobs - 1` workers;
+    // a lone program runs here, and its loops recruit the idle workers.
+    ThreadPool& pool = ThreadPool::shared(jobs - 1);
+    pool.parallel_for(inputs.size(), [&](size_t i) {
+      if (!inputs[i].load_error.empty()) return;
+      try {
+        run_program_task(inputs[i], i, sink, tally, pool);
+      } catch (const std::exception& e) {
+        sink.fail_program(i, inputs[i].name, ProgramStatus::InternalError,
+                          {{"error", 0, 0, e.what()}});
+      }
+    });
   }
   counters.cache_hits = tally.hits;
   counters.cache_misses = tally.misses;

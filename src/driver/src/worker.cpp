@@ -197,12 +197,13 @@ void run_workers(const std::vector<const ProgramInput*>& inputs,
                  const DriverOptions& opts, unsigned jobs, ResultCache* cache,
                  const std::function<void(size_t, WorkerOutcome)>& done) {
   const uint64_t stall_ms = opts.deadline_ms > 0
-                                ? opts.deadline_ms + kStallGraceMs
+                                ? saturating_add(opts.deadline_ms, kStallGraceMs)
                                 : kStallDefaultMs;
   support::ChildLimits limits;
   limits.max_rss_mb = opts.max_rss_mb;
   if (opts.deadline_ms > 0)
-    limits.cpu_seconds = opts.deadline_ms * kCpuLimitFactor / 1000 + 1;
+    limits.cpu_seconds =
+        saturating_mul(opts.deadline_ms, kCpuLimitFactor) / 1000 + 1;
 
   std::vector<WorkerOutcome> outcomes(inputs.size());
   std::deque<Pending> pending;

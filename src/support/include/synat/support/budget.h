@@ -36,13 +36,26 @@ class BudgetExceeded : public std::runtime_error {
 /// Monotonic clock in nanoseconds (steady_clock).
 uint64_t steady_now_ns();
 
+/// a + b and a * b, saturating at UINT64_MAX: a deadline or limit derived
+/// from a delay too far off to represent never trips.
+constexpr uint64_t saturating_add(uint64_t a, uint64_t b) {
+  return a > UINT64_MAX - b ? UINT64_MAX : a + b;
+}
+constexpr uint64_t saturating_mul(uint64_t a, uint64_t b) {
+  return b != 0 && a > UINT64_MAX / b ? UINT64_MAX : a * b;
+}
+
 /// Cancellation token + deadline for one analysis task. One instance per
 /// task; the analysis thread polls check(), any other thread may cancel().
 class ExecBudget {
  public:
-  /// Sets an absolute deadline `delay_ms` from now; 0 disables it.
+  /// Sets an absolute deadline `delay_ms` from now; 0 disables it. A
+  /// deadline beyond the clock's range never trips.
   void arm_deadline_ms(uint64_t delay_ms) {
-    deadline_ns_ = delay_ms == 0 ? 0 : steady_now_ns() + delay_ms * 1000000ull;
+    deadline_ns_ =
+        delay_ms == 0
+            ? 0
+            : saturating_add(steady_now_ns(), saturating_mul(delay_ms, 1000000));
   }
 
   /// Trips the budget. Safe from any thread; first reason wins.

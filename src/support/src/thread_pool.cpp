@@ -31,10 +31,17 @@ struct ThreadPool::Loop {
     }
   }
 
+  /// Rethrows on the caller, which takes the exception out of the Loop: a
+  /// helper that drops the last reference to the Loop later must not be
+  /// the one that frees an exception the caller may still be reading.
   void wait() {
-    std::unique_lock<std::mutex> lock(mu);
-    all_done.wait(lock, [this] { return done == n; });
-    if (error) std::rethrow_exception(error);
+    std::exception_ptr e;
+    {
+      std::unique_lock<std::mutex> lock(mu);
+      all_done.wait(lock, [this] { return done == n; });
+      e = std::move(error);
+    }
+    if (e) std::rethrow_exception(e);
   }
 
   const size_t n;
@@ -51,6 +58,22 @@ ThreadPool::ThreadPool(unsigned threads) {
   workers_.reserve(threads);
   for (unsigned i = 0; i < threads; ++i)
     workers_.emplace_back([this] { worker_loop(); });
+}
+
+ThreadPool& ThreadPool::shared(unsigned workers) {
+  // Leaked: the workers stay parked until the process exits, and no
+  // destructor at exit joins them or frees what they wait on.
+  if (workers == 0) {
+    static ThreadPool* const inline_pool = new ThreadPool(0);
+    return *inline_pool;
+  }
+  static std::mutex mu;
+  static auto* const pools = new std::vector<ThreadPool*>();
+  std::lock_guard<std::mutex> lock(mu);
+  for (ThreadPool* p : *pools)
+    if (p->num_threads() == workers) return *p;
+  pools->push_back(new ThreadPool(workers));
+  return *pools->back();
 }
 
 ThreadPool::~ThreadPool() {

@@ -22,6 +22,9 @@ class Lexer {
 
   /// Lexes the whole buffer; the last token is Tok::End.
   static std::vector<Token> tokenize(std::string_view source, DiagEngine& diags);
+  /// The same into `out`, which is cleared first and keeps its capacity.
+  static void tokenize(std::string_view source, DiagEngine& diags,
+                       std::vector<Token>& out);
 
  private:
   void skip_trivia();

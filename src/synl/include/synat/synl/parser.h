@@ -17,7 +17,13 @@ namespace synat::synl {
 
 class Parser {
  public:
+  /// Lexes `source` into this thread's token buffer, which the parser
+  /// holds until it is destroyed.
   Parser(std::string_view source, DiagEngine& diags);
+  ~Parser();
+
+  Parser(const Parser&) = delete;
+  Parser& operator=(const Parser&) = delete;
 
   /// Parses a whole program (classes, globals, threadlocals, procedures).
   /// Errors inside a procedure's parameter list or body are contained: the

@@ -269,14 +269,20 @@ Token Lexer::next() {
 }
 
 std::vector<Token> Lexer::tokenize(std::string_view source, DiagEngine& diags) {
-  Lexer lexer(source, diags);
   std::vector<Token> out;
+  tokenize(source, diags, out);
+  return out;
+}
+
+void Lexer::tokenize(std::string_view source, DiagEngine& diags,
+                     std::vector<Token>& out) {
+  Lexer lexer(source, diags);
+  out.clear();
   // SYNL sources run 4 to 5 bytes per token, so this rarely regrows.
   out.reserve(source.size() / 4 + 1);
   do {
     out.push_back(lexer.next());
   } while (out.back().kind != Tok::End);
-  return out;
 }
 
 }  // namespace synat::synl

@@ -47,13 +47,30 @@ BinOp to_binop(Tok t) {
   }
 }
 
+/// This thread's token buffer. A parser borrows it and gives it back, so a
+/// thread that parses again keeps the capacity of the largest source it
+/// lexed instead of allocating (and faulting in) a fresh block per parse.
+/// Tokens view their source; nothing reads them after the parse.
+thread_local std::vector<Token> token_buffer;
+
 }  // namespace
 
-Parser::Parser(std::string_view source, DiagEngine& diags) : diags_(diags) {
+Parser::Parser(std::string_view source, DiagEngine& diags)
+    : diags_(diags), toks_(std::move(token_buffer)) {
   // Lexer errors land between base_errors_ and the first procedure, so they
   // always count as top-level (uncontainable).
   base_errors_ = diags.num_errors();
-  toks_ = Lexer::tokenize(source, diags);
+  Lexer::tokenize(source, diags, toks_);
+  prog_.reserve_nodes(toks_.size());
+}
+
+Parser::~Parser() {
+  // A parse nested in this one found the buffer taken and grew its own;
+  // the thread keeps the larger.
+  if (toks_.capacity() > token_buffer.capacity()) {
+    toks_.clear();
+    token_buffer.swap(toks_);
+  }
 }
 
 /// RAII nesting counter for the recursive-descent entry points.

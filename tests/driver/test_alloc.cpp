@@ -1,6 +1,7 @@
 // Allocation gates: heap allocations per procedure in a warm `--jobs 1`
-// batch, per variant while a conflict universe is built, and what tracing,
-// metrics and the wide-event log add to a batch. This binary
+// batch, the large blocks of such a batch, per variant while a conflict
+// universe is built, and what tracing, metrics and the wide-event log add
+// to a batch. This binary
 // replaces the global operator new and its deletes with versions that
 // count calls and forward to malloc, so a change that brings back
 // per-node containers on the per-procedure path fails here instead of only
@@ -36,11 +37,16 @@
 
 namespace {
 std::atomic<uint64_t> g_news{0};
+/// Calls of kLargeBlock bytes or more: blocks glibc may return to the
+/// kernel when freed, so that the next batch faults them back in.
+constexpr std::size_t kLargeBlock = 64 * 1024;
+std::atomic<uint64_t> g_large_news{0};
 }  // namespace
 
 #if SYNAT_COUNT_ALLOCS
 void* operator new(std::size_t n) {
   g_news.fetch_add(1, std::memory_order_relaxed);
+  if (n >= kLargeBlock) g_large_news.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
   throw std::bad_alloc();
 }
@@ -52,8 +58,9 @@ namespace synat::driver {
 namespace {
 
 struct WarmRun {
-  uint64_t news = 0;  ///< operator new calls
-  size_t procs = 0;   ///< procedures reported
+  uint64_t news = 0;        ///< operator new calls
+  uint64_t large_news = 0;  ///< of them, calls of kLargeBlock or more
+  size_t procs = 0;         ///< procedures reported
 };
 
 /// The third of three `--jobs 1` runs over `inputs`; the first two warm
@@ -68,8 +75,11 @@ WarmRun warm_run(const std::vector<ProgramInput>& inputs,
     obs::Tracer::instance().drain();
     BatchDriver drv(opts);
     const uint64_t before = g_news.load(std::memory_order_relaxed);
+    const uint64_t large_before = g_large_news.load(std::memory_order_relaxed);
     BatchReport report = drv.run(inputs);
     warm.news = g_news.load(std::memory_order_relaxed) - before;
+    warm.large_news =
+        g_large_news.load(std::memory_order_relaxed) - large_before;
     warm.procs = report.metrics.procedures;
   }
   EXPECT_GT(warm.procs, 0u);
@@ -99,7 +109,8 @@ TEST(AllocBudget, CorpusAtJobs1) {
   const double per_proc = warm_news_per_proc(corpus_inputs());
   // Measured: 803 before the flat per-procedure structures, 376 with
   // them, 334 with the flat AST and the node-free symbol index, 131
-  // with flat variant contexts; the bound is 10% above.
+  // with flat variant contexts (the bound is 10% above), 123 with the
+  // node arrays reserved from the token count.
   EXPECT_LE(per_proc, 144.0) << "operator new calls per procedure";
 }
 
@@ -123,6 +134,19 @@ TEST(AllocBudget, GeneratedAtJobs1) {
   // them, 181 with the flat AST and the node-free symbol index, 70
   // with flat variant contexts; the bound is 10% above.
   EXPECT_LE(per_proc, 77.0) << "operator new calls per procedure";
+}
+
+/// Blocks of 64 KiB or more in a warm run of the generated program. The
+/// lexer fills the thread's own token buffer, which it keeps, and the node
+/// arrays are sized once from the token count instead of doubling from
+/// empty, so only the expression and statement arrays are that large.
+TEST(AllocBudget, LargeBlocksAtJobs1) {
+  if (!SYNAT_COUNT_ALLOCS) GTEST_SKIP() << "sanitizer build: not counted";
+  const WarmRun warm = warm_run({generated_input()});
+  // Measured: 7 with a token vector per parse and node arrays doubling
+  // from empty (expressions 64, 128, 256 and 512 KiB, statements 112 and
+  // 224 KiB, tokens 316 KiB), 2 with the buffer and the reserve.
+  EXPECT_LE(warm.large_news, 2u) << "operator new calls of 64 KiB or more";
 }
 
 /// operator new calls per generated variant while the universe of the

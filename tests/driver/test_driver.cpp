@@ -4,14 +4,18 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <fstream>
+#include <set>
 #include <sstream>
+#include <thread>
 
 #include "gen.h"
 #include "synat/corpus/corpus.h"
 #include "synat/obs/events.h"
 #include "synat/obs/obs.h"
+#include "synat/obs/trace.h"
 
 namespace synat::driver {
 namespace {
@@ -233,6 +237,52 @@ TEST(BatchDriver, ProgramLatencyIsWallTimeWithHelpers) {
   EXPECT_GT(dur_ns, 0u);
   EXPECT_LE(dur_ns, wall_ns);
   std::remove(path.c_str());
+}
+
+// The process keeps one pool per worker count, and each run's calling
+// thread works in it: ten `--jobs 4` runs of one program record their spans
+// on at most four threads, the caller and the pool's three workers. A pool
+// built per run brings new workers, with new thread ordinals, every time.
+TEST(BatchDriver, RepeatedRunsReuseTheirThreads) {
+  const std::vector<ProgramInput> inputs = {generated_input(160)};
+  DriverOptions opts;
+  opts.jobs = 4;
+  obs::Tracer::instance().drain();
+  obs::set_flags(obs::kTraceFlag);
+  std::set<uint32_t> tids;
+  for (int run = 0; run < 10; ++run) {
+    BatchDriver(opts).run(inputs);
+    for (const obs::SpanRecord& s : obs::Tracer::instance().drain())
+      tids.insert(s.tid);
+  }
+  obs::set_flags(0);
+  EXPECT_FALSE(tids.empty());
+  EXPECT_LE(tids.size(), 4u);
+}
+
+// Two threads share the `--jobs 4` pool, each running the corpus and one
+// large program five times. Completion is tracked per run, so neither run
+// waits for the other's programs, and every report is the `--jobs 1`
+// document.
+TEST(BatchDriver, ConcurrentRunsShareOnePool) {
+  const std::vector<ProgramInput> batches[] = {corpus_inputs(),
+                                               {generated_input(160)}};
+  std::string serial[2];
+  for (size_t b = 0; b < 2; ++b)
+    serial[b] = to_json(BatchDriver(DriverOptions{}).run(batches[b]));
+  DriverOptions opts;
+  opts.jobs = 4;
+  std::atomic<int> differing{0};
+  auto client = [&] {
+    BatchDriver drv(opts);
+    for (int run = 0; run < 5; ++run)
+      for (size_t b = 0; b < 2; ++b)
+        if (to_json(drv.run(batches[b])) != serial[b]) differing.fetch_add(1);
+  };
+  std::thread other(client);
+  client();
+  other.join();
+  EXPECT_EQ(differing.load(), 0);
 }
 
 TEST(BatchDriver, OptionFingerprintSeparatesConfigurations) {

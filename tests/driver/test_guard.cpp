@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdint>
 #include <string>
 #include <thread>
 
@@ -61,6 +62,18 @@ TEST(ExecBudget, DeadlineTripsAtTheFirstCheckAfterItPasses) {
               std::string::npos);
   }
   EXPECT_TRUE(budget.cancelled());
+}
+
+// A deadline too far off for the clock saturates instead of wrapping
+// into the past: armed with the largest delay, or with one whose sum with
+// the clock overflows, the budget never trips.
+TEST(ExecBudget, DeadlineBeyondTheClockNeverTrips) {
+  for (uint64_t ms : {UINT64_MAX, uint64_t{18446744073709}}) {
+    ExecBudget budget;
+    budget.arm_deadline_ms(ms);
+    EXPECT_NO_THROW(budget.check("variant expansion")) << ms;
+    EXPECT_FALSE(budget.cancelled()) << ms;
+  }
 }
 
 }  // namespace

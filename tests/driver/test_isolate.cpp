@@ -38,6 +38,19 @@ TEST(Isolate, MatchesInProcessRunByteForByte) {
   EXPECT_EQ(run_json(iso, corpus_inputs()), in_process);
 }
 
+// A process that ran a pooled batch keeps the shared pool's workers
+// parked, and its --isolate workers fork beside them (DESIGN.md §3d gives
+// the rule that makes this safe): the documents still match.
+TEST(Isolate, ForksBesideTheSharedPoolsParkedWorkers) {
+  DriverOptions pooled;
+  pooled.jobs = 4;
+  std::string in_process = run_json(pooled, corpus_inputs());
+  DriverOptions iso;
+  iso.isolate = true;
+  iso.jobs = 4;
+  EXPECT_EQ(run_json(iso, corpus_inputs()), in_process);
+}
+
 TEST(Isolate, ParseAndLoadErrorsMatchInProcessRun) {
   std::vector<ProgramInput> inputs;
   inputs.push_back({"bad.synl", "proc P( {", {}, {}});

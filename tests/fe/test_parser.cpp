@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "synat/corpus/corpus.h"
 #include "synat/synl/parser.h"
 #include "synat/synl/printer.h"
@@ -312,9 +315,21 @@ TEST_P(RoundTrip, PrinterIsReparseFixpoint) {
   EXPECT_EQ(printed1, printed2);
 }
 
-TEST_P(RoundTrip, ReparsePreservesShape) {
+INSTANTIATE_TEST_SUITE_P(Corpus, RoundTrip,
+                         ::testing::ValuesIn(corpus::all()),
+                         [](const auto& info) {
+                           return std::string(info.param.name);
+                         });
+
+// Parameterized by the entry name, as CompileAll and InferAll are: gtest
+// names a corpus::Entry parameter by a byte dump that starts with string
+// addresses, which reached this test's nfq name within the 100 characters
+// ctest lists. PrinterIsReparseFixpoint's names end before any address.
+class RoundTripShape : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(RoundTripShape, ReparsePreservesShape) {
   DiagEngine d1, d2;
-  Program p1 = parse_and_check(GetParam().source, d1);
+  Program p1 = parse_and_check(corpus::get(GetParam()).source, d1);
   Program p2 = parse_and_check(print_program(p1), d2);
   ASSERT_FALSE(d2.has_errors()) << d2.dump();
   EXPECT_EQ(p1.num_procs(), p2.num_procs());
@@ -322,11 +337,15 @@ TEST_P(RoundTrip, ReparsePreservesShape) {
   EXPECT_EQ(p1.threadlocals().size(), p2.threadlocals().size());
 }
 
-INSTANTIATE_TEST_SUITE_P(Corpus, RoundTrip,
-                         ::testing::ValuesIn(corpus::all()),
-                         [](const auto& info) {
-                           return std::string(info.param.name);
-                         });
+std::vector<std::string> corpus_names() {
+  std::vector<std::string> out;
+  for (const corpus::Entry& e : corpus::all()) out.emplace_back(e.name);
+  return out;
+}
+
+INSTANTIATE_TEST_SUITE_P(Corpus, RoundTripShape,
+                         ::testing::ValuesIn(corpus_names()),
+                         [](const auto& info) { return info.param; });
 
 }  // namespace
 }  // namespace synat::synl

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace synat {
@@ -124,6 +125,32 @@ TEST(ThreadPool, ParallelForRethrowsTheLowestFailingIndex) {
       EXPECT_GE(ran.load(), 8);
     }
   }
+}
+
+// One pool per worker count, shared by the whole process: two threads
+// calling parallel_for on it at once each see every index of every call
+// run exactly once, and nothing touches a call's body after it returns
+// (each call's counters die with it).
+TEST(ThreadPool, SharedPoolRunsConcurrentCallsEachIndexOnce) {
+  ThreadPool& pool = ThreadPool::shared(3);
+  EXPECT_EQ(&pool, &ThreadPool::shared(3));
+  EXPECT_EQ(pool.num_threads(), 3u);
+  EXPECT_EQ(ThreadPool::shared(0).num_threads(), 0u);
+  constexpr size_t kN = 500;
+  constexpr int kCalls = 20;
+  std::atomic<int> wrong{0};
+  auto caller = [&] {
+    for (int c = 0; c < kCalls; ++c) {
+      std::vector<std::atomic<int>> runs(kN);
+      pool.parallel_for(kN, [&runs](size_t i) { runs[i].fetch_add(1); });
+      for (size_t i = 0; i < kN; ++i)
+        if (runs[i].load() != 1) wrong.fetch_add(1);
+    }
+  };
+  std::thread other(caller);
+  caller();
+  other.join();
+  EXPECT_EQ(wrong.load(), 0);
 }
 
 }  // namespace

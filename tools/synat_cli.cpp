@@ -78,6 +78,7 @@
 // event log) that could not be written whole. When several apply the highest-
 // severity code wins — the precedence order (0 < 1 < 2 < 3 < 4) is
 // implemented once, in driver::combine_exit_codes.
+#include <cerrno>
 #include <cstdarg>
 #include <cstdlib>
 #include <cstdio>
@@ -194,21 +195,43 @@ bool write_output(const std::string& path, const std::string& doc) {
   return false;
 }
 
+bool is_digit(char c) { return c >= '0' && c <= '9'; }
+
 /// Reads the value of a numeric flag into `out`: a decimal number in
 /// [lo, hi], where `hi` is at most what `T` holds. Anything else, a
-/// missing value included, prints "<flag> expects <noun>, got '<value>'"
-/// and returns false, and the caller exits kExitUsage.
+/// missing value, a sign and a number beyond uint64_t included, prints
+/// "<flag> expects <noun>, got '<value>'" and returns false, and the
+/// caller exits kExitUsage. (strtoull alone takes "-1" as 2^64 - 1.)
 template <typename T>
 bool parse_number(const char* flag, const char* noun, const char* value,
                   T& out, uint64_t hi = std::numeric_limits<T>::max(),
                   uint64_t lo = 0) {
   char* end = nullptr;
-  const unsigned long long n = std::strtoull(value, &end, 10);
-  if (end == value || *end != '\0' || n < lo || n > hi) {
+  errno = 0;
+  const unsigned long long n =
+      is_digit(value[0]) ? std::strtoull(value, &end, 10) : 0;
+  if (end == nullptr || *end != '\0' || errno == ERANGE || n < lo ||
+      n > hi) {
     std::fprintf(stderr, "%s expects %s, got '%s'\n", flag, noun, value);
     return false;
   }
   out = static_cast<T>(n);
+  return true;
+}
+
+/// parse_number's signed form: a decimal int64_t, '-' allowed.
+bool parse_signed(const char* flag, const char* noun, const char* value,
+                  int64_t& out) {
+  char* end = nullptr;
+  errno = 0;
+  const long long n = is_digit(value[value[0] == '-' ? 1 : 0])
+                          ? std::strtoll(value, &end, 10)
+                          : 0;
+  if (end == nullptr || *end != '\0' || errno == ERANGE) {
+    std::fprintf(stderr, "%s expects %s, got '%s'\n", flag, noun, value);
+    return false;
+  }
+  out = n;
   return true;
 }
 
@@ -575,8 +598,13 @@ int cmd_mc(const std::string& spec, int argc, char** argv) {
       mc::ThreadPlan plan;
       size_t colon = s.find(':');
       plan.proc = s.substr(0, colon == std::string::npos ? s.size() : colon);
-      if (colon != std::string::npos)
-        plan.args.push_back(mc::Value::of_int(std::atoll(s.c_str() + colon + 1)));
+      if (colon != std::string::npos) {
+        int64_t arg = 0;
+        if (!parse_signed("--run", "an integer argument after ':'",
+                          s.c_str() + colon + 1, arg))
+          return kExitUsage;
+        plan.args.push_back(mc::Value::of_int(arg));
+      }
       run.threads.push_back(std::move(plan));
     } else if (a == "--init") {
       run.global_init = next();
