@@ -4,7 +4,7 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "synat/cfg/cfg.h"
@@ -60,6 +60,8 @@ struct AliasKey {
   Kind kind = Any;
   uint32_t id = 0;
   uint32_t holder = kIndefinite;
+
+  bool operator==(const AliasKey&) const = default;
 };
 
 AliasKey alias_key(const Program& prog, const AccessPath& path);
@@ -73,10 +75,19 @@ AliasKey alias_key(const Program& prog, const AccessPath& path);
 /// may_alias(a, b) implies a query for a visits b, so callers still filter
 /// with may_alias, and a scan over the candidates sees the aliasing items
 /// in the same order as a scan over every item.
+///
+/// add() only records each item's key; finish() lays the items out by
+/// bucket in a few flat arrays, and queries read that layout, so call it
+/// once after the last add and before the first query.
 class AliasIndex {
  public:
+  /// Room for `items` adds without growing.
+  void reserve(size_t items);
   /// Appends item number size().
   void add(const Program& prog, const AccessPath& path);
+  /// Groups the added items by bucket, and the field items by field alone
+  /// (what an indefinite holder reads).
+  void finish();
   size_t size() const { return size_; }
 
   /// Calls fn(item) for every candidate of `path`, in ascending order,
@@ -90,47 +101,61 @@ class AliasIndex {
         if (!fn(i)) return;
       return;
     }
-    const List* a = nullptr;
-    const List* b = nullptr;
-    switch (k.kind) {
-      case AliasKey::Var:
-        a = find(vars_, k.id);
-        break;
-      case AliasKey::Elem:
-        a = &elems_;
-        break;
-      case AliasKey::Field:
-        if (k.holder == AliasKey::kIndefinite) {
-          a = find(field_all_, k.id);
-        } else {
-          a = find(fields_, pack(k.id, k.holder));
-          b = find(fields_, pack(k.id, AliasKey::kIndefinite));
-        }
-        break;
-      case AliasKey::Any:
-        break;
+    List a, b;
+    if (k.kind == AliasKey::Field && k.holder == AliasKey::kIndefinite) {
+      a = by_field_.find(k.id);
+    } else {
+      a = by_key_.find(k);
+      if (k.kind == AliasKey::Field)
+        b = by_key_.find({AliasKey::Field, k.id, AliasKey::kIndefinite});
     }
-    merge(a, b, &any_, fn);
+    merge(a, b, by_key_.find(AliasKey{}), fn);
   }
 
  private:
-  using List = std::vector<uint32_t>;
+  using List = std::span<const uint32_t>;
 
-  static uint64_t pack(uint32_t field, uint32_t holder) {
-    return (static_cast<uint64_t>(field) << 32) | holder;
+  /// Items grouped by a key: bucket `b` of `keys[b]` lists items[begin[b],
+  /// begin[b + 1]), ascending. `slots` finds a key's bucket in constant
+  /// time: an open-addressing table of bucket + 1 (0 is empty) whose size
+  /// is a power of two, at least twice the number of items.
+  template <class Key>
+  struct Buckets {
+    std::vector<Key> keys;  ///< in the order their first items were added
+    std::vector<uint32_t> begin;
+    std::vector<uint32_t> items;
+    std::vector<uint32_t> slots;
+
+    /// The slot that holds `k`, or the empty slot where it would go.
+    size_t probe(const Key& k) const {
+      const size_t mask = slots.size() - 1;
+      size_t s = slot_of(k) & mask;
+      while (slots[s] != 0 && keys[slots[s] - 1] != k) s = (s + 1) & mask;
+      return s;
+    }
+    List find(const Key& k) const {
+      if (slots.empty()) return {};
+      const uint32_t b = slots[probe(k)];
+      if (b == 0) return {};
+      return List(items).subspan(begin[b - 1], begin[b] - begin[b - 1]);
+    }
+  };
+
+  /// Lays out `out` from the added items whose `key_of` is set.
+  template <class Key, class KeyOf>
+  void lay_out(KeyOf key_of, Buckets<Key>& out) const;
+  /// Where a key's probe sequence starts (Fibonacci hashing).
+  static size_t slot_of(const AliasKey& k) {
+    return slot_of((static_cast<uint64_t>(k.kind) << 62) ^
+                   (static_cast<uint64_t>(k.id) << 32) ^ k.holder);
   }
-  template <class Map, class Key>
-  static const List* find(const Map& m, Key key) {
-    auto it = m.find(key);
-    return it == m.end() ? nullptr : &it->second;
+  static size_t slot_of(uint64_t k) {
+    return static_cast<size_t>((k * 0x9E3779B97F4A7C15ull) >> 32);
   }
+
   /// Visits the union of three ascending, disjoint lists in order.
   template <class Fn>
-  static void merge(const List* a, const List* b, const List* c, Fn& fn) {
-    static const List kNone;
-    const List& x = a != nullptr ? *a : kNone;
-    const List& y = b != nullptr ? *b : kNone;
-    const List& z = c != nullptr ? *c : kNone;
+  static void merge(List x, List y, List z, Fn& fn) {
     if (y.empty() && z.empty()) {
       for (uint32_t item : x)
         if (!fn(item)) return;
@@ -152,11 +177,9 @@ class AliasIndex {
   }
 
   uint32_t size_ = 0;
-  List any_;
-  List elems_;
-  std::unordered_map<uint32_t, List> vars_;        ///< by VarId
-  std::unordered_map<uint64_t, List> fields_;      ///< by (field, holder)
-  std::unordered_map<uint32_t, List> field_all_;   ///< by field, any holder
+  std::vector<AliasKey> added_;  ///< item -> its bucket, until finish()
+  Buckets<AliasKey> by_key_;     ///< every bucket, the wildcard's included
+  Buckets<uint32_t> by_field_;   ///< field items by field, any holder
 };
 
 /// Sets `out` to the successor events of an SC/CAS event `e` that are

@@ -1,6 +1,7 @@
 #include "synat/analysis/expr_util.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "synat/cfg/cfg.h"
 
@@ -231,24 +232,62 @@ AliasKey alias_key(const Program& prog, const AccessPath& path) {
   return k;
 }
 
+void AliasIndex::reserve(size_t items) { added_.reserve(items); }
+
 void AliasIndex::add(const Program& prog, const AccessPath& path) {
-  const uint32_t item = size_++;
-  const AliasKey k = alias_key(prog, path);
-  switch (k.kind) {
-    case AliasKey::Any:
-      any_.push_back(item);
-      break;
-    case AliasKey::Var:
-      vars_[k.id].push_back(item);
-      break;
-    case AliasKey::Elem:
-      elems_.push_back(item);
-      break;
-    case AliasKey::Field:
-      fields_[pack(k.id, k.holder)].push_back(item);
-      field_all_[k.id].push_back(item);
-      break;
+  added_.push_back(alias_key(prog, path));
+  ++size_;
+}
+
+/// Two passes over the added items, each finding an item's bucket through
+/// the slot table: the first numbers the buckets and counts their items,
+/// the second fills each bucket in item order, so it lists its items
+/// ascending. Each array is allocated once.
+template <class Key, class KeyOf>
+void AliasIndex::lay_out(KeyOf key_of, Buckets<Key>& out) const {
+  size_t keyed = 0;
+  for (const AliasKey& k : added_)
+    if (key_of(k)) ++keyed;
+  if (keyed == 0) return;
+  size_t slots = 1;
+  while (slots < 2 * keyed) slots *= 2;
+  out.slots.assign(slots, 0);
+  out.keys.reserve(keyed);
+  out.begin.reserve(keyed + 1);
+  out.begin.push_back(0);
+  // Bucket b's count goes to begin[b + 1], then the sums make begin[b]
+  // its start.
+  for (const AliasKey& k : added_) {
+    auto key = key_of(k);
+    if (!key) continue;
+    const size_t s = out.probe(*key);
+    if (out.slots[s] == 0) {
+      out.keys.push_back(*key);
+      out.begin.push_back(0);
+      out.slots[s] = static_cast<uint32_t>(out.keys.size());
+    }
+    ++out.begin[out.slots[s]];
   }
+  for (size_t b = 1; b < out.begin.size(); ++b) out.begin[b] += out.begin[b - 1];
+  // `begin` doubles as each bucket's fill cursor, then shifts back.
+  out.items.resize(keyed);
+  for (uint32_t item = 0; item < added_.size(); ++item)
+    if (auto key = key_of(added_[item]))
+      out.items[out.begin[out.slots[out.probe(*key)] - 1]++] = item;
+  for (size_t b = out.keys.size(); b > 0; --b) out.begin[b] = out.begin[b - 1];
+  out.begin[0] = 0;
+}
+
+void AliasIndex::finish() {
+  lay_out([](const AliasKey& k) { return std::optional<AliasKey>(k); },
+          by_key_);
+  lay_out(
+      [](const AliasKey& k) {
+        return k.kind == AliasKey::Field ? std::optional<uint32_t>(k.id)
+                                         : std::nullopt;
+      },
+      by_field_);
+  added_ = {};
 }
 
 }  // namespace synat::analysis

@@ -35,6 +35,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "synat/analysis/proc_analysis.h"
@@ -212,6 +213,10 @@ struct ProgramFingerprint {
 /// body plus its statement source layout (reports render line numbers, so
 /// layout is part of the result's identity).
 uint64_t content_fingerprint(const synl::Program& prog, synl::ProcId proc);
+/// The same from the procedure's printed text (print_proc's, such as a
+/// slice of synl::ProgramText), so a printed program serves every one.
+uint64_t content_fingerprint(const synl::Program& prog, synl::ProcId proc,
+                             std::string_view printed);
 
 /// Computes the fingerprint without running steps 1-7 (it pays variant
 /// generation, the per-variant contexts and the alias index, but

@@ -425,6 +425,16 @@ void InferEngine::build_regions(VariantCtx& ctx) const {
 
 void InferEngine::build_index(Work& work) {
   obs::SpanScope span(obs::StageId::Contexts);
+  // Upper bounds, so each list below is allocated once.
+  size_t events = 0, regions = 0;
+  for (const VariantCtx& w : vctx_) {
+    events += w.pa->cfg().num_nodes();
+    regions += w.regions.size();
+  }
+  actions_.reserve(events);
+  action_index_.reserve(events);
+  llsc_blocks_.reserve(regions);
+  llsc_index_.reserve(regions);
   for (uint32_t c = 0; c < vctx_.size(); ++c) {
     const VariantCtx& w = vctx_[c];
     const cfg::Cfg& cfg = w.pa->cfg();
@@ -443,6 +453,8 @@ void InferEngine::build_index(Work& work) {
       llsc_index_.add(prog_, w.regions[r].svar);
     }
   }
+  action_index_.finish();
+  llsc_index_.finish();
   if (!opts_.use_local_conditions) return;
   for (VariantCtx& w : vctx_) {
     for (Region& r : w.regions) {
@@ -1456,9 +1468,14 @@ uint64_t InferEngine::fingerprint() const {
 }
 
 uint64_t content_fingerprint(const Program& prog, ProcId proc) {
+  return content_fingerprint(prog, proc, synl::print_proc(prog, proc));
+}
+
+uint64_t content_fingerprint(const Program& prog, ProcId proc,
+                             std::string_view printed) {
   const synl::ProcInfo& pi = prog.proc(proc);
   Hasher h;
-  h.mix(synl::print_proc(prog, proc));
+  h.mix(printed);
   h.mix(static_cast<uint64_t>(pi.loc.line));
   h.mix(static_cast<uint64_t>(pi.loc.column));
   mix_stmt_locs(h, prog, pi.body);
@@ -1471,13 +1488,15 @@ ProgramFingerprint fingerprint_program(const Program& prog,
   const size_t n = prog.num_procs();
 
   // Per-procedure content from the caller's program, so original source
-  // locations are captured.
+  // locations are captured; one print serves it and the reparse.
+  synl::ProgramText text;
+  synl::print_program(prog, text);
   fp.content.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     ProcId pid(static_cast<uint32_t>(i));
     const synl::ProcInfo& pi = prog.proc(pid);
     if (pi.broken || pi.variant_of.valid()) return fp;  // incomplete
-    fp.content.push_back(content_fingerprint(prog, pid));
+    fp.content.push_back(content_fingerprint(prog, pid, text.proc(i)));
   }
 
   // Interference universe, built on a private reparse: variant generation
@@ -1486,7 +1505,7 @@ ProgramFingerprint fingerprint_program(const Program& prog,
   // is semantically identical to `prog` up to source locations — which the
   // signature never reads.
   DiagEngine diags;
-  synl::FrontEnd fe = synl::parse_and_recover(synl::print_program(prog), diags);
+  synl::FrontEnd fe = synl::parse_and_recover(text.text, diags);
   if (diags.has_errors() || !fe.contained || fe.prog.num_procs() != n)
     return fp;
   InferOptions fopts = opts;

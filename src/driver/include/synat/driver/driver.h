@@ -8,7 +8,10 @@
 //
 // Concurrency model: one parallel_for index per program, taken by the
 // calling thread or by a pool worker; a lone program runs on the caller.
-// The program's thread parses its own Program (no AST is shared between
+// Programs are handed out largest first (by source size, ties in input
+// order), so the longest analyses start at once and the threads finish
+// together; each keeps its input index, so only the order of trace spans
+// shows the dispatch order. The program's thread parses its own Program (no AST is shared between
 // programs: variant generation appends to the Program it analyzes), builds
 // the program's conflict universe once, takes every procedure's cache
 // address from that universe, classifies only the cache misses against it,
@@ -17,7 +20,8 @@
 // universe's analyses and contexts, and the classification and rendering
 // of the misses, each landing by index. Output assembly is index-addressed
 // throughout, which makes the rendered documents byte-identical for any
-// --jobs value. Completion is tracked per run() call, so several threads
+// --jobs value; to_json renders the procedure objects on the same pool
+// (report.h). Completion is tracked per run() call, so several threads
 // may run batches at once and share the pool.
 //
 // Timing has one clock: parse, analyze and report are obs spans (DESIGN.md

@@ -7,6 +7,12 @@
 // never by pointer or hash order, so documents are byte-stable across
 // --jobs settings. Durations are not part of the model: the `--timings`
 // block renders the obs stage histograms carried in Metrics::telemetry.
+//
+// to_json renders the procedure objects, most of the document, on the
+// run's pool (ThreadPool::shared(metrics.jobs - 1)) and its caller, each
+// thread into a writer of its own, then splices them in document order.
+// With no workers (--jobs 1, serve) it writes them straight into the
+// document. SARIF and text render serially.
 #pragma once
 
 #include <array>
@@ -118,6 +124,7 @@ struct Metrics {
   size_t cache_hits = 0;      ///< this run's own cache lookups that hit
   size_t cache_misses = 0;    ///< ... and missed (procedures re-analyzed)
   size_t cache_rejected = 0;  ///< corrupt/stale snapshot entries skipped
+  /// Threads of the run; to_json renders on the same pool. Never rendered.
   size_t jobs = 0;
   /// Registry delta for this run (obs counters/gauges/histograms), filled
   /// by BatchDriver::run. The deterministic counters feed the report's
@@ -167,7 +174,8 @@ struct RenderOptions {
 /// across execution modes under the virtual clock.
 obs::Event program_event(const ProgramReport& pr);
 
-/// Deterministic renderers (pure functions of the report).
+/// Deterministic renderers (pure functions of the report: to_json's bytes
+/// do not depend on metrics.jobs, only where it renders).
 std::string to_json(const BatchReport& report, const RenderOptions& opts = {});
 std::string to_sarif(const BatchReport& report);
 std::string to_text(const BatchReport& report);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <exception>
 #include <memory>
+#include <numeric>
 #include <thread>
 
 #include "synat/atomicity/blocks.h"
@@ -124,6 +125,12 @@ std::shared_ptr<const ProcReport> make_degraded_report(std::string name,
   return report;
 }
 
+/// This thread's printed program. A program task prints into it and reads
+/// it until its cache keys are taken, and a thread runs one task at a time,
+/// so a thread that analyzes again reuses the capacity of the largest
+/// program it printed.
+thread_local synl::ProgramText printed_program;
+
 /// A report's `cache_key` field carries the whole-program identity key of
 /// the run being reported. A content-addressed hit can come from a run of a
 /// *different* program text, so the resident report is cloned to re-stamp
@@ -192,9 +199,12 @@ void BatchDriver::run_program_task(const ProgramInput& input, size_t index,
                       diag_reports(diags));
     return;
   }
+  // One print of the program: the whole text keys the run, and with a
+  // cache each procedure's slice of it feeds that procedure's address.
+  synl::ProgramText& text = printed_program;
+  synl::print_program(prog, text);
   const uint64_t opts_fp = options_fingerprint(input.opts);
-  const uint64_t program_fp =
-      Hasher().mix(synl::print_program(prog)).mix(opts_fp).value();
+  const uint64_t program_fp = Hasher().mix(text.text).mix(opts_fp).value();
   ProgramReport out;
   out.name = input.name;
   out.fingerprint = hex64(program_fp);
@@ -275,7 +285,8 @@ void BatchDriver::run_program_task(const ProgramInput& input, size_t index,
       const uint64_t addr =
           content_keys ? Hasher()
                              .mix(opts_fp)
-                             .mix(atomicity::content_fingerprint(prog, pid))
+                             .mix(atomicity::content_fingerprint(
+                                 prog, pid, text.proc(p)))
                              .mix(universe_fp)
                              .value()
                        : key;
@@ -377,6 +388,17 @@ BatchReport BatchDriver::run(const std::vector<ProgramInput>& inputs) {
                       {{"error", 0, 0, inputs[i].load_error}});
   }
 
+  // Largest program first, ties in input order: the longest analyses start
+  // at once instead of one of them starting late and finishing alone. Each
+  // program keeps its input index for its sink slot, wide event and worker
+  // lane, so only the dispatch order (and with it the order of trace
+  // spans) depends on the sizes.
+  std::vector<size_t> order(inputs.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return inputs[a].source.size() > inputs[b].source.size();
+  });
+
   CacheTally tally;
   if (opts_.isolate) {
     // Sandboxed one-shot workers (DESIGN.md §3d), forked from this thread;
@@ -392,7 +414,7 @@ BatchReport BatchDriver::run(const std::vector<ProgramInput>& inputs) {
         obs::registry().counter("synat_worker_crashes_total");
     std::vector<const ProgramInput*> pending;
     std::vector<size_t> index_of;
-    for (size_t i = 0; i < inputs.size(); ++i) {
+    for (size_t i : order) {
       if (!inputs[i].load_error.empty()) continue;
       pending.push_back(&inputs[i]);
       index_of.push_back(i);
@@ -422,7 +444,8 @@ BatchReport BatchDriver::run(const std::vector<ProgramInput>& inputs) {
     // This thread takes programs beside the process's `jobs - 1` workers;
     // a lone program runs here, and its loops recruit the idle workers.
     ThreadPool& pool = ThreadPool::shared(jobs - 1);
-    pool.parallel_for(inputs.size(), [&](size_t i) {
+    pool.parallel_for(order.size(), [&](size_t k) {
+      const size_t i = order[k];
       if (!inputs[i].load_error.empty()) return;
       try {
         run_program_task(inputs[i], i, sink, tally, pool);

@@ -73,6 +73,26 @@ JsonWriter& JsonWriter::value(std::string_view v) {
   return *this;
 }
 
+JsonWriter& JsonWriter::nest(int depth) {
+  depth_ = depth;
+  has_item_.assign(static_cast<size_t>(depth) + 1, false);
+  after_key_ = true;  // no separator: the parent's writer splices one in
+  return *this;
+}
+
+JsonWriter& JsonWriter::splice(std::string_view rendered) {
+  comma_and_newline();
+  out_ += rendered;
+  return *this;
+}
+
+void JsonWriter::clear() {
+  out_.clear();
+  depth_ = 0;
+  has_item_.assign(1, false);
+  after_key_ = false;
+}
+
 JsonWriter& JsonWriter::value(bool v) {
   comma_and_newline();
   out_ += v ? "true" : "false";

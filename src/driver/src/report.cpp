@@ -1,9 +1,14 @@
 #include "synat/driver/report.h"
 
 #include <algorithm>
+#include <atomic>
+#include <memory>
+#include <mutex>
+#include <optional>
 
 #include "synat/driver/json.h"
 #include "synat/support/hash.h"
+#include "synat/support/thread_pool.h"
 
 namespace synat::driver {
 
@@ -256,10 +261,162 @@ void emit_prov(JsonWriter& w, const std::vector<obs::ProvenanceRecord>& recs) {
   w.end_array();
 }
 
+/// One object of a program's "procedures" array.
+void emit_proc(JsonWriter& w, const ProcReport& p, const RenderOptions& opts) {
+  w.begin_object();
+  w.key("name").value(p.name);
+  w.key("line").value(p.line);
+  w.key("atomic").value(p.atomic);
+  w.key("atomicity").value(p.atomicity);
+  w.key("no_variants").value(p.no_variants);
+  w.key("bailed_out").value(p.bailed_out);
+  if (p.degraded) {
+    w.key("degraded").value(true);
+    w.key("degrade_kind").value(p.degrade_kind);
+    w.key("degrade_reason").value(p.degrade_reason);
+  }
+  w.key("cache_key").value(hex64(p.key));
+  if (opts.provenance) emit_prov(w, p.prov);
+  w.key("variants").begin_array();
+  for (const VariantReport& v : p.variants) {
+    w.begin_object();
+    w.key("tag").value(v.tag);
+    w.key("atomicity").value(v.atomicity);
+    if (opts.provenance) emit_prov(w, v.prov);
+    w.key("lines").begin_array();
+    for (const LineReport& l : v.lines) {
+      w.begin_object();
+      w.key("line").value(l.line);
+      w.key("atom").value(l.atom);
+      w.key("text").value(l.text);
+      w.end_object();
+    }
+    w.end_array();
+    w.key("blocks").begin_array();
+    for (const BlockReport& b : v.blocks) {
+      w.begin_object();
+      w.key("atomicity").value(b.atom);
+      w.key("units").value(b.units);
+      w.end_object();
+    }
+    w.end_array();
+    w.end_object();
+  }
+  w.end_array();
+  w.end_object();
+}
+
+/// Writers that render procedure objects off the document's thread. Each
+/// keeps its buffer's capacity from call to call, so a warm render neither
+/// allocates large blocks nor faults pages. A render takes one writer per
+/// thread that takes part and gives them back once the document holds
+/// their text, so two renders at once never share a writer.
+class FragmentWriters {
+ public:
+  static FragmentWriters& instance() {
+    // Leaked, as the pools are: a render still running at exit must not
+    // find it destroyed.
+    static auto* const writers = new FragmentWriters();
+    return *writers;
+  }
+  std::unique_ptr<JsonWriter> take() {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (free_.empty()) return std::make_unique<JsonWriter>();
+    std::unique_ptr<JsonWriter> w = std::move(free_.back());
+    free_.pop_back();
+    return w;
+  }
+  void give_back(std::vector<std::unique_ptr<JsonWriter>>& writers) {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (std::unique_ptr<JsonWriter>& w : writers) {
+      w->clear();
+      free_.push_back(std::move(w));
+    }
+    writers.clear();
+  }
+
+ private:
+  std::mutex mu_;
+  std::vector<std::unique_ptr<JsonWriter>> free_;
+};
+
+/// Where a procedure object sits: document › programs › program ›
+/// procedures › object.
+constexpr int kProcDepth = 4;
+
+/// Every procedure object of a report, in document order, rendered on a
+/// pool and its caller: each thread appends the objects it takes to a
+/// writer of its own, nested at kProcDepth, for the document to splice.
+class ProcFragments {
+ public:
+  ProcFragments(const BatchReport& report, const RenderOptions& opts,
+                ThreadPool& pool) {
+    std::vector<const ProcReport*> procs;
+    for (const ProgramReport& prog : report.programs)
+      for (const auto& p : prog.procs) procs.push_back(p.get());
+    pieces_.resize(procs.size());
+    static std::atomic<uint64_t> renders{0};
+    const uint64_t render = ++renders;
+    std::mutex mu;
+    pool.parallel_for(procs.size(), [&](size_t k) {
+      // This thread's writer for this render, taken at its first object.
+      thread_local uint64_t writer_render = 0;
+      thread_local JsonWriter* writer = nullptr;
+      if (writer_render != render) {
+        std::unique_ptr<JsonWriter> taken = FragmentWriters::instance().take();
+        writer = taken.get();
+        writer_render = render;
+        std::lock_guard<std::mutex> lock(mu);
+        writers_.push_back(std::move(taken));
+      }
+      Piece& piece = pieces_[k];
+      piece.writer = writer;
+      piece.begin = writer->size();
+      emit_proc(writer->nest(kProcDepth), *procs[k], opts);
+      piece.end = writer->size();
+    });
+  }
+  ~ProcFragments() { FragmentWriters::instance().give_back(writers_); }
+  ProcFragments(const ProcFragments&) = delete;
+  ProcFragments& operator=(const ProcFragments&) = delete;
+
+  /// The rendered objects' total size.
+  size_t bytes() const {
+    size_t n = 0;
+    for (const Piece& p : pieces_) n += p.end - p.begin;
+    return n;
+  }
+
+  std::string_view operator[](size_t k) const {
+    const Piece& p = pieces_[k];
+    return std::string_view(p.writer->str()).substr(p.begin, p.end - p.begin);
+  }
+
+ private:
+  struct Piece {
+    const JsonWriter* writer = nullptr;
+    size_t begin = 0, end = 0;
+  };
+  std::vector<std::unique_ptr<JsonWriter>> writers_;
+  std::vector<Piece> pieces_;
+};
+
 }  // namespace
 
 std::string to_json(const BatchReport& report, const RenderOptions& opts) {
+  // Procedure objects are most of the document. With workers in the run's
+  // pool, they are rendered there and spliced in order; without (--jobs 1,
+  // serve), straight into the document.
+  const size_t jobs = std::max<size_t>(report.metrics.jobs, 1);
+  ThreadPool& pool = ThreadPool::shared(static_cast<unsigned>(jobs - 1));
+  std::optional<ProcFragments> fragments;
+  size_t next = 0;
   JsonWriter w;
+  if (pool.num_threads() > 0) {
+    fragments.emplace(report, opts, pool);
+    // One block for the document: the objects and room for the rest.
+    w.reserve(fragments->bytes() + 16 * 1024);
+  }
   w.begin_object();
   w.key("schema").value("synat-batch-report");
   // v5 adds the optional "provenance" sections (RenderOptions::provenance);
@@ -285,47 +442,8 @@ std::string to_json(const BatchReport& report, const RenderOptions& opts) {
     }
     w.key("procedures").begin_array();
     for (const auto& p : prog.procs) {
-      w.begin_object();
-      w.key("name").value(p->name);
-      w.key("line").value(p->line);
-      w.key("atomic").value(p->atomic);
-      w.key("atomicity").value(p->atomicity);
-      w.key("no_variants").value(p->no_variants);
-      w.key("bailed_out").value(p->bailed_out);
-      if (p->degraded) {
-        w.key("degraded").value(true);
-        w.key("degrade_kind").value(p->degrade_kind);
-        w.key("degrade_reason").value(p->degrade_reason);
-      }
-      w.key("cache_key").value(hex64(p->key));
-      if (opts.provenance) emit_prov(w, p->prov);
-      w.key("variants").begin_array();
-      for (const VariantReport& v : p->variants) {
-        w.begin_object();
-        w.key("tag").value(v.tag);
-        w.key("atomicity").value(v.atomicity);
-        if (opts.provenance) emit_prov(w, v.prov);
-        w.key("lines").begin_array();
-        for (const LineReport& l : v.lines) {
-          w.begin_object();
-          w.key("line").value(l.line);
-          w.key("atom").value(l.atom);
-          w.key("text").value(l.text);
-          w.end_object();
-        }
-        w.end_array();
-        w.key("blocks").begin_array();
-        for (const BlockReport& b : v.blocks) {
-          w.begin_object();
-          w.key("atomicity").value(b.atom);
-          w.key("units").value(b.units);
-          w.end_object();
-        }
-        w.end_array();
-        w.end_object();
-      }
-      w.end_array();
-      w.end_object();
+      if (fragments) w.splice((*fragments)[next++]);
+      else emit_proc(w, *p, opts);
     }
     w.end_array();
     w.end_object();

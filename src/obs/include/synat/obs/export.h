@@ -20,10 +20,13 @@ namespace synat::obs {
 /// span tids to trace tids; process_name/thread_sort_index metadata events
 /// label the lanes from `lanes`. Timestamps are re-based to the earliest
 /// span start, so two runs with identical relative timing render
-/// identically regardless of absolute clock values.
+/// identically regardless of absolute clock values. `spans_dropped` (the
+/// exporting run passes Tracer::dropped()) goes to the document's
+/// "otherData", so a trace whose rings wrapped says it is incomplete.
 std::string to_chrome_trace(
     const std::vector<SpanRecord>& spans,
-    const std::vector<std::pair<uint32_t, std::string>>& lanes);
+    const std::vector<std::pair<uint32_t, std::string>>& lanes,
+    uint64_t spans_dropped = 0);
 
 /// Renders a snapshot in Prometheus text exposition format. Counters gain
 /// a "_total" suffix if missing; nondeterministic counters carry

@@ -67,7 +67,8 @@ void append_seconds(std::string& out, uint64_t ns) {
 
 std::string to_chrome_trace(
     const std::vector<SpanRecord>& spans,
-    const std::vector<std::pair<uint32_t, std::string>>& lanes) {
+    const std::vector<std::pair<uint32_t, std::string>>& lanes,
+    uint64_t spans_dropped) {
   uint64_t base = UINT64_MAX;
   for (const auto& s : spans) base = std::min(base, s.start_ns);
   if (base == UINT64_MAX) base = 0;
@@ -109,7 +110,9 @@ std::string to_chrome_trace(
     append_us(out, s.dur_ns);
     out += '}';
   }
-  out += "],\"displayTimeUnit\":\"ms\"}\n";
+  out += "],\"displayTimeUnit\":\"ms\",\"otherData\":{\"spans_dropped\":";
+  append_u64(out, spans_dropped);
+  out += "}}\n";
   return out;
 }
 

@@ -245,7 +245,8 @@ int Server::serve() {
   if (!opts_.trace_out.empty()) {
     std::vector<obs::SpanRecord> spans = obs::Tracer::instance().drain();
     std::string trace =
-        obs::to_chrome_trace(spans, obs::Tracer::instance().lane_names());
+        obs::to_chrome_trace(spans, obs::Tracer::instance().lane_names(),
+                             obs::Tracer::instance().dropped());
     std::string werr;
     if (!obs::write_file(opts_.trace_out, trace, &werr))
       std::fprintf(stderr, "synat serve: warning: %s\n", werr.c_str());

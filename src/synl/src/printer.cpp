@@ -299,8 +299,12 @@ std::string print_proc(const Program& prog, ProcId id, const PrintOptions& opts)
   return out;
 }
 
-std::string print_program(const Program& prog, const PrintOptions& opts) {
-  std::string out;
+namespace {
+
+/// Appends print_program's text to `out`; `proc_begin`, when given, gets
+/// the offset of each procedure's text.
+void append_program(const Program& prog, const PrintOptions& opts,
+                    std::string& out, std::vector<size_t>* proc_begin) {
   for (size_t i = 0; i < prog.num_classes(); ++i) {
     const ClassInfo& c = prog.cls(ClassId(static_cast<uint32_t>(i)));
     if (!c.defined) continue;  // forward-reference stub
@@ -332,9 +336,24 @@ std::string print_program(const Program& prog, const PrintOptions& opts) {
   }
   for (size_t i = 0; i < prog.num_procs(); ++i) {
     out += '\n';
+    if (proc_begin != nullptr) proc_begin->push_back(out.size());
     append_proc(prog, ProcId(static_cast<uint32_t>(i)), opts, out);
   }
+}
+
+}  // namespace
+
+std::string print_program(const Program& prog, const PrintOptions& opts) {
+  std::string out;
+  append_program(prog, opts, out, nullptr);
   return out;
+}
+
+void print_program(const Program& prog, ProgramText& out,
+                   const PrintOptions& opts) {
+  out.text.clear();
+  out.proc_begin.clear();
+  append_program(prog, opts, out.text, &out.proc_begin);
 }
 
 std::string stmt_head(const Program& prog, StmtId id) {

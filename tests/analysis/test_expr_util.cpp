@@ -212,6 +212,7 @@ void expect_index_contract(const Program& prog,
                            const std::string& where) {
   AliasIndex index;
   for (const AccessPath& p : paths) index.add(prog, p);
+  index.finish();
   ASSERT_EQ(index.size(), paths.size());
   for (size_t a = 0; a < paths.size(); ++a) {
     std::vector<bool> handed = handed_out(prog, index, paths[a]);
@@ -317,6 +318,7 @@ TEST(AliasIndex, WildcardAndIndefiniteHoldersReachEveryField) {
   // Holder classes separate a.v from b.v: a's query skips b's bucket.
   AliasIndex index;
   for (const AccessPath& p : paths) index.add(f.prog, p);
+  index.finish();
   std::vector<bool> handed = handed_out(f.prog, index, paths[0]);
   EXPECT_FALSE(handed[1]);
   EXPECT_TRUE(handed[2] && handed[3] && handed[4]);  // indefinite, wildcard

@@ -4,18 +4,24 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
 #include <thread>
 
 #include "gen.h"
+#include "synat/atomicity/infer.h"
 #include "synat/corpus/corpus.h"
 #include "synat/obs/events.h"
 #include "synat/obs/obs.h"
 #include "synat/obs/trace.h"
+#include "synat/support/hash.h"
+#include "synat/synl/parser.h"
+#include "synat/synl/printer.h"
 
 namespace synat::driver {
 namespace {
@@ -663,6 +669,160 @@ TEST(BatchDriver, DegradedBatchAnalyzesHealthySubsetIdentically) {
   EXPECT_NE(json.find("\"kind\": \"max-variants\""), std::string::npos);
   EXPECT_NE(json.find("\"kind\": \"cache\""), std::string::npos);
   std::remove(path.c_str());
+}
+
+// --- Largest program first, procedures rendered on the pool ----------------
+
+std::vector<ProgramInput> example_inputs() {
+  std::vector<std::filesystem::path> files;
+  for (const auto& f : std::filesystem::directory_iterator(SYNAT_EXAMPLES_DIR))
+    if (f.path().extension() == ".synl") files.push_back(f.path());
+  std::sort(files.begin(), files.end());
+  std::vector<ProgramInput> inputs;
+  for (const std::filesystem::path& f : files) {
+    std::ifstream in(f);
+    std::stringstream ss;
+    ss << in.rdbuf();
+    ProgramInput p;
+    p.name = f.filename().string();
+    p.source = ss.str();
+    inputs.push_back(std::move(p));
+  }
+  EXPECT_FALSE(inputs.empty());
+  return inputs;
+}
+
+/// Renders `r` as the report of a run at 1, 4 and 8 jobs. At 4 and 8 the
+/// procedure objects are rendered on the pool and spliced in, at 1
+/// straight into the document; the bytes must not differ.
+void expect_same_json_at_every_jobs(BatchReport r, const RenderOptions& ropts,
+                                    const std::string& what) {
+  r.metrics.jobs = 1;
+  const std::string serial = to_json(r, ropts);
+  for (size_t jobs : {size_t{4}, size_t{8}}) {
+    r.metrics.jobs = jobs;
+    EXPECT_EQ(to_json(r, ropts), serial) << what << ", rendered at jobs "
+                                         << jobs;
+  }
+}
+
+TEST(BatchDriver, JsonRenderedOnThePoolIsTheSerialDocument) {
+  auto input = [](std::string name, std::string source) {
+    ProgramInput in;
+    in.name = std::move(name);
+    in.source = std::move(source);
+    return in;
+  };
+  ProgramInput missing = input("missing.synl", "");
+  missing.load_error = "cannot open input 'missing.synl'";
+  const std::vector<ProgramInput> odd = {
+      input("mixed.synl", kMixedSource),  // a procedure degraded by parse
+      nfq_prime_input(/*max_variants=*/1),  // one degraded by its budget
+      input("broken.synl", "proc P( {"),    // a parse error
+      missing,                              // a load error
+      input("empty.synl", "global int X;\n"),  // no procedure
+  };
+  const std::pair<std::string, std::vector<ProgramInput>> batches[] = {
+      {"corpus", corpus_inputs()},
+      {"examples", example_inputs()},
+      {"odd programs", odd},
+      {"gen:640", {generated_input(640)}},
+  };
+  obs::set_flags(obs::kMetricsFlag);  // --timings renders samples
+  for (const auto& [name, base] : batches) {
+    for (bool provenance : {false, true}) {
+      std::vector<ProgramInput> inputs = base;
+      for (ProgramInput& in : inputs) in.opts.provenance = provenance;
+      const BatchReport r = BatchDriver(DriverOptions{}).run(inputs);
+      RenderOptions ropts;
+      ropts.provenance = provenance;
+      expect_same_json_at_every_jobs(r, ropts,
+                                     name + (provenance ? ", provenance" : ""));
+      if (provenance) continue;
+      ropts.counters = true;
+      expect_same_json_at_every_jobs(r, ropts, name + ", counters");
+      ropts.counters = false;
+      ropts.timings = true;
+      expect_same_json_at_every_jobs(r, ropts, name + ", timings");
+    }
+  }
+  obs::set_flags(0);
+}
+
+// Programs start largest first, ties in input order, at every job count;
+// the report keeps input order. At --jobs 1 the start order shows only in
+// the trace: each program's parse span is followed by one report span per
+// procedure, and the five-procedure program is parsed first.
+TEST(BatchDriver, LargestProgramStartsFirst) {
+  auto program = [](std::string name, int procs) {
+    ProgramInput in;
+    in.name = std::move(name);
+    in.source = "global int X;\n";
+    for (int p = 0; p < procs; ++p)
+      in.source += "proc P" + std::to_string(p) + "() { X := X + 1; }\n";
+    return in;
+  };
+  const std::vector<ProgramInput> inputs = {
+      program("small", 1), program("large", 5), program("medium", 2)};
+  obs::Tracer::instance().drain();
+  obs::set_flags(obs::kTraceFlag);
+  const BatchReport r = BatchDriver(DriverOptions{}).run(inputs);
+  obs::set_flags(0);
+  std::vector<size_t> reports_after_parse;
+  for (const obs::SpanRecord& s : obs::Tracer::instance().drain()) {
+    if (s.stage == static_cast<uint32_t>(obs::StageId::Parse))
+      reports_after_parse.push_back(0);
+    else if (s.stage == static_cast<uint32_t>(obs::StageId::Report) &&
+             !reports_after_parse.empty())
+      ++reports_after_parse.back();
+  }
+  EXPECT_EQ(reports_after_parse, (std::vector<size_t>{5, 2, 1}));
+  ASSERT_EQ(r.programs.size(), 3u);
+  EXPECT_EQ(r.programs[0].name, "small");
+  EXPECT_EQ(r.programs[1].name, "large");
+  EXPECT_EQ(r.programs[2].name, "medium");
+  EXPECT_EQ(r.programs[1].procs.size(), 5u);
+}
+
+// The program is printed once: the report's fingerprint and, with a cache,
+// each procedure's content address are the hashes of the separate prints
+// they were taken from before (print_program for the program, print_proc
+// for each procedure).
+TEST(BatchDriver, OnePrintGivesTheSeparatePrintsHashes) {
+  std::vector<ProgramInput> inputs = corpus_inputs();
+  for (ProgramInput& in : example_inputs()) inputs.push_back(std::move(in));
+  for (perfbench::AliasMode mode :
+       {perfbench::AliasMode::Disjoint, perfbench::AliasMode::Shared})
+    inputs.push_back(generated_input(160, mode));
+  for (const ProgramInput& in : inputs) {
+    DiagEngine diags;
+    synl::FrontEnd fe = synl::parse_and_recover(in.source, diags);
+    ASSERT_FALSE(diags.has_errors()) << in.name;
+    const synl::Program& prog = fe.prog;
+    const uint64_t opts_fp = options_fingerprint(in.opts);
+    ResultCache cache;
+    const BatchReport r = BatchDriver(DriverOptions{}, &cache).run({in});
+    ASSERT_EQ(r.programs.size(), 1u);
+    EXPECT_EQ(r.programs[0].fingerprint,
+              hex64(Hasher().mix(synl::print_program(prog)).mix(opts_fp).value()))
+        << in.name;
+    // The universe hash comes from a private copy: building a universe
+    // appends variants to the program it is given.
+    synl::FrontEnd copy = synl::parse_and_recover(in.source, diags);
+    const uint64_t universe_fp =
+        atomicity::ConflictUniverse(copy.prog, diags, in.opts).fingerprint();
+    for (size_t p = 0; p < prog.num_procs(); ++p) {
+      const synl::ProcId pid(static_cast<uint32_t>(p));
+      const uint64_t addr =
+          Hasher()
+              .mix(opts_fp)
+              .mix(atomicity::content_fingerprint(prog, pid))
+              .mix(universe_fp)
+              .value();
+      EXPECT_NE(cache.lookup(addr), nullptr)
+          << in.name << ": procedure " << p << " is not cached at its address";
+    }
+  }
 }
 
 }  // namespace

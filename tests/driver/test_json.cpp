@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string_view>
+#include <utility>
+#include <vector>
+
 #include "synat/obs/export.h"
 
 namespace synat::driver {
@@ -64,6 +68,36 @@ TEST(JsonWriter, EmptyArrayStaysOnOneLine) {
   w.key("xs").begin_array().end_array();
   w.end_object();
   EXPECT_EQ(std::move(w).str(), "{\n  \"xs\": []\n}");
+}
+
+// A value written by a nested writer and spliced in gives the bytes of the
+// value written in place: to_json renders procedure objects on the pool
+// that way.
+TEST(JsonWriter, SplicedValueEqualsTheValueWrittenInPlace) {
+  auto item = [](JsonWriter& w, int n) {
+    w.begin_object();
+    w.key("n").value(n);
+    w.key("xs").begin_array().value(true).end_array();
+    w.end_object();
+  };
+  JsonWriter direct;
+  direct.begin_object().key("items").begin_array();
+  for (int n = 0; n < 3; ++n) item(direct, n);
+  direct.end_array().end_object();
+
+  JsonWriter nested;
+  std::vector<std::pair<size_t, size_t>> pieces;
+  for (int n = 0; n < 3; ++n) {
+    const size_t begin = nested.size();
+    item(nested.nest(2), n);
+    pieces.emplace_back(begin, nested.size());
+  }
+  JsonWriter spliced;
+  spliced.begin_object().key("items").begin_array();
+  for (const auto& [begin, end] : pieces)
+    spliced.splice(std::string_view(nested.str()).substr(begin, end - begin));
+  spliced.end_array().end_object();
+  EXPECT_EQ(std::move(spliced).str(), std::move(direct).str());
 }
 
 }  // namespace

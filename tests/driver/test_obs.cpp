@@ -312,6 +312,26 @@ TEST_F(ObsTest, ChromeTraceIsInvariantUnderClockBaseShift) {
       << "timestamps must be re-based to the earliest span";
 }
 
+// A thread's ring keeps its newest kRingCapacity spans and counts the
+// ones it overwrites; the exported trace carries that count, so a trace
+// that lost spans says so.
+TEST_F(ObsTest, TruncatedTraceSaysSo) {
+  obs::Tracer& tracer = obs::Tracer::instance();
+  for (size_t i = 0; i < obs::Tracer::kRingCapacity + 10; ++i)
+    tracer.record(obs::StageId::Parse, 1000 * i, 500);
+  const std::vector<SpanRecord> spans = tracer.drain();
+  EXPECT_EQ(spans.size(), obs::Tracer::kRingCapacity);
+  const std::string json =
+      obs::to_chrome_trace(spans, tracer.lane_names(), tracer.dropped());
+  const std::string field = "\"otherData\":{\"spans_dropped\":";
+  const size_t at = json.find(field);
+  ASSERT_NE(at, std::string::npos) << json.substr(json.size() - 200);
+  EXPECT_GE(std::stoull(json.substr(at + field.size())), 10u);
+  // A complete trace reports none.
+  EXPECT_NE(obs::to_chrome_trace(sample_spans(0), {}).find(field + "0}"),
+            std::string::npos);
+}
+
 TEST_F(ObsTest, PrometheusExposesCountersGaugesHistograms) {
   MetricsSnapshot s;
   s.counters.push_back({"synat_cache_hits_total", 12, true});

@@ -412,7 +412,8 @@ int cmd_batch(int argc, char** argv) {
   if (!trace_out.empty()) {
     std::vector<obs::SpanRecord> spans = obs::Tracer::instance().drain();
     std::string trace =
-        obs::to_chrome_trace(spans, obs::Tracer::instance().lane_names());
+        obs::to_chrome_trace(spans, obs::Tracer::instance().lane_names(),
+                             obs::Tracer::instance().dropped());
     std::string err;
     if (!obs::write_file(trace_out, trace, &err)) {
       std::fprintf(stderr, "%s\n", err.c_str());

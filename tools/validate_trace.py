@@ -13,6 +13,9 @@ check it enforces the trace semantics the ISSUE pins down:
   * with --min-lanes N, at least N distinct pids (lanes) occur — the
     per-worker-lane check for --isolate runs.
 
+It prints otherData.spans_dropped: a nonzero figure means a thread's span
+ring wrapped and the trace lost its oldest spans.
+
 Usage: validate_trace.py TRACE.json [--schema SCHEMA.json]
            [--require-pipeline-stages] [--min-lanes N]
 """
@@ -95,15 +98,18 @@ def main():
         errors.append(f"expected >= {args.min_lanes} lanes, got {len(lanes)}: "
                       f"{sorted(lanes)}")
 
+    other = trace.get("otherData") if isinstance(trace, dict) else None
+    dropped = other.get("spans_dropped", 0) if isinstance(other, dict) else 0
     if errors:
         for e in errors[:50]:
             print(f"validate_trace: {e}", file=sys.stderr)
-        print(f"validate_trace: FAIL ({len(errors)} error(s)) {args.trace}",
-              file=sys.stderr)
+        print(f"validate_trace: FAIL ({len(errors)} error(s), "
+              f"{dropped} spans dropped) {args.trace}", file=sys.stderr)
         return 1
     print(f"validate_trace: OK {args.trace} "
           f"({len(spans)} spans, {len(lanes)} lane(s), "
-          f"{len(stages & PIPELINE_STAGES)}/{len(PIPELINE_STAGES)} pipeline stages)")
+          f"{len(stages & PIPELINE_STAGES)}/{len(PIPELINE_STAGES)} pipeline stages, "
+          f"{dropped} spans dropped)")
     return 0
 
 
