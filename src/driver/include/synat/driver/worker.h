@@ -2,7 +2,7 @@
 // sandboxed, one-shot worker processes, at most N at a time, from one poll
 // loop on the calling thread. `batch --isolate` hands it every pending
 // input; `serve --sandbox` hands it one input from a pool thread. What an
-// outcome means — report slots, counters, quarantine — stays with the
+// outcome means — report slots, counters, wide events — stays with the
 // caller.
 //
 // A worker is forked with its input and attempt already bound, and talks

@@ -460,11 +460,7 @@ BatchReport BatchDriver::run(const std::vector<ProgramInput>& inputs) {
   // rejected() is a lifetime counter and load() runs before run(), so the
   // absolute value (not a delta) is what this batch observed.
   counters.cache_rejected = cache_ != nullptr ? cache_->rejected() : 0;
-  static obs::Counter& span_drops =
-      obs::registry().counter("synat_trace_spans_dropped_total", false);
-  uint64_t dropped = obs::Tracer::instance().dropped();
-  uint64_t counted = span_drops.value();
-  if (dropped > counted) span_drops.inc(dropped - counted);
+  obs::Tracer::instance().count_dropped();
   counters.telemetry = obs::registry().snapshot().delta_from(telemetry_base);
   BatchReport out = sink.finish(counters, jobs);
 

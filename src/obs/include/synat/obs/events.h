@@ -31,7 +31,7 @@ struct Event {
   std::string fingerprint;  ///< program content fingerprint (hex), if known
   /// Verdict: ok | degraded | parse_error | load_error | internal_error,
   /// matching the report's program status; "error" for an RPC that was
-  /// refused before analysis (overloaded, quarantined, shutting down).
+  /// refused before analysis (overloaded, shutting down, invalid params).
   std::string status = "ok";
   bool atomic = false;      ///< every procedure proved atomic
   int exit_code = 0;        ///< per-program severity (report.h exit codes)
@@ -48,7 +48,6 @@ struct Event {
   uint64_t deaths_crash = 0;   ///< sandbox outcome tallies (0 in-process)
   uint64_t deaths_timeout = 0;
   uint64_t deaths_oom = 0;
-  bool quarantined = false;  ///< request short-circuited by the breaker
   int error_code = 0;        ///< JSON-RPC error code for status "error"
   std::string error_kind;    ///< short error tag ("overloaded", "crash", ...)
 };
@@ -56,15 +55,6 @@ struct Event {
 /// Renders one event as a single JSON line (no trailing newline), keys in
 /// the fixed schema order.
 std::string render_event(const Event& e);
-
-struct EventLogOptions {
-  /// Sink file.
-  std::string path;
-  /// Size-based rotation: when the current file would exceed this, it is
-  /// renamed to `path + ".1"` (replacing any previous rotation) and a
-  /// fresh file is started. 0 disables rotation.
-  uint64_t max_bytes = 64ull << 20;
-};
 
 /// Append-only wide-event sink. Thread-safe; one instance per batch run or
 /// daemon. append() assigns the sequence number, applies virtual-clock
@@ -76,7 +66,8 @@ struct EventLogOptions {
 /// written the line of every request it completed.
 class EventLog {
  public:
-  explicit EventLog(EventLogOptions opts);
+  /// Truncates and opens `path`.
+  explicit EventLog(std::string path);
   ~EventLog();
 
   EventLog(const EventLog&) = delete;
@@ -89,15 +80,12 @@ class EventLog {
   uint64_t lines() const;
   /// Lines the file did not take whole.
   uint64_t dropped() const;
-  const std::string& path() const { return opts_.path; }
+  const std::string& path() const { return path_; }
 
  private:
-  void rotate_locked();
-
-  EventLogOptions opts_;
+  std::string path_;
   mutable std::mutex mu_;
   std::FILE* f_ = nullptr;
-  uint64_t bytes_ = 0;
   uint64_t next_seq_ = 0;
   uint64_t lines_ = 0;
   uint64_t dropped_ = 0;

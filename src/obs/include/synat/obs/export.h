@@ -21,8 +21,9 @@ namespace synat::obs {
 /// label the lanes from `lanes`. Timestamps are re-based to the earliest
 /// span start, so two runs with identical relative timing render
 /// identically regardless of absolute clock values. `spans_dropped` (the
-/// exporting run passes Tracer::dropped()) goes to the document's
-/// "otherData", so a trace whose rings wrapped says it is incomplete.
+/// exporting run passes Tracer::count_dropped(), which includes its
+/// workers' drops) goes to the document's "otherData", so a trace whose
+/// rings wrapped says it is incomplete.
 std::string to_chrome_trace(
     const std::vector<SpanRecord>& spans,
     const std::vector<std::pair<uint32_t, std::string>>& lanes,

@@ -60,6 +60,12 @@ class Tracer {
   /// Spans overwritten because a ring was full (lifetime count).
   uint64_t dropped() const;
 
+  /// Adds the drops of dropped() not yet added to
+  /// synat_trace_spans_dropped_total and returns that counter. Workers'
+  /// registry deltas merge their own drops into the same counter, so the
+  /// result counts every span this process and its workers lost, once.
+  uint64_t count_dropped();
+
   /// Drops every buffered span and lane name; used by forked workers to
   /// shed the spans copied from the parent, and by tests.
   void reset();
@@ -81,6 +87,7 @@ class Tracer {
   std::vector<std::pair<uint32_t, std::string>> lanes_;
   uint32_t next_tid_ = 0;
   std::atomic<uint64_t> dropped_{0};
+  std::atomic<uint64_t> counted_{0};  ///< the part of dropped_ counted
 };
 
 /// RAII span covering one pipeline or driver stage. Construction reads the

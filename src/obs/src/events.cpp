@@ -43,7 +43,7 @@ void append_field(std::string& out, const char* key, const std::string& v) {
 std::string render_event(const Event& e) {
   std::string out;
   out.reserve(320);
-  out += "{\"schema\":\"synat-event\",\"v\":1,\"seq\":";
+  out += "{\"schema\":\"synat-event\",\"v\":2,\"seq\":";
   append_u64(out, e.seq);
   append_field(out, "ts_ns", e.ts_ns);
   append_field(out, "name", e.name);
@@ -65,7 +65,6 @@ std::string render_event(const Event& e) {
   append_field(out, "deaths_crash", e.deaths_crash);
   append_field(out, "deaths_timeout", e.deaths_timeout);
   append_field(out, "deaths_oom", e.deaths_oom);
-  append_field(out, "quarantined", e.quarantined);
   // JSON-RPC error codes are negative (-32003 and friends); render signed.
   out += ",\"error_code\":";
   char buf[16];
@@ -76,29 +75,17 @@ std::string render_event(const Event& e) {
   return out;
 }
 
-EventLog::EventLog(EventLogOptions opts) : opts_(std::move(opts)) {
-  f_ = std::fopen(opts_.path.c_str(), "wb");
+EventLog::EventLog(std::string path) : path_(std::move(path)) {
+  f_ = std::fopen(path_.c_str(), "wb");
   if (f_ == nullptr)
     std::fprintf(stderr, "synat: warning: cannot open event log %s\n",
-                 opts_.path.c_str());
+                 path_.c_str());
 }
 
 EventLog::~EventLog() {
   std::lock_guard<std::mutex> lock(mu_);
   if (f_ != nullptr) std::fclose(f_);
   f_ = nullptr;
-}
-
-void EventLog::rotate_locked() {
-  std::fclose(f_);
-  f_ = nullptr;
-  std::string rotated = opts_.path + ".1";
-  if (std::rename(opts_.path.c_str(), rotated.c_str()) != 0) {
-    std::fprintf(stderr, "synat: warning: cannot rotate event log to %s\n",
-                 rotated.c_str());
-  }
-  f_ = std::fopen(opts_.path.c_str(), "wb");
-  bytes_ = 0;
 }
 
 void EventLog::append(Event e) {
@@ -118,9 +105,6 @@ void EventLog::append(Event e) {
     }
     std::string line = render_event(e);
     line += '\n';
-    if (f_ != nullptr && opts_.max_bytes > 0 && bytes_ > 0 &&
-        bytes_ + line.size() > opts_.max_bytes)
-      rotate_locked();
     size_t written = 0;
     bool flushed = false;
     if (f_ != nullptr) {
@@ -129,7 +113,6 @@ void EventLog::append(Event e) {
       // reach the file before a later failure can take the process down.
       flushed = std::fflush(f_) == 0;
     }
-    bytes_ += written;
     if (written == line.size() && flushed) {
       ++lines_;
     } else {

@@ -55,8 +55,6 @@ Registry::Registry() {
       {"synat_serve_worker_timeouts_total", false},
       {"synat_serve_worker_oom_kills_total", false},
       {"synat_serve_worker_retries_total", false},
-      {"synat_serve_quarantined_total", false},
-      {"synat_serve_snapshots_total", false},
   };
   for (const auto& c : kCounters) counter(c.name, c.deterministic);
   gauge("synat_jobs");

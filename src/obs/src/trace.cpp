@@ -113,6 +113,20 @@ uint64_t Tracer::dropped() const {
   return dropped_.load(std::memory_order_relaxed);
 }
 
+uint64_t Tracer::count_dropped() {
+  static Counter& drops =
+      registry().counter("synat_trace_spans_dropped_total", false);
+  const uint64_t now = dropped();
+  uint64_t before = counted_.load(std::memory_order_relaxed);
+  // Concurrent callers each add a disjoint slice: counted_ only advances.
+  while (before < now &&
+         !counted_.compare_exchange_weak(before, now,
+                                         std::memory_order_relaxed))
+    ;
+  if (before < now) drops.inc(now - before);
+  return drops.value();
+}
+
 void Tracer::reset() {
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& ring : rings_) {
@@ -127,6 +141,7 @@ void Tracer::reset() {
   injected_.clear();
   lanes_.clear();
   dropped_.store(0, std::memory_order_relaxed);
+  counted_.store(0, std::memory_order_relaxed);
 }
 
 SpanScope::~SpanScope() {

@@ -24,11 +24,6 @@ inline constexpr int kErrInternal = -32603;
 inline constexpr int kErrOverloaded = -32003;
 /// The daemon is draining for shutdown and accepts no new analysis work.
 inline constexpr int kErrShuttingDown = -32002;
-/// The program's content fingerprint is quarantined: its last K sandboxed
-/// executions all died (crash/hang/OOM), so the daemon refuses to fork for
-/// it until the quarantine TTL expires (quarantine.h). Only issued with
-/// --sandbox.
-inline constexpr int kErrQuarantined = -32004;
 
 struct RpcRequest {
   JsonValue id;        ///< String, Number or Null; meaningful iff has_id

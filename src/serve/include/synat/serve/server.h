@@ -36,13 +36,6 @@ struct ServerOptions {
   /// Result-cache snapshot: loaded before accepting (warm start), saved
   /// after the drain. Empty disables persistence.
   std::string cache_file;
-  /// Crash-only recovery (--snapshot-interval-s): with a cache_file set,
-  /// also snapshot the cache every this many seconds while serving, so a
-  /// SIGKILL loses at most one interval of warm cache and the restarted
-  /// daemon resumes warm. 0 keeps snapshot-on-drain only. Writes are
-  /// atomic (tmp + rename, cache.h), so a kill mid-snapshot never
-  /// corrupts the previous one.
-  unsigned snapshot_interval_s = 0;
   /// Chrome trace-event JSON written after the drain (per-request lanes).
   /// Empty disables tracing.
   std::string trace_out;

@@ -13,7 +13,7 @@
 //   explain    analyze params + {proc?} → {explanation, exit_code}
 //   status     {} → {version, schema_version, uptime_ms, cache_entries,
 //                    options_fingerprint, in_flight, jobs, sandbox,
-//                    quarantine_entries, latency_ns{count,p50,p95,p99}}
+//                    latency_ns{count,p50,p95,p99}}
 //   metrics    {} → {content_type, prometheus}  (Prometheus 0.0.4 text)
 //   invalidate {} → {invalidated}               (drops the result cache)
 //   shutdown   {} → {ok}; marks the service draining and fires the
@@ -36,7 +36,6 @@
 
 #include "synat/driver/cache.h"
 #include "synat/obs/events.h"
-#include "synat/serve/quarantine.h"
 #include "synat/serve/rpc.h"
 #include "synat/support/thread_pool.h"
 
@@ -60,8 +59,6 @@ struct ServiceOptions {
   uint64_t sandbox_deadline_ms = 10'000;  ///< per-request deadline (0 = off)
   size_t sandbox_max_rss_mb = 0;          ///< per-worker RLIMIT_AS (0 = off)
   unsigned sandbox_retries = 1;           ///< re-forks after a worker death
-  unsigned quarantine_threshold = 3;      ///< consecutive deaths to trip
-  uint64_t quarantine_ttl_ms = 60'000;    ///< how long a trip blocks forks
 
   /// Wide-event sink (obs/events.h): one line per analyze/explain RPC,
   /// appended after the reply is produced. Not owned; may be null.
@@ -102,7 +99,6 @@ class Service {
   uint64_t uptime_ms() const;
   unsigned jobs() const { return jobs_; }
   size_t in_flight() const { return in_flight_.load(std::memory_order_relaxed); }
-  Quarantine& quarantine() { return quarantine_; }
 
  private:
   // The analyze paths fill the request's wide event (`ev`, null for the
@@ -127,7 +123,6 @@ class Service {
   ServiceOptions opts_;
   unsigned jobs_ = 1;
   driver::ResultCache cache_;
-  Quarantine quarantine_;
   std::unique_ptr<ThreadPool> pool_;
   std::atomic<size_t> in_flight_{0};
   std::atomic<bool> draining_{false};

@@ -7,16 +7,13 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
 
 #include "synat/obs/export.h"
-#include "synat/obs/metrics.h"
 #include "synat/obs/trace.h"
 #include "synat/serve/rpc.h"
-#include "synat/support/budget.h"
 
 namespace synat::serve {
 
@@ -162,43 +159,12 @@ int Server::serve() {
   std::fprintf(stderr, "synat serve: listening on %s (%u jobs)\n",
                opts_.listen.c_str(), service_.jobs());
 
-  // Crash-only snapshot cycle: the accept loop doubles as the snapshot
-  // timer, so there is no extra thread to coordinate during the drain.
-  const uint64_t snap_interval_ms =
-      uint64_t{opts_.snapshot_interval_s} * 1000;
-  const bool periodic_snapshots =
-      !opts_.cache_file.empty() && snap_interval_ms > 0;
-  uint64_t next_snap_ms =
-      periodic_snapshots ? steady_now_ns() / 1'000'000 + snap_interval_ms
-                         : 0;
-
   for (;;) {
-    int timeout = -1;
-    if (periodic_snapshots) {
-      uint64_t now = steady_now_ns() / 1'000'000;
-      timeout = next_snap_ms > now
-                    ? static_cast<int>(std::min<uint64_t>(
-                          next_snap_ms - now, 3'600'000))
-                    : 0;
-    }
     pollfd fds[2] = {{listen_fd_, POLLIN, 0}, {wake_rd_, POLLIN, 0}};
-    int rc = poll(fds, 2, timeout);
-    if (rc < 0) {
+    if (poll(fds, 2, -1) < 0) {
       if (errno == EINTR) continue;
       break;
     }
-    if (periodic_snapshots && steady_now_ns() / 1'000'000 >= next_snap_ms) {
-      static obs::Counter& snapshots =
-          obs::registry().counter("synat_serve_snapshots_total", false);
-      if (service_.cache().save(opts_.cache_file))
-        snapshots.inc();
-      else
-        std::fprintf(stderr,
-                     "synat serve: warning: could not snapshot cache to %s\n",
-                     opts_.cache_file.c_str());
-      next_snap_ms = steady_now_ns() / 1'000'000 + snap_interval_ms;
-    }
-    if (rc == 0) continue;
     if (fds[1].revents != 0) break;  // signal or shutdown RPC
     if ((fds[0].revents & POLLIN) == 0) continue;
     int cfd = accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
@@ -246,7 +212,7 @@ int Server::serve() {
     std::vector<obs::SpanRecord> spans = obs::Tracer::instance().drain();
     std::string trace =
         obs::to_chrome_trace(spans, obs::Tracer::instance().lane_names(),
-                             obs::Tracer::instance().dropped());
+                             obs::Tracer::instance().count_dropped());
     std::string werr;
     if (!obs::write_file(opts_.trace_out, trace, &werr))
       std::fprintf(stderr, "synat serve: warning: %s\n", werr.c_str());

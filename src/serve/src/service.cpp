@@ -141,11 +141,7 @@ std::string analyze_reply(const RpcRequest& req, bool explain, bool provenance,
 
 }  // namespace
 
-Service::Service(ServiceOptions opts)
-    : opts_(opts),
-      quarantine_(Quarantine::Options{opts.quarantine_threshold,
-                                      opts.quarantine_ttl_ms,
-                                      /*max_entries=*/4096}) {
+Service::Service(ServiceOptions opts) : opts_(opts) {
   jobs_ = opts_.jobs == 0
               ? std::max(1u, std::thread::hardware_concurrency())
               : opts_.jobs;
@@ -383,32 +379,8 @@ std::string Service::do_analyze_sandboxed(const RpcRequest& req, bool explain,
       obs::registry().counter("synat_serve_worker_oom_kills_total", false);
   static obs::Counter& worker_retries =
       obs::registry().counter("synat_serve_worker_retries_total", false);
-  static obs::Counter& quarantined =
-      obs::registry().counter("synat_serve_quarantined_total", false);
   static obs::Counter& programs_total =
       obs::registry().counter("synat_programs_total");
-
-  // The quarantine key is the same pair a result depends on: the program
-  // text and the analysis options. Two requests for the same source with
-  // different options fork (and die) independently.
-  const uint64_t fp = Hasher()
-                          .mix(input.source)
-                          .mix(driver::options_fingerprint(input.opts))
-                          .value();
-  // The quarantine TTL runs on the real clock, so a virtual-clock run still
-  // sees it decay.
-  if (quarantine_.check(fp, steady_now_ns() / 1'000'000)) {
-    quarantined.inc();
-    if (ev != nullptr) {
-      ev->status = "error";
-      ev->quarantined = true;
-      ev->error_code = kErrQuarantined;
-      ev->error_kind = "quarantined";
-    }
-    return encode_error(&req.id, kErrQuarantined,
-                        "program quarantined: repeated worker deaths; "
-                        "retry after the quarantine TTL");
-  }
 
   driver::DriverOptions dopts;
   dopts.deadline_ms = opts_.sandbox_deadline_ms;
@@ -431,9 +403,6 @@ std::string Service::do_analyze_sandboxed(const RpcRequest& req, bool explain,
     // it to their caller.
     programs_total.inc();
     if (!out.spans.empty()) obs::Tracer::instance().inject(lane, out.spans);
-    quarantine_.record_success(fp);
-  } else {
-    quarantine_.record_death(fp, steady_now_ns() / 1'000'000);
   }
 
   // Reassemble the one-program document exactly the way BatchDriver does,
@@ -476,8 +445,6 @@ std::string Service::do_status(const RpcRequest& req) {
              JsonValue::make_number(static_cast<uint64_t>(in_flight())));
   result.add("jobs", JsonValue::make_number(static_cast<uint64_t>(jobs_)));
   result.add("sandbox", JsonValue::make_bool(opts_.sandbox));
-  result.add("quarantine_entries",
-             JsonValue::make_number(static_cast<uint64_t>(quarantine_.size())));
   // RPC latency percentiles (real wall clock; inherently nondeterministic)
   // — `status` is the operator's one-stop probe.
   const obs::Histogram& lat =

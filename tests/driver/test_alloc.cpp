@@ -212,9 +212,7 @@ ObsCost obs_cost(const std::vector<ProgramInput>& inputs,
   };
   ObsCost cost;
   {
-    obs::EventLogOptions eopts;
-    eopts.path = log_path;
-    obs::EventLog log(std::move(eopts));
+    obs::EventLog log(log_path);
     DriverOptions opts;
     opts.events = &log;
     const int64_t plain = news({});

@@ -217,9 +217,7 @@ TEST(BatchDriver, ProgramLatencyIsWallTimeWithHelpers) {
   std::remove(path.c_str());
   uint64_t wall_ns = 0;
   {
-    obs::EventLogOptions eopts;
-    eopts.path = path;
-    obs::EventLog events(eopts);
+    obs::EventLog events(path);
     DriverOptions opts;
     opts.jobs = 4;
     opts.events = &events;

@@ -1,5 +1,5 @@
 // Wide-event log tests (DESIGN.md §3i): the renderer's fixed key order,
-// EventLog sequencing, size-based rotation, dropped lines, and the
+// EventLog sequencing, dropped lines, and the
 // completion-time stamp. The cross-mode byte-identity contract (identical
 // logs under --jobs 1 / --jobs N / --isolate with the virtual clock) is
 // pinned at the CLI level by the cli_events_identity ctest and the CI
@@ -52,22 +52,20 @@ TEST(Events, RenderedLineHasTheFixedKeyOrder) {
   e.cache_misses = 5;
   e.retries = 1;
   e.deaths_crash = 1;
-  e.quarantined = true;
-  e.error_code = -32004;
-  e.error_kind = "quarantined";
+  e.error_code = -32003;
+  e.error_kind = "overloaded";
   // The exact byte pin: tools/events_schema.json, the validator, and log
   // pipelines all depend on this order never shifting.
   EXPECT_EQ(
       obs::render_event(e),
-      "{\"schema\":\"synat-event\",\"v\":1,\"seq\":7,\"ts_ns\":7,"
+      "{\"schema\":\"synat-event\",\"v\":2,\"seq\":7,\"ts_ns\":7,"
       "\"name\":\"corpus:nfq\",\"fingerprint\":\"ba19dc849407c4b3\","
       "\"status\":\"degraded\",\"atomic\":false,\"exit_code\":1,"
       "\"procs\":2,\"procs_not_atomic\":1,\"variants\":3,\"dur_ns\":1000,"
       "\"parse_ns\":100,\"analyze_ns\":800,\"report_ns\":100,"
       "\"cache_hits\":4,\"cache_misses\":5,\"retries\":1,"
       "\"deaths_crash\":1,\"deaths_timeout\":0,\"deaths_oom\":0,"
-      "\"quarantined\":true,\"error_code\":-32004,"
-      "\"error_kind\":\"quarantined\"}");
+      "\"error_code\":-32003,\"error_kind\":\"overloaded\"}");
 }
 
 TEST(Events, RendererEscapesHostileStrings) {
@@ -82,9 +80,7 @@ TEST(Events, RendererEscapesHostileStrings) {
 TEST(Events, AppendAssignsSequenceAndStampsCompletionTime) {
   std::string path = tmp_path("seq");
   {
-    obs::EventLogOptions opts;
-    opts.path = path;
-    obs::EventLog log(opts);
+    obs::EventLog log(path);
     obs::Event a;
     a.name = "first";
     obs::Event b;
@@ -103,37 +99,9 @@ TEST(Events, AppendAssignsSequenceAndStampsCompletionTime) {
   std::remove(path.c_str());
 }
 
-TEST(Events, SizeBasedRotationKeepsTheLastTwoFiles) {
-  std::string path = tmp_path("rot");
-  std::string rotated = path + ".1";
-  {
-    obs::EventLogOptions opts;
-    opts.path = path;
-    opts.max_bytes = 600;  // ~2 rendered lines per file
-    obs::EventLog log(opts);
-    for (int i = 0; i < 6; ++i) {
-      obs::Event e;
-      e.name = "program_" + std::to_string(i);
-      log.append(std::move(e));
-    }
-    EXPECT_EQ(log.lines(), 6u);
-  }
-  std::string current = slurp(path);
-  std::string previous = slurp(rotated);
-  EXPECT_FALSE(current.empty());
-  EXPECT_FALSE(previous.empty());
-  // The newest line is always in the live file; rotation renamed the rest
-  // away at most one generation deep.
-  EXPECT_NE(current.find("program_5"), std::string::npos);
-  EXPECT_EQ(current.find("program_0"), std::string::npos);
-  std::remove(path.c_str());
-  std::remove(rotated.c_str());
-}
-
 TEST(Events, LinesTheFileCannotTakeAreDroppedNotLogged) {
-  obs::EventLogOptions opts;
-  opts.path = tmp_path("missing_dir") + "/events.jsonl";  // cannot be opened
-  obs::EventLog log(opts);
+  // A path that cannot be opened.
+  obs::EventLog log(tmp_path("missing_dir") + "/events.jsonl");
   log.append(obs::Event{});
   log.append(obs::Event{});
   EXPECT_EQ(log.lines(), 0u);

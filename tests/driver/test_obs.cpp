@@ -332,6 +332,24 @@ TEST_F(ObsTest, TruncatedTraceSaysSo) {
             std::string::npos);
 }
 
+// A trace counts its workers' drops beside its own, each once: a worker's
+// registry delta carries its drops into the counter, and count_dropped()
+// adds only the own drops it has not added yet.
+TEST_F(ObsTest, CountDroppedAddsOwnDropsOnceBesideWorkers) {
+  obs::registry().reset();
+  obs::Tracer& tracer = obs::Tracer::instance();
+  for (size_t i = 0; i < obs::Tracer::kRingCapacity + 10; ++i)
+    tracer.record(obs::StageId::Parse, 1000 * i, 500);
+  EXPECT_EQ(tracer.count_dropped(), 10u);
+  MetricsSnapshot worker;
+  worker.counters.push_back({"synat_trace_spans_dropped_total", 25, false});
+  obs::registry().merge(worker);
+  EXPECT_EQ(tracer.count_dropped(), 35u);
+  tracer.record(obs::StageId::Parse, 0, 500);
+  EXPECT_EQ(tracer.count_dropped(), 36u);
+  EXPECT_EQ(tracer.count_dropped(), 36u);
+}
+
 TEST_F(ObsTest, PrometheusExposesCountersGaugesHistograms) {
   MetricsSnapshot s;
   s.counters.push_back({"synat_cache_hits_total", 12, true});

@@ -148,7 +148,6 @@ int run_events(const uint8_t* data, size_t size) {
   e.ts_ns = e.seq ^ 0x5a5a5a5a;
   e.error_code = size > 0 ? -static_cast<int>(data[0]) : 0;
   e.atomic = (size & 1) != 0;
-  e.quarantined = (size & 2) != 0;
   std::string line = render_event(e);
   // The line contract the whole pipeline leans on: exactly one line, and
   // every rendered event is a valid JSON document (the validator, the

@@ -1,21 +1,18 @@
 // Sandboxed serve execution (DESIGN.md §3h): forked one-shot workers per
 // request, byte-identity with the in-process path, the CacheDelta return
 // channel keeping the daemon cache warm, and — under
-// -DSYNAT_FAULT_INJECTION=ON — crash/hang/OOM containment, the sandbox
-// death counters, and the quarantine circuit breaker end to end.
+// -DSYNAT_FAULT_INJECTION=ON — crash/hang/OOM containment and the sandbox
+// death counters end to end.
 //
 // Every suite here is named ServeSandbox*: the TSan CI job excludes them
 // (`-E 'Sandbox'`) because TSan cannot follow fork() from a threaded
 // process into a child that spawns its own heartbeat thread.
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cstdlib>
 #include <future>
 #include <ostream>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "synat/corpus/corpus.h"
 #include "synat/driver/driver.h"
@@ -46,15 +43,6 @@ JsonValue result_of(const std::string& body) {
   return result != nullptr ? *result : JsonValue::make_null();
 }
 
-// Only the fault-gated suites below consult error codes and counters; the
-// plain build compiles them out.
-[[maybe_unused]] int error_code_of(const std::string& body) {
-  JsonValue doc = parse(body);
-  const JsonValue* err = doc.get("error");
-  EXPECT_NE(err, nullptr) << body;
-  return err != nullptr ? static_cast<int>(err->get("code")->number) : 0;
-}
-
 std::string analyze_request(const std::string& program, const std::string& name,
                             const char* method = "analyze") {
   JsonValue params = JsonValue::make_object();
@@ -76,7 +64,7 @@ ServiceOptions sandbox_options() {
   return sopts;
 }
 
-[[maybe_unused]] uint64_t counter_value(const char* name) {
+uint64_t counter_value(const char* name) {
   return obs::registry().counter(name, false).value();
 }
 
@@ -135,7 +123,6 @@ TEST(ServeSandbox, StatusReportsSandboxState) {
   JsonValue r =
       result_of(call(service, R"({"jsonrpc":"2.0","id":1,"method":"status"})"));
   EXPECT_TRUE(r.get("sandbox")->boolean);
-  EXPECT_EQ(r.get("quarantine_entries")->number, 0);
 
   Service plain((ServiceOptions()));
   JsonValue r2 =
@@ -143,18 +130,17 @@ TEST(ServeSandbox, StatusReportsSandboxState) {
   EXPECT_FALSE(r2.get("sandbox")->boolean);
 }
 
-// A parse failure is a report, not a worker death: it must neither crash
-// the worker nor count toward quarantine.
+// A parse failure is a report, not a worker death: the worker must not
+// crash, and no death may be counted.
 TEST(ServeSandbox, ParseFailureIsNotAWorkerDeath) {
-  ServiceOptions sopts = sandbox_options();
-  sopts.quarantine_threshold = 1;
-  Service service(sopts);
+  Service service(sandbox_options());
+  const uint64_t crashes = counter_value("synat_serve_worker_crashes_total");
   for (int i = 0; i < 3; ++i) {
     JsonValue r = result_of(
         call(service, analyze_request("proc Broken( {", "broken")));
     EXPECT_EQ(r.get("exit_code")->number, 3);
   }
-  EXPECT_EQ(service.quarantine().size(), 0u);
+  EXPECT_EQ(counter_value("synat_serve_worker_crashes_total"), crashes);
 }
 
 #if defined(SYNAT_FAULT_INJECTION)
@@ -239,7 +225,6 @@ TEST(ServeSandboxFault, RetriedTransientCrashSucceeds) {
   EXPECT_EQ(r.get("report")->str.find("\"kind\": \"crash\""),
             std::string::npos);
   EXPECT_EQ(counter_value("synat_serve_worker_retries_total") - retries, 1u);
-  EXPECT_EQ(service.quarantine().size(), 0u);  // the request succeeded
 }
 
 TEST(ServeSandboxFault, HangIsReapedAndCountedAsTimeout) {
@@ -293,46 +278,6 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<Victim>& info) {
       return std::string(info.param.kind);
     });
-
-// The full circuit-breaker loop against real worker deaths: K consecutive
-// failed executions trip -32004 without forking; the TTL grants a fresh
-// fork afterwards.
-TEST(ServeSandboxFault, QuarantineTripsAndExpires) {
-  FaultEnv fault("crash:victim");
-  ServiceOptions sopts = sandbox_options();
-  sopts.quarantine_threshold = 2;
-  sopts.quarantine_ttl_ms = 300;
-  Service service(sopts);
-  uint64_t quarantined = counter_value("synat_serve_quarantined_total");
-  uint64_t crashes = counter_value("synat_serve_worker_crashes_total");
-
-  std::string req = analyze_request(kVictimSource, "victim");
-  for (int i = 0; i < 2; ++i) {
-    JsonValue r = result_of(call(service, req));
-    EXPECT_NE(r.get("report")->str.find("\"kind\": \"crash\""),
-              std::string::npos);
-  }
-  EXPECT_EQ(counter_value("synat_serve_worker_crashes_total") - crashes, 2u);
-
-  // Tripped: refused without forking (the crash counter stays put).
-  EXPECT_EQ(error_code_of(call(service, req)), kErrQuarantined);
-  EXPECT_EQ(counter_value("synat_serve_quarantined_total") - quarantined, 1u);
-  EXPECT_EQ(counter_value("synat_serve_worker_crashes_total") - crashes, 2u);
-  EXPECT_GE(service.quarantine().size(), 1u);
-
-  // A different program is unaffected by the victim's trip.
-  JsonValue ok =
-      result_of(call(service, analyze_request(kBystanderSource, "bystander")));
-  EXPECT_EQ(ok.get("exit_code")->number, 0);
-
-  // After the TTL the victim earns a fresh fork — which dies again, so the
-  // reply is a degraded report rather than -32004.
-  std::this_thread::sleep_for(std::chrono::milliseconds(400));
-  JsonValue retried = result_of(call(service, req));
-  EXPECT_NE(retried.get("report")->str.find("\"kind\": \"crash\""),
-            std::string::npos);
-  EXPECT_EQ(counter_value("synat_serve_worker_crashes_total") - crashes, 3u);
-}
 
 #endif  // SYNAT_FAULT_INJECTION
 

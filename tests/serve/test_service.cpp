@@ -321,6 +321,13 @@ TEST(ServeService, StatusFields) {
   Service service(sopts);
   JsonValue r =
       result_of(call(service, R"({"jsonrpc":"2.0","id":1,"method":"status"})"));
+  // The exact key set, in order: a new key is a deliberate change here.
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : r.members) keys.push_back(key);
+  EXPECT_EQ(keys, (std::vector<std::string>{
+                      "version", "schema_version", "uptime_ms",
+                      "cache_entries", "options_fingerprint", "in_flight",
+                      "jobs", "sandbox", "latency_ns"}));
   EXPECT_EQ(r.get("version")->str, std::string(driver::kSynatVersion));
   EXPECT_EQ(r.get("schema_version")->number, driver::kReportSchemaVersion);
   EXPECT_EQ(r.get("jobs")->number, 3);

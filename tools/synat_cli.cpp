@@ -37,8 +37,7 @@
 //                ablation flags, applied to every input)
 //                --events-out FILE (wide-event log: one canonical JSON line
 //                per program, byte-identical across --jobs/--isolate under
-//                SYNAT_OBS_VIRTUAL_CLOCK) --events-max-bytes N (size-based
-//                rotation to FILE.1; default 64 MiB, 0 disables)
+//                SYNAT_OBS_VIRTUAL_CLOCK)
 // serve options: --listen PATH (required; binds a unix socket there, and
 //                PATH must contain '/') --jobs N (analysis pool workers,
 //                0 = one per hardware thread) --max-queue N (queued+running
@@ -51,15 +50,9 @@
 //                daemon) --deadline-ms N --max-rss-mb N (per-request
 //                budgets; sandbox only) --retries N (re-forks after a
 //                worker death, default 1)
-//                --quarantine-threshold K --quarantine-ttl SECS (K
-//                consecutive failed sandboxed executions of one program
-//                short-circuit to -32004 until the TTL expires)
-//                --snapshot-interval-s N (with --cache-file: periodic
-//                crash-only cache snapshots while serving)
 //                --events-out FILE (wide-event log: one canonical JSON line
 //                per analyze/explain RPC, flushed as it is written; the
-//                incident record of worker deaths and quarantine refusals)
-//                --events-max-bytes N (rotation)
+//                incident record of worker deaths and refusals)
 //                The wire protocol is newline-delimited JSON-RPC 2.0:
 //                methods analyze, explain, status, metrics, invalidate,
 //                shutdown (see src/serve/include/synat/serve/service.h and
@@ -197,21 +190,19 @@ bool write_output(const std::string& path, const std::string& doc) {
 
 bool is_digit(char c) { return c >= '0' && c <= '9'; }
 
-/// Reads the value of a numeric flag into `out`: a decimal number in
-/// [lo, hi], where `hi` is at most what `T` holds. Anything else, a
+/// Reads the value of a numeric flag into `out`: a decimal number of at
+/// most `hi`, which is at most what `T` holds. Anything else, a
 /// missing value, a sign and a number beyond uint64_t included, prints
 /// "<flag> expects <noun>, got '<value>'" and returns false, and the
 /// caller exits kExitUsage. (strtoull alone takes "-1" as 2^64 - 1.)
 template <typename T>
 bool parse_number(const char* flag, const char* noun, const char* value,
-                  T& out, uint64_t hi = std::numeric_limits<T>::max(),
-                  uint64_t lo = 0) {
+                  T& out, uint64_t hi = std::numeric_limits<T>::max()) {
   char* end = nullptr;
   errno = 0;
   const unsigned long long n =
       is_digit(value[0]) ? std::strtoull(value, &end, 10) : 0;
-  if (end == nullptr || *end != '\0' || errno == ERANGE || n < lo ||
-      n > hi) {
+  if (end == nullptr || *end != '\0' || errno == ERANGE || n > hi) {
     std::fprintf(stderr, "%s expects %s, got '%s'\n", flag, noun, value);
     return false;
   }
@@ -278,7 +269,6 @@ int cmd_batch(int argc, char** argv) {
   std::string trace_out;
   std::string metrics_out;
   std::string events_out;
-  uint64_t events_max_bytes = 64ull << 20;
   std::vector<std::string> specs;
   bool all = false;
   bool provenance = false;
@@ -325,10 +315,6 @@ int cmd_batch(int argc, char** argv) {
       metrics_out = argv[++i];
     } else if (a == "--events-out" && i + 1 < argc) {
       events_out = argv[++i];
-    } else if (a == "--events-max-bytes" && i + 1 < argc) {
-      if (!parse_number("--events-max-bytes", "bytes", argv[++i],
-                        events_max_bytes))
-        return kExitUsage;
     } else if (a == "--report-counters") {
       ropts.counters = true;
     } else if (a == "--provenance") {
@@ -397,10 +383,7 @@ int cmd_batch(int argc, char** argv) {
   // events from the assembled report after run() completes its workers.
   std::unique_ptr<obs::EventLog> events;
   if (!events_out.empty()) {
-    obs::EventLogOptions eopts;
-    eopts.path = events_out;
-    eopts.max_bytes = events_max_bytes;
-    events = std::make_unique<obs::EventLog>(std::move(eopts));
+    events = std::make_unique<obs::EventLog>(events_out);
     dopts.events = events.get();
   }
   driver::BatchDriver drv(dopts);
@@ -413,7 +396,7 @@ int cmd_batch(int argc, char** argv) {
     std::vector<obs::SpanRecord> spans = obs::Tracer::instance().drain();
     std::string trace =
         obs::to_chrome_trace(spans, obs::Tracer::instance().lane_names(),
-                             obs::Tracer::instance().dropped());
+                             obs::Tracer::instance().count_dropped());
     std::string err;
     if (!obs::write_file(trace_out, trace, &err)) {
       std::fprintf(stderr, "%s\n", err.c_str());
@@ -643,7 +626,6 @@ int cmd_mc(const std::string& spec, int argc, char** argv) {
 int cmd_serve(int argc, char** argv) {
   serve::ServerOptions sopts;
   std::string events_out;
-  uint64_t events_max_bytes = 64ull << 20;
   for (int i = 0; i < argc; ++i) {
     std::string a = argv[i];
     if (a == "--listen" && i + 1 < argc) {
@@ -674,27 +656,8 @@ int cmd_serve(int argc, char** argv) {
       if (!parse_number("--retries", "a small count", argv[++i],
                         sopts.service.sandbox_retries, 16))
         return kExitUsage;
-    } else if (a == "--quarantine-threshold" && i + 1 < argc) {
-      if (!parse_number("--quarantine-threshold", "a positive count",
-                        argv[++i], sopts.service.quarantine_threshold,
-                        std::numeric_limits<unsigned>::max(), 1))
-        return kExitUsage;
-    } else if (a == "--quarantine-ttl" && i + 1 < argc) {
-      uint64_t seconds = 0;
-      if (!parse_number("--quarantine-ttl", "seconds", argv[++i], seconds,
-                        std::numeric_limits<uint64_t>::max() / 1000))
-        return kExitUsage;
-      sopts.service.quarantine_ttl_ms = seconds * 1000;
-    } else if (a == "--snapshot-interval-s" && i + 1 < argc) {
-      if (!parse_number("--snapshot-interval-s", "seconds", argv[++i],
-                        sopts.snapshot_interval_s))
-        return kExitUsage;
     } else if (a == "--events-out" && i + 1 < argc) {
       events_out = argv[++i];
-    } else if (a == "--events-max-bytes" && i + 1 < argc) {
-      if (!parse_number("--events-max-bytes", "bytes", argv[++i],
-                        events_max_bytes))
-        return kExitUsage;
     } else {
       std::fprintf(stderr, "unknown serve option %s\n", a.c_str());
       return kExitUsage;
@@ -715,10 +678,7 @@ int cmd_serve(int argc, char** argv) {
   // after each reply, up to the end of the drain.
   std::unique_ptr<obs::EventLog> events;
   if (!events_out.empty()) {
-    obs::EventLogOptions eopts;
-    eopts.path = events_out;
-    eopts.max_bytes = events_max_bytes;
-    events = std::make_unique<obs::EventLog>(std::move(eopts));
+    events = std::make_unique<obs::EventLog>(events_out);
     sopts.service.events = events.get();
   }
   serve::Server server(std::move(sopts));

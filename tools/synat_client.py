@@ -18,12 +18,13 @@ small CLI:
 `analyze` prints the batch-report JSON document (byte-identical to
 `synat batch --format json` on the same input) to stdout and exits with
 the analysis exit code; the other commands print their result object.
+Each call is one round trip on one connection: a dropped connection
+raises, and the caller decides whether to connect again.
 """
 
 import argparse
 import json
 import os
-import random
 import socket
 import sys
 import time
@@ -32,7 +33,7 @@ import time
 class RpcError(Exception):
     """A JSON-RPC error response. `code` follows the spec (-32700 parse,
     -32600 invalid request, ...) plus synat's server-defined codes
-    (-32003 overloaded, -32002 shutting down, -32004 quarantined)."""
+    (-32003 overloaded, -32002 shutting down)."""
 
     def __init__(self, code, message):
         super().__init__(f"RPC error {code}: {message}")
@@ -40,48 +41,23 @@ class RpcError(Exception):
         self.message = message
 
 
-# Methods that are safe to resend after a dropped connection: they mutate
-# nothing (status/metrics) or are pure functions of their params whose
-# duplicate execution is absorbed by the daemon's result cache
-# (analyze/explain). `invalidate` and `shutdown` are never resent — a lost
-# reply does not prove the daemon missed the request, and executing either
-# twice is not the same as executing it once.
-_IDEMPOTENT = frozenset({"analyze", "explain", "status", "metrics"})
-
-
 class Client:
     """One connection to a synat serve daemon. Not thread-safe; open one
-    Client per thread (the daemon handles any number of connections).
-
-    If the connection drops mid-call (daemon crashed, was restarted, or the
-    socket was reset), idempotent requests are transparently resent over a
-    fresh connection, up to `max_retries` reconnect attempts per call, with
-    jittered exponential backoff between attempts so a herd of clients does
-    not stampede a restarting daemon."""
+    Client per thread (the daemon handles any number of connections)."""
 
     # A daemon that was just launched may not be accepting yet (its unix
     # socket path appears at bind(), a moment before listen()), so a
     # refused/absent endpoint is retried briefly before giving up.
     _CONNECT_RETRY_SECS = 2.0
-    # Reconnect backoff: full jitter over an exponentially growing window,
-    # base * 2^attempt capped at _BACKOFF_CAP seconds.
-    _BACKOFF_BASE = 0.05
-    _BACKOFF_CAP = 2.0
 
-    def __init__(self, address, timeout=None, max_retries=3):
-        self._address = address
-        self._timeout = timeout
-        self._max_retries = max_retries
+    def __init__(self, address, timeout=None):
         self._next_id = 0
-        self._connect()
-
-    def _connect(self):
         deadline = time.monotonic() + self._CONNECT_RETRY_SECS
         while True:
             try:
                 self._sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-                self._sock.settimeout(self._timeout)
-                self._sock.connect(self._address)
+                self._sock.settimeout(timeout)
+                self._sock.connect(address)
                 break
             except (ConnectionRefusedError, FileNotFoundError):
                 if time.monotonic() >= deadline:
@@ -99,17 +75,10 @@ class Client:
     def __exit__(self, *exc):
         self.close()
 
-    def _reconnect(self, attempt):
-        """Close the dead socket and reopen with full-jitter backoff."""
-        try:
-            self.close()
-        except OSError:
-            pass
-        window = min(self._BACKOFF_CAP, self._BACKOFF_BASE * (1 << attempt))
-        time.sleep(random.uniform(0, window))
-        self._connect()
-
-    def _call_once(self, method, params):
+    def call(self, method, params=None):
+        """One request/response round trip. Returns the result object;
+        raises RpcError on an error response, and EOFError/OSError if the
+        connection drops."""
         self._next_id += 1
         req = {"jsonrpc": "2.0", "id": self._next_id, "method": method}
         if params is not None:
@@ -123,23 +92,6 @@ class Client:
         if "error" in resp:
             raise RpcError(resp["error"]["code"], resp["error"]["message"])
         return resp["result"]
-
-    def call(self, method, params=None):
-        """One request/response round trip. Returns the result object;
-        raises RpcError on an error response. If the connection drops and
-        the method is idempotent, reconnects and resends (up to
-        max_retries times); otherwise raises EOFError/OSError."""
-        attempt = 0
-        while True:
-            try:
-                return self._call_once(method, params)
-            except TimeoutError:
-                raise  # a slow daemon is not a dead one; never resend
-            except (EOFError, ConnectionError, OSError):
-                if method not in _IDEMPOTENT or attempt >= self._max_retries:
-                    raise
-                self._reconnect(attempt)
-                attempt += 1
 
     def notify(self, method, params=None):
         """Fire-and-forget notification (no id, no response)."""
@@ -196,8 +148,6 @@ def _format_event(ev):
     for k in ("retries", "deaths_crash", "deaths_timeout", "deaths_oom"):
         if ev.get(k):
             parts.append(f"{k}={ev[k]}")
-    if ev.get("quarantined"):
-        parts.append("QUARANTINED")
     if ev.get("error_kind"):
         parts.append(f"error={ev['error_kind']}({ev.get('error_code', 0)})")
     return "  ".join(parts)
@@ -205,7 +155,7 @@ def _format_event(ev):
 
 def _tail_events(path, last_n, follow, grep):
     """Render a wide-event log (synat --events-out) as one line per event,
-    optionally following it through rotations like `tail -F`."""
+    optionally following appended lines like `tail -f`."""
 
     def emit(line):
         line = line.strip()
@@ -231,36 +181,19 @@ def _tail_events(path, last_n, follow, grep):
     if not follow:
         return 0
 
-    f = open(path, encoding="utf-8")
-    f.seek(0, os.SEEK_END)
-    inode = os.fstat(f.fileno()).st_ino
-    try:
-        while True:
-            line = f.readline()
-            if line:
-                if line.endswith("\n"):  # skip a partially written tail
-                    emit(line)
+    with open(path, encoding="utf-8") as f:
+        f.seek(0, os.SEEK_END)
+        pending = ""  # a line still being written
+        try:
+            while True:
+                pending += f.readline()
+                if pending.endswith("\n"):
+                    emit(pending)
+                    pending = ""
                 else:
-                    f.seek(-len(line.encode("utf-8")), os.SEEK_CUR)
-                    time.sleep(0.1)
-                continue
-            # EOF: watch for size-based rotation (the live file is renamed
-            # to .1 and a fresh one is created at the same path).
-            try:
-                st = os.stat(path)
-            except FileNotFoundError:
-                time.sleep(0.2)
-                continue
-            if st.st_ino != inode:
-                f.close()
-                f = open(path, encoding="utf-8")
-                inode = st.st_ino
-                continue
-            time.sleep(0.2)
-    except KeyboardInterrupt:
-        return 0
-    finally:
-        f.close()
+                    time.sleep(0.2)
+        except KeyboardInterrupt:
+            return 0
 
 
 def _read_program(spec):
@@ -276,9 +209,6 @@ def main(argv=None):
                     help="unix socket path "
                          "(required for every command except tail)")
     ap.add_argument("--timeout", type=float, default=60.0)
-    ap.add_argument("--max-retries", type=int, default=3,
-                    help="reconnect+resend attempts for idempotent calls "
-                         "after a dropped connection (default 3)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     ana = sub.add_parser("analyze")
@@ -302,10 +232,11 @@ def main(argv=None):
     tail.add_argument("-n", "--lines", type=int, default=10,
                       help="show the last N events first (-1 for all)")
     tail.add_argument("-f", "--follow", action="store_true",
-                      help="keep watching, following rotations")
+                      help="keep watching for appended events")
     tail.add_argument("--grep",
                       help="only raw JSON lines containing this substring "
-                           "(e.g. '\"quarantined\":true' or an error kind)")
+                           "(e.g. '\"status\":\"degraded\"' or an error "
+                           "kind)")
 
     args = ap.parse_args(argv)
     if args.command == "tail":
@@ -313,8 +244,7 @@ def main(argv=None):
     if not args.connect:
         ap.error(f"--connect is required for '{args.command}'")
     try:
-        client = Client(args.connect, timeout=args.timeout,
-                        max_retries=args.max_retries)
+        client = Client(args.connect, timeout=args.timeout)
     except OSError as e:
         print(f"synat_client: cannot connect to {args.connect}: {e}",
               file=sys.stderr)

@@ -45,13 +45,18 @@ def _type_ok(spec, value):
 
 def check_event(line, schema):
     """Returns a list of problems with one rendered event line (empty when
-    it validates). Checks key order, not just key presence."""
+    it validates). Checks the schema version first, then key order, not
+    just key presence."""
     try:
         pairs = json.loads(line, object_pairs_hook=list)
     except json.JSONDecodeError as e:
         return [f"not valid JSON: {e}"]
     if not isinstance(pairs, list):
         return ["not a JSON object"]
+    version = dict(pairs).get("v")
+    expected_version = schema["properties"]["v"]["const"]
+    if version is not None and version != expected_version:
+        return [f"schema v{version}, expected v{expected_version}"]
     keys = [k for k, _ in pairs]
     expected = list(schema["properties"].keys())
     if keys != expected:
